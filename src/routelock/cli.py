@@ -30,8 +30,7 @@ from .leakage import (
     write_filter_audit,
 )
 from .model import DenseModel, ModelConfig, ModelParams, generate
-from .params import value_and_grad
-from .tensor import Tensor, no_grad
+from .params import central_differences, max_relative_error, value_and_grad
 from .theory import (
     conflict_gap,
     dense_optimum,
@@ -525,23 +524,11 @@ def cmd_gradcheck(args) -> int:
     _, grads = value_and_grad(loss_fn, model.params, batch)
     if args.inject_error:
         grads = grads.from_flat(grads.flatten() + 1e-2)
-    flat_g = grads.flatten()
-    flat_p = model.params.flatten()
     rng = np.random.default_rng(seed)
-    coords = rng.choice(flat_p.size, size=min(args.probes, flat_p.size), replace=False)
-    step = 1e-5
-    worst = 0.0
-    for i in coords:
-        f = flat_p.copy()
-        f[i] += step
-        with no_grad():
-            lp = float(loss_fn({n: Tensor(a) for n, a in model.params.from_flat(f).items()}, batch).data)
-        f[i] -= 2 * step
-        with no_grad():
-            lm = float(loss_fn({n: Tensor(a) for n, a in model.params.from_flat(f).items()}, batch).data)
-        fd = (lp - lm) / (2 * step)
-        rel = abs(flat_g[i] - fd) / max(abs(flat_g[i]), abs(fd), 1e-4)
-        worst = max(worst, rel)
+    size = model.params.size
+    coords = rng.choice(size, size=min(args.probes, size), replace=False)
+    fd = central_differences(loss_fn, model.params, batch, coords, step=1e-5)
+    worst = max_relative_error(grads.flatten()[coords], fd)
     results["grad_vs_fd_max_rel"] = (worst, 1e-5, worst <= 1e-5)
 
     # inactive-expert zero

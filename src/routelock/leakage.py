@@ -12,11 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import CapacityError
 from .model import DenseModel, ModelParams, generate
 from .tokenizer import Route, Vocabulary, decode
 
@@ -95,7 +97,8 @@ def evaluate(
 
     ``model`` may also be a callable prompt_ids -> completion ids (stub
     models for tests). Prompts whose generation exceeds capacity are
-    skipped and counted in ``n_skipped``.
+    skipped with a warning on stderr and counted in ``n_skipped``; any
+    other error propagates.
     """
     lexicon = lexicon or ReflectiveLexicon()
     correct, lengths, refl = 0, [], []
@@ -108,9 +111,9 @@ def evaluate(
                 completion, _ = generate(
                     model, prompt_ids, max_new, sampler=sampler, temperature=temperature, seed=seed
                 )
-            except ValueError as exc:
+            except CapacityError as exc:
                 skipped += 1
-                print(f"warning: skipping prompt ({exc})")
+                print(f"warning: skipping prompt ({exc})", file=sys.stderr)
                 continue
         text = decode(completion, vocab)
         lengths.append(len(completion))

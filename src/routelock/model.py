@@ -223,9 +223,9 @@ class ExpertMlp:
 
 
 def _swiglu(w_gate: Tensor, w_up: Tensor, w_down: Tensor, x: Tensor) -> Tensor:
-    gate = matmul(x, transpose(w_gate))
-    up = matmul(x, transpose(w_up))
-    return matmul(mul(silu(gate), up), transpose(w_down))
+    gate = matmul(x, swap_last2(w_gate))
+    up = matmul(x, swap_last2(w_up))
+    return matmul(mul(silu(gate), up), swap_last2(w_down))
 
 
 def mlp_expert(expert: ExpertMlp, x) -> np.ndarray:
@@ -249,7 +249,10 @@ _RECORDERS: list["ExpertCallRecorder"] = []
 
 
 class ExpertCallRecorder:
-    """Context manager logging (layer, route, positions) per expert application."""
+    """Context manager logging (layer, route, positions) per expert application.
+
+    A forward over K parameter points logs the positions of all K points.
+    """
 
     def __init__(self):
         self.calls: list[tuple[int, int, int]] = []
@@ -317,16 +320,16 @@ def attn_sublayer(
     mask: np.ndarray,
 ) -> Tensor:
     h = rms_norm(x, leaves[f"layer{layer}.ln1"])
-    q = matmul(h, transpose(leaves[f"layer{layer}.wq"]))
-    k = matmul(h, transpose(leaves[f"layer{layer}.wk"]))
-    v = matmul(h, transpose(leaves[f"layer{layer}.wv"]))
+    q = matmul(h, swap_last2(leaves[f"layer{layer}.wq"]))
+    k = matmul(h, swap_last2(leaves[f"layer{layer}.wk"]))
+    v = matmul(h, swap_last2(leaves[f"layer{layer}.wv"]))
     qh = rope_rotate(_to_heads(q, cfg.n_heads), cos, sin)
     kh = rope_rotate(_to_heads(k, cfg.n_heads), cos, sin)
     vh = _to_heads(v, cfg.n_heads)
     scores = mul(matmul(qh, swap_last2(kh)), 1.0 / math.sqrt(cfg.head_dim))
     weights = softmax(add(scores, mask))
     ctx = _from_heads(matmul(weights, vh))
-    return add(x, matmul(ctx, transpose(leaves[f"layer{layer}.wo"])))
+    return add(x, matmul(ctx, swap_last2(leaves[f"layer{layer}.wo"])))
 
 
 def mlp_sublayer(
@@ -340,20 +343,24 @@ def mlp_sublayer(
     return add(x, mlp_apply(layer, h))
 
 
-def _positions(h: Tensor) -> int:
-    n = h.shape[-2]
-    for dim in h.shape[:-2]:
-        n *= dim
-    return n
+def _positions(h: Tensor, points: int) -> int:
+    """Positions an expert runs on, counted for each of ``points`` parameter points.
+
+    A pointed ``h`` already holds every point's positions; an unpointed one
+    is shared by all of them.
+    """
+    n = h.size // h.shape[-1]
+    return n if h.pointed else n * points
 
 
 def routed_mlp_apply(leaves: Mapping[str, Tensor], route: Route | int):
     r = int(route)
     if r not in (0, 1):
         raise ValueError(f"route must be 0 or 1, got {route!r}")
+    points = max((t.points for t in leaves.values()), default=1)
 
     def apply(layer: int, h: Tensor) -> Tensor:
-        _notify(layer, r, _positions(h))
+        _notify(layer, r, _positions(h, points))
         prefix = f"layer{layer}.expert{r}"
         return _swiglu(
             leaves[f"{prefix}.w_gate"], leaves[f"{prefix}.w_up"], leaves[f"{prefix}.w_down"], h
@@ -391,7 +398,7 @@ def decoder_logits(
         x = mlp_sublayer(cfg, leaves, layer, x, mlp_apply)
     if cfg.final_norm:
         x = rms_norm(x, leaves["final_norm"])
-    return matmul(x, transpose(leaves["lm_head"]))
+    return matmul(x, swap_last2(leaves["lm_head"]))
 
 
 def forward(model: ModelParams | DenseModel, tokens, route: Route | int | None = None) -> Tensor:
@@ -451,7 +458,7 @@ def forward_parts(model: ModelParams, tokens, route: Route | int, split_layer: i
                 y = mlp_sublayer(cfg, leaves, layer, y, apply)
             if cfg.final_norm:
                 y = rms_norm(y, leaves["final_norm"])
-            return matmul(y, transpose(leaves["lm_head"])).data
+            return matmul(y, swap_last2(leaves["lm_head"])).data
 
     return u.data, x_norm.data, downstream
 

@@ -3,7 +3,9 @@
 A ParamVector is an ordered list of (name, float64 array) segments with a
 flat view; flatten followed by from_flat is the identity. Gradients come
 back ParamVector-shaped, and any segment the forward graph never touched
-is an exact zeros array.
+is an exact zeros array. The finite-difference oracles evaluate their
+perturbed parameter points CHUNK_POINTS at a time, in one no-grad forward
+over pointed leaves (see ``tensor``).
 """
 
 from __future__ import annotations
@@ -117,28 +119,59 @@ def value_and_grad(loss_fn: LossFn, params: ParamVector, batch) -> tuple[float, 
     return float(loss.data), grads
 
 
-def _loss_value(loss_fn: LossFn, params: ParamVector, batch) -> float:
+CHUNK_POINTS = 64  # parameter points per batched no-grad forward
+
+
+def _loss_at(loss_fn: LossFn, params: ParamVector, batch, coords: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Loss at n parameter points, CHUNK_POINTS of them per no-grad forward.
+
+    Point p is ``params`` with ``deltas[p, m]`` added in place at flat
+    coordinate ``coords[p, m]``, for m in order. Within a chunk only the
+    segments its points perturb carry the point axis; every other segment
+    enters once, unbatched. A loss that comes back unpointed (the chunk
+    perturbs nothing the loss reads) is the loss at every point of the chunk.
+    """
+    bounds = np.cumsum([0] + [a.size for _, a in params.items()])
+    names = params.names
+    base = as_leaves(params)
+    values = np.empty(len(coords))
     with no_grad():
-        return float(loss_fn(as_leaves(params), batch).data)
+        for lo in range(0, len(coords), CHUNK_POINTS):
+            c, d = coords[lo : lo + CHUNK_POINTS], deltas[lo : lo + CHUNK_POINTS]
+            rows = np.arange(len(c))
+            leaves = dict(base)
+            for s in np.unique(np.searchsorted(bounds, c, side="right") - 1):
+                seg = params[names[s]]
+                pts = np.tile(seg.reshape(-1), (len(c), 1))
+                for m in range(c.shape[1]):
+                    hit = (c[:, m] >= bounds[s]) & (c[:, m] < bounds[s + 1])
+                    pts[rows[hit], c[hit, m] - bounds[s]] += d[hit, m]
+                leaves[names[s]] = Tensor(pts.reshape((len(c),) + seg.shape), pointed=True)
+            loss = loss_fn(leaves, batch)
+            if loss.size != loss.points:
+                raise ValueError(f"loss_fn must return one scalar per point, got shape {loss.shape}")
+            values[lo : lo + len(c)] = loss.data.reshape(-1)
+    return values
+
+
+def central_differences(
+    loss_fn: LossFn, params: ParamVector, batch, coords, step: float = 1e-5
+) -> np.ndarray:
+    """(L(p + step e_i) - L(p - step e_i)) / (2 step) at each flat coordinate i in ``coords``."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    coords = np.asarray(coords, dtype=np.int64)
+    values = _loss_at(
+        loss_fn, params, batch, np.repeat(coords, 2)[:, None], np.tile([step, -step], coords.size)[:, None]
+    )
+    return (values[0::2] - values[1::2]) / (2.0 * step)
 
 
 def finite_diff_grad(
     loss_fn: LossFn, params: ParamVector, batch, step: float = 1e-5
 ) -> ParamVector:
-    """Central-difference gradient, one coordinate at a time."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    flat = params.flatten()
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        lp = _loss_value(loss_fn, params.from_flat(flat), batch)
-        flat[i] = orig - step
-        lm = _loss_value(loss_fn, params.from_flat(flat), batch)
-        flat[i] = orig
-        grad[i] = (lp - lm) / (2.0 * step)
-    return params.from_flat(grad)
+    """Central-difference gradient over every coordinate."""
+    return params.from_flat(central_differences(loss_fn, params, batch, np.arange(params.size), step))
 
 
 def _flat_indices(params: ParamVector, names: Iterable[str]) -> np.ndarray:
@@ -147,27 +180,6 @@ def _flat_indices(params: ParamVector, names: Iterable[str]) -> np.ndarray:
         lo, hi = params.segment_slice(name)
         idx.append(np.arange(lo, hi))
     return np.concatenate(idx)
-
-
-def _cross_entry(
-    loss_fn: LossFn, params: ParamVector, batch, i: int, j: int, step: float
-) -> float:
-    """Nested central difference for d^2 L / (d p_i d p_j).
-
-    The four-point mixed stencil is also correct when i == j, where it
-    reduces to the (2h) pure second-difference.
-    """
-    flat = params.flatten()
-
-    def at(di: float, dj: float) -> float:
-        f = flat.copy()
-        f[i] += di
-        f[j] += dj
-        return _loss_value(loss_fn, params.from_flat(f), batch)
-
-    return (at(step, step) - at(step, -step) - at(-step, step) + at(-step, -step)) / (
-        4.0 * step * step
-    )
 
 
 def sampled_cross_hessian_max(
@@ -184,6 +196,9 @@ def sampled_cross_hessian_max(
 
     When both name sets coincide, half the draws are forced onto the
     diagonal (i == j) so the probe sees pure second derivatives too.
+    Each entry is the nested central difference on the four points
+    (p + di e_i) + dj e_j with di, dj = +-step; the stencil is also correct
+    when i == j, where it reduces to the (2 step) pure second difference.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
@@ -191,12 +206,15 @@ def sampled_cross_hessian_max(
     idx_b = _flat_indices(params, names_b)
     same_block = set(names_a) == set(names_b)
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    pairs = []
     for k in range(probes):
         i = int(rng.choice(idx_a))
         j = i if (same_block and k % 2 == 0) else int(rng.choice(idx_b))
-        worst = max(worst, abs(_cross_entry(loss_fn, params, batch, i, j, step)))
-    return worst
+        pairs.append((i, j))
+    stencil = np.tile([[step, step], [step, -step], [-step, step], [-step, -step]], (probes, 1))
+    at = _loss_at(loss_fn, params, batch, np.repeat(pairs, 4, axis=0), stencil).reshape(probes, 4)
+    entries = (at[:, 0] - at[:, 1] - at[:, 2] + at[:, 3]) / (4.0 * step * step)
+    return max([0.0] + np.abs(entries).tolist())
 
 
 def finite_diff_hessian_block(

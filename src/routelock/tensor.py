@@ -9,6 +9,16 @@ nothing, so values are bitwise equal with and without recording.
 
 All data is float64. Leading batch dimensions are supported throughout;
 reductions and normalization act over the trailing axis.
+
+A *pointed* tensor carries one more leading axis, the point axis: row k
+of its data is its value at the k-th of K parameter points, so one no-grad
+forward evaluates K parameter vectors at once. Where a pointed operand
+meets an unpointed one, the unpointed one is shared by every point, with
+its axes right-aligned to the pointed operand's non-point axes: a pointed
+(K, f, d) weight meets an unpointed (B, T, d) activation as K copies of a
+(f, d) weight. Each point's values are bitwise equal to evaluating that
+point on its own. Pointed tensors are forward-only: creating or using one
+while recording raises.
 """
 
 from __future__ import annotations
@@ -49,10 +59,13 @@ class Tensor:
     parameter gradients; everything else participates only as needed.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_vjp", "pointed")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data, requires_grad: bool = False, pointed: bool = False):
+        if pointed and _GRAD_ENABLED[0]:
+            raise RuntimeError("pointed tensors are forward-only; create them under no_grad")
         self.data = np.asarray(data, dtype=np.float64)
+        self.pointed = pointed
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.op = "leaf"
@@ -70,6 +83,11 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
+
+    @property
+    def points(self) -> int:
+        """Parameter points carried: the point-axis length, or 1 when unpointed."""
+        return self.data.shape[0] if self.pointed else 1
 
     def item(self) -> float:
         return float(self.data)
@@ -113,12 +131,37 @@ def _coerce(x) -> Tensor:
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     """Wrap a result; record the edge only if recording is on and useful."""
     out = Tensor(data)
-    if _GRAD_ENABLED[0] and any(p.requires_grad for p in parents):
+    if any(p.pointed for p in parents):
+        if _GRAD_ENABLED[0]:
+            raise RuntimeError(f"{op} got a pointed tensor while recording; pointed tensors are forward-only")
+        out.pointed = True
+    elif _GRAD_ENABLED[0] and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.op = op
         out._parents = parents
         out._vjp = vjp
     return out
+
+
+def _lift(t: Tensor, n: int) -> np.ndarray:
+    """``t``'s data with at least ``n`` non-point axes, padded after the point axis."""
+    d = t.data
+    if not t.pointed or d.ndim > n:
+        return d
+    return d.reshape(d.shape[:1] + (1,) * (n + 1 - d.ndim) + d.shape[1:])
+
+
+def _aligned(a: Tensor, b: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """Operand data that numpy broadcasts with the point axis kept apart."""
+    if not (a.pointed or b.pointed):
+        return a.data, b.data
+    n = max(a.ndim - a.pointed, b.ndim - b.pointed)
+    return _lift(a, n), _lift(b, n)
+
+
+def _reduce(x: np.ndarray, pointed: bool, fn=np.sum) -> np.ndarray:
+    """Reduce over every axis except a leading point axis."""
+    return fn(x.reshape(x.shape[0], -1), axis=1) if pointed else np.asarray(fn(x))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -191,7 +234,8 @@ def find_nonfinite(root: Tensor) -> str | None:
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    data = a.data + b.data
+    ad, bd = _aligned(a, b)
+    data = ad + bd
 
     def vjp(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -206,7 +250,8 @@ def neg(a) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    data = a.data * b.data
+    ad, bd = _aligned(a, b)
+    data = ad * bd
 
     def vjp(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
@@ -216,11 +261,12 @@ def mul(a, b) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    if a.ndim < 2 or b.ndim < 2:
+    if a.ndim - a.pointed < 2 or b.ndim - b.pointed < 2:
         raise ShapeError(f"matmul needs matrices, got shapes {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    data = a.data @ b.data
+    ad, bd = _aligned(a, b)
+    data = ad @ bd
 
     def vjp(g):
         ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
@@ -233,6 +279,8 @@ def matmul(a, b) -> Tensor:
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _coerce(a)
     old = a.shape
+    if a.pointed and (not shape or shape[0] != old[0]):
+        raise ShapeError(f"reshape of pointed {old} to {shape} must keep the point axis leading")
     return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),), "reshape")
 
 
@@ -240,6 +288,8 @@ def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
     a = _coerce(a)
     if axes is None:
         axes = tuple(range(a.ndim - 1, -1, -1))
+    if a.pointed and axes[0] != 0:
+        raise ShapeError(f"transpose {axes} of a pointed tensor must keep the point axis leading")
     inv = tuple(int(i) for i in np.argsort(axes))
     return _node(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),), "transpose")
 
@@ -251,15 +301,17 @@ def swap_last2(a) -> Tensor:
 
 
 def sum_all(a) -> Tensor:
+    """Sum of every entry; per point for a pointed tensor."""
     a = _coerce(a)
     shape = a.shape
-    return _node(np.asarray(a.data.sum()), (a,), lambda g: (np.full(shape, g),), "sum")
+    return _node(_reduce(a.data, a.pointed), (a,), lambda g: (np.full(shape, g),), "sum")
 
 
 def mean_all(a) -> Tensor:
+    """Mean of every entry; per point for a pointed tensor."""
     a = _coerce(a)
     shape, n = a.shape, a.size
-    return _node(np.asarray(a.data.mean()), (a,), lambda g: (np.full(shape, g / n),), "mean")
+    return _node(_reduce(a.data, a.pointed, np.mean), (a,), lambda g: (np.full(shape, g / n),), "mean")
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +320,11 @@ def mean_all(a) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # overflow-safe logistic
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # overflow-safe logistic: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below.
+    # minimum(x, -x) is -|x| except that it passes a NaN through with its sign,
+    # which keeps the result bitwise equal to the masked two-branch form.
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def silu(a) -> Tensor:
@@ -291,13 +341,13 @@ def silu(a) -> Tensor:
 def rms_norm(a, gain) -> Tensor:
     """x / sqrt(mean(x^2, last axis) + eps), scaled per-feature by gain."""
     a, gain = _coerce(a), _coerce(gain)
-    if gain.ndim != 1 or gain.shape[0] != a.shape[-1]:
+    if gain.ndim - gain.pointed != 1 or gain.shape[-1] != a.shape[-1]:
         raise ShapeError(f"rms_norm gain shape {gain.shape} does not match last dim of {a.shape}")
     d = a.shape[-1]
     ms = np.mean(a.data * a.data, axis=-1, keepdims=True)
     s = np.sqrt(ms + RMS_EPS)
     normed = a.data / s
-    data = normed * gain.data
+    data = normed * _lift(gain, a.ndim - a.pointed)
 
     def vjp(g):
         t = g * gain.data
@@ -326,9 +376,10 @@ def embedding(table, ids) -> Tensor:
     """Row gather: table[(V, d)] indexed by an integer id array."""
     table = _coerce(table)
     ids = np.asarray(ids, dtype=np.int64)
-    if np.any(ids < 0) or np.any(ids >= table.shape[0]):
-        raise IndexError(f"token id out of range for table with {table.shape[0]} rows")
-    data = table.data[ids]
+    rows = table.shape[-2]
+    if np.any(ids < 0) or np.any(ids >= rows):
+        raise IndexError(f"token id out of range for table with {rows} rows")
+    data = table.data[:, ids] if table.pointed else table.data[ids]
 
     def vjp(g):
         gt = np.zeros_like(table.data)
@@ -365,12 +416,14 @@ def softmax_cross_entropy(logits, targets, mask=None, reduction: str = "mean") -
     ``logits`` is (T, V) or (B, T, V); ``targets`` and ``mask`` match the
     leading shape. Reductions: "mean" over unmasked positions, "sum",
     or "example_mean" (per-example token mean, then mean over examples;
-    a 2-d input counts as one example).
+    a 2-d input counts as one example). Pointed logits give one loss per
+    point; targets and mask are shared by every point.
     """
     logits = _coerce(logits)
     v = logits.shape[-1]
+    lead = logits.shape[1:-1] if logits.pointed else logits.shape[:-1]
     targets = np.asarray(targets, dtype=np.int64)
-    if targets.shape != logits.shape[:-1]:
+    if targets.shape != lead:
         raise ShapeError(f"targets shape {targets.shape} does not match logits {logits.shape}")
     if np.any(targets < 0) or np.any(targets >= v):
         raise IndexError(f"target id out of range for vocabulary of size {v}")
@@ -383,7 +436,8 @@ def softmax_cross_entropy(logits, targets, mask=None, reduction: str = "mean") -
 
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.sum(np.exp(z), axis=-1))
-    picked = np.take_along_axis(z, targets[..., None], axis=-1)[..., 0]
+    idx = targets.reshape((1,) * logits.pointed + targets.shape + (1,))
+    picked = np.take_along_axis(z, idx, axis=-1)[..., 0]
     nll = lse - picked
 
     if reduction == "mean":
@@ -394,7 +448,7 @@ def softmax_cross_entropy(logits, targets, mask=None, reduction: str = "mean") -
     elif reduction == "sum":
         coeff = w
     elif reduction == "example_mean":
-        if logits.ndim == 2:
+        if len(lead) == 1:
             denom = w.sum()
             if denom == 0.0:
                 raise ValueError("no unmasked positions")
@@ -407,7 +461,7 @@ def softmax_cross_entropy(logits, targets, mask=None, reduction: str = "mean") -
     else:
         raise ValueError(f"unknown reduction {reduction!r}")
 
-    loss = np.asarray((nll * coeff).sum())
+    loss = _reduce(nll * coeff, logits.pointed)
 
     def vjp(g):
         e = np.exp(z)

@@ -160,7 +160,16 @@ def test_evaluate_skips_overlong_prompts_with_warning(synth_model, synth_small, 
     rep = evaluate(synth_model, prompts + [too_long], Route.NO_THINK, vocab, max_new=4)
     assert rep.n_prompts == 3
     assert rep.n_skipped == 1
-    assert "skipping prompt" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "skipping prompt" in captured.err
+    assert captured.out == ""
+
+
+def test_evaluate_propagates_non_capacity_errors(synth_model, synth_small):
+    spec, _, vocab = synth_small
+    prompts = eval_prompts(spec, 2, 21, Route.NO_THINK, vocab)
+    with pytest.raises(ValueError, match="temperature sampling requires a seed"):
+        evaluate(synth_model, prompts, Route.NO_THINK, vocab, max_new=4, sampler="temperature")
 
 
 def test_filter_max_len_validation():

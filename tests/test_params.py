@@ -3,6 +3,7 @@ import pytest
 
 from routelock.errors import NumericError
 from routelock.params import (
+    CHUNK_POINTS,
     ParamVector,
     finite_diff_grad,
     finite_diff_hessian_block,
@@ -94,6 +95,19 @@ def test_finite_diff_constant_loss():
 
     g = finite_diff_grad(loss_fn, p, None)
     assert np.array_equal(g["a"], np.zeros(4))
+
+
+def test_finite_diff_unread_segment_is_exact_zero():
+    # "unread" spans whole chunks of points, so some chunks perturb nothing the
+    # loss reads and get back an unpointed loss
+    p = pv(read=np.array([0.5, -1.5, 2.0]), unread=np.linspace(-1.0, 1.0, CHUNK_POINTS))
+
+    def loss_fn(leaves, _):
+        return mul(sum_all(mul(leaves["read"], leaves["read"])), 0.5)
+
+    g = finite_diff_grad(loss_fn, p, None)
+    assert g["unread"].tobytes() == np.zeros(CHUNK_POINTS).tobytes()
+    assert np.allclose(g["read"], p["read"], atol=1e-9)
 
 
 def test_finite_diff_agrees_with_reverse_mode():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,17 +7,23 @@ import pytest
 from routelock.errors import ShapeError
 from routelock.tensor import (
     Tensor,
+    _sigmoid,
+    add,
     backward,
     embedding,
     matmul,
+    mean_all,
     mul,
     no_grad,
+    reshape,
     rms_norm,
     rope_rotate,
     silu,
     softmax,
     softmax_cross_entropy,
     sum_all,
+    swap_last2,
+    transpose,
 )
 
 from conftest import fd_grad, rel_err
@@ -243,3 +250,75 @@ def test_backward_determinism_bitwise():
     l2, g2 = run()
     assert np.array_equal(l1, l2)
     assert np.array_equal(g1, g2)
+
+
+def masked_sigmoid(x):
+    """The two-branch logistic _sigmoid must match bit for bit."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bitwise_equals_masked_form():
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000123, 0xFFF8000000000456],
+                    dtype=np.uint64).view(np.float64)
+    special = np.array([np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300,
+                        709.0, -745.0, 800.0, -800.0, 1e308, -1e308])
+    rng = np.random.default_rng(12)
+    pool = np.concatenate([nans, special, rng.normal(scale=20.0, size=40)])
+    for n in (1, 7, 8, 9, 33, 200):
+        x = rng.choice(pool, size=n)
+        for arr in (x, x[::2], x.reshape(1, -1)):
+            assert _sigmoid(arr).tobytes() == masked_sigmoid(arr).tobytes()
+    x = rng.normal(scale=10.0, size=(25, 21, 128))
+    assert _sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+
+
+def test_pointed_tensor_raises_while_recording():
+    with pytest.raises(RuntimeError, match="forward-only"):
+        Tensor(np.zeros((2, 3)), pointed=True)
+    with no_grad():
+        p = Tensor(np.zeros((2, 3)), pointed=True)
+    with pytest.raises(RuntimeError, match="forward-only"):
+        add(p, Tensor(np.ones(3), requires_grad=True))
+
+
+def test_pointed_reshape_transpose_keep_point_axis_leading():
+    with no_grad():
+        p = Tensor(np.arange(24.0).reshape(2, 3, 4), pointed=True)
+        assert swap_last2(p).shape == (2, 4, 3) and swap_last2(p).pointed
+        with pytest.raises(ShapeError):
+            transpose(p)
+        with pytest.raises(ShapeError):
+            transpose(p, (1, 0, 2))
+        with pytest.raises(ShapeError):
+            reshape(p, (6, 4))
+        assert reshape(p, (2, 12)).pointed
+
+
+def test_pointed_ops_match_per_point_bitwise():
+    # every mix of pointed and unpointed operands, against one point at a time
+    ang = np.outer(np.arange(3), [1.0, 0.37])
+    cos, sin = np.cos(ang), np.sin(ang)
+    ids = np.array([[1, 0, 3], [2, 2, 0]])
+
+    def build(table, w, g):
+        y = rms_norm(embedding(table, ids), g)
+        y = silu(rope_rotate(matmul(y, swap_last2(w)), cos, sin))
+        xent = softmax_cross_entropy(softmax(y), np.array([[0, 1, 2], [3, 3, 1]]), reduction="example_mean")
+        return add(mul(xent, 0.5), add(mean_all(mul(y, y)), sum_all(y)))
+
+    rng = np.random.default_rng(13)
+    k = 3
+    arrays = [rng.normal(size=(k, 4, 5)), rng.normal(size=(k, 4, 5)), rng.normal(size=(k, 5))]
+    with no_grad():
+        for pointed in itertools.product((False, True), repeat=3):
+            out = build(*(Tensor(a, pointed=True) if p else Tensor(a[0]) for a, p in zip(arrays, pointed)))
+            assert out.pointed == any(pointed)
+            assert out.shape == ((k,) if any(pointed) else ())
+            for i in range(k if any(pointed) else 1):
+                ref = build(*(Tensor(a[i] if p else a[0]) for a, p in zip(arrays, pointed)))
+                assert out.data.reshape(-1)[i].tobytes() == ref.data.tobytes()
