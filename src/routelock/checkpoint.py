@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -35,7 +36,7 @@ def save_checkpoint(model: ModelParams, path) -> None:
         )
         offset += arr.size * 8
     header = json.dumps(
-        {"config": model.config.to_dict(), "segments": manifest},
+        {"config": asdict(model.config), "segments": manifest},
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
@@ -58,7 +59,7 @@ def load_checkpoint(path) -> ModelParams:
         raise ValueError(f"{path}: unsupported format version {version}")
     (hlen,) = struct.unpack_from("<Q", blob, 8)
     header = json.loads(blob[16 : 16 + hlen].decode("utf-8"))
-    cfg = ModelConfig.from_dict(header["config"])
+    cfg = ModelConfig(**header["config"])
     payload = blob[16 + hlen :]
     segments = []
     for entry in header["segments"]:

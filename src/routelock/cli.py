@@ -13,12 +13,13 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .leakage import (
     LeakageReport,
     ReflectiveLexicon,
@@ -46,10 +47,11 @@ from .tokenizer import BOS_ID, Route, UNK_ID, Vocabulary, control_token_id, deco
 from .trainer import (
     TrainConfig,
     batch_loss_fn,
-    load_dataset_jsonl,
-    dataset_texts,
+    example_from_record,
     make_batch,
     mode_loss_grad,
+    read_jsonl,
+    record_fields,
     split_by_mode,
     train,
 )
@@ -82,6 +84,19 @@ def _resolve_seed(args, config: dict) -> int:
     return int(seed)
 
 
+def _from_config(cls, section: str, fields: dict):
+    """``cls(**fields)``; a missing, unknown or ill-typed field is a ConfigError."""
+    try:
+        return cls(**fields)
+    except TypeError as exc:
+        raise ConfigError(f"config section \"{section}\": {exc}") from exc
+
+
+def _load_vocab(checkpoint, path=None) -> Vocabulary:
+    """The vocabulary at ``path``, by default the one saved beside ``checkpoint``."""
+    return Vocabulary.load(path or Path(checkpoint).with_suffix(".vocab.txt"))
+
+
 def _out_dir(args, config: dict, default: str) -> Path:
     out = Path(args.out or config.get("report_dir") or default)
     out.mkdir(parents=True, exist_ok=True)
@@ -107,35 +122,21 @@ def cmd_train(args) -> int:
         return _fail("train needs a dataset (flag --dataset or config field)")
     out = _out_dir(args, config, "runs/train")
 
-    vocab = Vocabulary.from_texts(dataset_texts(dataset_path))
-    model_cfg_dict = dict(config.get("model", {}))
-    model_cfg_dict.setdefault("vocab_size", len(vocab))
-    model_cfg_dict.setdefault("d_model", 64)
-    model_cfg_dict.setdefault("n_layers", 2)
-    model_cfg_dict.setdefault("n_heads", 4)
-    model_cfg_dict.setdefault("d_ff", 128)
-    model_cfg_dict.setdefault("max_seq", 64)
-    cfg = ModelConfig.from_dict(model_cfg_dict)
+    records = list(read_jsonl(dataset_path))
+    vocab = Vocabulary.from_texts(
+        text for where, record in records for text in record_fields(record, where)[1:]
+    )
+    defaults = dict(vocab_size=len(vocab), d_model=64, n_layers=2, n_heads=4, d_ff=128, max_seq=64)
+    cfg = _from_config(ModelConfig, "model", {**defaults, **config.get("model", {})})
+    train_cfg = _from_config(TrainConfig, "train", {**config.get("train", {}), "seed": seed})
+    dataset = [example_from_record(record, vocab, where)[0] for where, record in records]
 
-    train_cfg_dict = dict(config.get("train", {}))
-    train_cfg_dict["seed"] = seed
-    train_cfg = TrainConfig(**train_cfg_dict)
-
-    try:
-        dataset, _ = load_dataset_jsonl(dataset_path, vocab)
-    except DataError as exc:
-        return _fail(str(exc))
-
-    dense = DenseModel.init_random(cfg, seed=seed)
-    model = ModelParams.clone_from_dense(dense)
+    model = ModelParams.clone_from_dense(DenseModel.init_random(cfg, seed=seed))
 
     def on_epoch(epoch: int, l0: float, l1: float) -> None:
         print(f"epoch {epoch}: no_think loss {l0:.6f}  think loss {l1:.6f}")
 
-    try:
-        trained, log = train(model, dataset, train_cfg, epoch_callback=on_epoch)
-    except DataError as exc:
-        return _fail(str(exc))
+    trained, log = train(model, dataset, train_cfg, epoch_callback=on_epoch)
 
     ckpt_path = Path(args.checkpoint or config.get("checkpoint") or out / "model.ple")
     ckpt_path.parent.mkdir(parents=True, exist_ok=True)
@@ -152,8 +153,8 @@ def cmd_train(args) -> int:
             "dataset": str(dataset_path),
             "checkpoint": str(ckpt_path),
             "vocab": str(vocab_path),
-            "model": cfg.to_dict(),
-            "train": train_cfg.to_dict(),
+            "model": asdict(cfg),
+            "train": asdict(train_cfg),
         },
     )
     print(f"checkpoint -> {ckpt_path}")
@@ -173,8 +174,7 @@ def cmd_generate(args) -> int:
     if not checkpoint:
         return _fail("generate needs a checkpoint (flag --checkpoint or config field)")
     model = load_checkpoint(checkpoint)
-    vocab_path = args.vocab or str(Path(checkpoint).with_suffix(".vocab.txt"))
-    vocab = Vocabulary.load(vocab_path)
+    vocab = _load_vocab(checkpoint, args.vocab)
     prompt_ids = encode(args.prompt, vocab)
     if UNK_ID in prompt_ids:
         unknown = [tok for tok in args.prompt.split() if tok not in vocab]
@@ -353,21 +353,15 @@ def cmd_theory(args) -> int:
 def _eval_prompts_from_file(path, vocab: Vocabulary, mode: Route):
     """(prompt ids, gold) pairs; prompts get BOS and the requested control token."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if "answer" not in record:
-                raise DataError(f"{path}:{lineno}: eval records need an \"answer\" field")
-            if record.get("mode") is not None and record["mode"] != ("think" if mode else "no_think"):
-                continue
-            ids = [BOS_ID] + encode(record["prompt"], vocab) + [control_token_id(mode)]
-            out.append((ids, str(record["answer"])))
+    for where, record in read_jsonl(path):
+        if "answer" not in record:
+            raise DataError(f"{where}: eval records need an \"answer\" field")
+        if not isinstance(record.get("prompt"), str):
+            raise DataError(f"{where}: 'prompt' must be a string")
+        if record.get("mode") is not None and record["mode"] != ("think" if mode else "no_think"):
+            continue
+        ids = [BOS_ID] + encode(record["prompt"], vocab) + [control_token_id(mode)]
+        out.append((ids, str(record["answer"])))
     return out
 
 
@@ -376,8 +370,7 @@ def cmd_eval(args) -> int:
     seed = _resolve_seed(args, config)
     out = _out_dir(args, config, "runs/eval")
     model = load_checkpoint(args.checkpoint)
-    vocab_path = args.vocab or str(Path(args.checkpoint).with_suffix(".vocab.txt"))
-    vocab = Vocabulary.load(vocab_path)
+    vocab = _load_vocab(args.checkpoint, args.vocab)
     lexicon_path = args.lexicon or config.get("lexicon")
     lexicon = ReflectiveLexicon.load(lexicon_path) if lexicon_path else ReflectiveLexicon()
 
@@ -389,10 +382,7 @@ def cmd_eval(args) -> int:
 
     reports: dict[tuple[str, str], LeakageReport] = {}
     for mode in modes:
-        try:
-            prompts = _eval_prompts_from_file(args.dataset, vocab, mode)
-        except DataError as exc:
-            return _fail(str(exc))
+        prompts = _eval_prompts_from_file(args.dataset, vocab, mode)
         rep = evaluate(model, prompts, mode, vocab, lexicon, max_new=args.max_new, seed=seed)
         name = "think" if mode is Route.THINK else "no_think"
         reports[("model", name)] = rep
@@ -405,18 +395,16 @@ def cmd_eval(args) -> int:
     (out / "leakage_report.csv").write_text(csv_text)
     (out / "leakage_report.json").write_text(
         json.dumps(
-            {f"{k[0]}/{k[1]}": v.as_dict() for k, v in reports.items()}, indent=2, sort_keys=True
+            {f"{k[0]}/{k[1]}": asdict(v) for k, v in reports.items()}, indent=2, sort_keys=True
         )
         + "\n"
     )
     if args.baseline:
+        # the baseline's rows are keyed apart so they cannot replace this run's rows
         with open(args.baseline, encoding="utf-8") as fh:
-            base = json.load(fh)
-        for key, rec in base.items():
-            model_name, mode_name = key.split("/")
-            reports[(model_name, mode_name)] = LeakageReport(**rec)
-        first = next(iter(base))
-        csv_delta, table = leakage_delta_table(reports, tuple(first.split("/")))
+            rows = json.load(fh)
+        base = {("baseline", key.split("/")[-1]): LeakageReport(**rec) for key, rec in rows.items()}
+        csv_delta, table = leakage_delta_table({**reports, **base}, next(iter(base)))
         (out / "leakage_delta.csv").write_text(csv_delta)
         print(table)
     _echo_config(
@@ -439,21 +427,12 @@ def cmd_filter(args) -> int:
     lexicon_path = args.lexicon or config.get("lexicon")
     lexicon = ReflectiveLexicon.load(lexicon_path) if lexicon_path else ReflectiveLexicon()
     candidates = []
-    try:
-        with open(args.candidates, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    candidates.append((rec["prompt"], rec["response"]))
-                except (json.JSONDecodeError, KeyError) as exc:
-                    return _fail(f"{args.candidates}:{lineno}: {exc}")
-        with open(args.gold, encoding="utf-8") as fh:
-            golds = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
-        return _fail(str(exc))
+    for where, rec in read_jsonl(args.candidates):
+        if not all(isinstance(rec.get(key), str) for key in ("prompt", "response")):
+            return _fail(f"{where}: candidate records need string \"prompt\" and \"response\" fields")
+        candidates.append((rec["prompt"], rec["response"]))
+    with open(args.gold, encoding="utf-8") as fh:
+        golds = [line.strip() for line in fh if line.strip()]
     if len(golds) != len(candidates):
         return _fail(f"{len(candidates)} candidates but {len(golds)} gold answers")
 
@@ -510,7 +489,7 @@ def cmd_gradcheck(args) -> int:
     if args.checkpoint:
         model = load_checkpoint(args.checkpoint)
         spec = SynthTaskSpec(modulus=5, n_problems=4, seed=seed)
-        data, _ = generate_synth_dataset(spec)
+        data, _ = generate_synth_dataset(spec, _load_vocab(args.checkpoint))
     else:
         model, d0, d1 = _tiny_audit_setup(seed)
         data = d0 + d1

@@ -71,16 +71,6 @@ class LeakageReport:
     n_prompts: int = 0
     n_skipped: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "accuracy": self.accuracy,
-            "mean_length": self.mean_length,
-            "refl_per_answer": self.refl_per_answer,
-            "n_prompts": self.n_prompts,
-            "n_skipped": self.n_skipped,
-        }
-
 
 def evaluate(
     model: ModelParams | DenseModel | Callable[[Sequence[int]], list[int]],

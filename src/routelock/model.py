@@ -18,7 +18,7 @@ Expert segments form the beta0/beta1 partitions; everything else is alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -27,7 +27,10 @@ from .errors import CapacityError, ConfigError, ShapeError
 from .params import ParamVector, as_leaves
 from .tensor import (
     Tensor,
+    _rms_scale,
+    _rope,
     _sigmoid,
+    _softmax,
     add,
     embedding,
     matmul,
@@ -72,22 +75,6 @@ class ModelConfig:
     def head_dim(self) -> int:
         return self.d_model // self.n_heads
 
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "max_seq": self.max_seq,
-            "rope_base": self.rope_base,
-            "final_norm": self.final_norm,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 def _mlp_shapes(cfg: ModelConfig) -> tuple[tuple[str, tuple[int, int]], ...]:
     return (
@@ -120,6 +107,11 @@ def dense_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 def routed_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return _layout(cfg, ("expert0", "expert1"))
+
+
+def mlp_prefix(layer: int, expert: int | None) -> str:
+    """Segment prefix of layer ``layer``'s MLP: expert ``expert``, or the dense MLP for None."""
+    return f"layer{layer}.mlp" if expert is None else f"layer{layer}.expert{expert}"
 
 
 def segment_group(name: str) -> str:
@@ -157,6 +149,13 @@ class DenseModel:
     def init_random(cls, cfg: ModelConfig, seed: int, init_scale: float = 1.0) -> "DenseModel":
         return cls(cfg, _init_params(cfg, dense_layout(cfg), seed, init_scale))
 
+    def with_params(self, pv: ParamVector) -> "DenseModel":
+        return replace(self, params=pv)
+
+    def expert_index(self, route: Route | int | None) -> None:
+        """The dense model has no experts: every route runs its one MLP."""
+        return None
+
 
 @dataclass
 class ModelParams:
@@ -187,7 +186,16 @@ class ModelParams:
         return cls.clone_from_dense(DenseModel.init_random(cfg, seed, init_scale))
 
     def with_params(self, pv: ParamVector) -> "ModelParams":
-        return ModelParams(self.config, pv)
+        return replace(self, params=pv)
+
+    def expert_index(self, route: Route | int | None) -> int:
+        """The expert ``route`` selects; the dual-expert model requires a route."""
+        if route is None:
+            raise ValueError("route is required for the dual-expert model")
+        r = int(route)
+        if r not in (0, 1):
+            raise ValueError(f"route must be 0 or 1, got {route!r}")
+        return r
 
     def groups(self) -> dict[str, list[str]]:
         out: dict[str, list[str]] = {"alpha": [], "beta0": [], "beta1": []}
@@ -196,7 +204,7 @@ class ModelParams:
         return out
 
     def expert(self, layer: int, route: Route | int) -> "ExpertMlp":
-        prefix = f"layer{layer}.expert{int(route)}"
+        prefix = mlp_prefix(layer, int(route))
         return ExpertMlp(
             self.params[f"{prefix}.w_gate"],
             self.params[f"{prefix}.w_up"],
@@ -226,6 +234,11 @@ def _swiglu(w_gate: Tensor, w_up: Tensor, w_down: Tensor, x: Tensor) -> Tensor:
     gate = matmul(x, swap_last2(w_gate))
     up = matmul(x, swap_last2(w_up))
     return matmul(mul(silu(gate), up), swap_last2(w_down))
+
+
+def _swiglu_at(leaves: Mapping[str, Tensor], prefix: str, x: Tensor) -> Tensor:
+    """``_swiglu`` with the MLP weights named ``prefix``.w_gate/w_up/w_down."""
+    return _swiglu(leaves[f"{prefix}.w_gate"], leaves[f"{prefix}.w_up"], leaves[f"{prefix}.w_down"], x)
 
 
 def mlp_expert(expert: ExpertMlp, x) -> np.ndarray:
@@ -353,30 +366,43 @@ def _positions(h: Tensor, points: int) -> int:
     return n if h.pointed else n * points
 
 
-def routed_mlp_apply(leaves: Mapping[str, Tensor], route: Route | int):
-    r = int(route)
-    if r not in (0, 1):
-        raise ValueError(f"route must be 0 or 1, got {route!r}")
+def mlp_dispatch(model: ModelParams | DenseModel, leaves: Mapping[str, Tensor], route: Route | int | None):
+    """The ``(layer, h) -> MLP output`` closure of ``model`` on ``route``.
+
+    The model names the MLP each layer runs: the routed model one expert,
+    the dense model its single MLP. Expert calls are logged to every open
+    ExpertCallRecorder.
+    """
+    r = model.expert_index(route)
     points = max((t.points for t in leaves.values()), default=1)
 
     def apply(layer: int, h: Tensor) -> Tensor:
-        _notify(layer, r, _positions(h, points))
-        prefix = f"layer{layer}.expert{r}"
-        return _swiglu(
-            leaves[f"{prefix}.w_gate"], leaves[f"{prefix}.w_up"], leaves[f"{prefix}.w_down"], h
-        )
+        if r is not None:
+            _notify(layer, r, _positions(h, points))
+        return _swiglu_at(leaves, mlp_prefix(layer, r), h)
 
     return apply
 
 
-def dense_mlp_apply(leaves: Mapping[str, Tensor]):
-    def apply(layer: int, h: Tensor) -> Tensor:
-        prefix = f"layer{layer}.mlp"
-        return _swiglu(
-            leaves[f"{prefix}.w_gate"], leaves[f"{prefix}.w_up"], leaves[f"{prefix}.w_down"], h
-        )
+def _seq_tables(cfg: ModelConfig, seq: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos, sin and causal mask for a length-``seq`` sequence from position 0."""
+    if seq > cfg.max_seq:
+        raise CapacityError(f"sequence length {seq} exceeds max_seq {cfg.max_seq}")
+    cos, sin = rope_tables(0, seq, cfg.head_dim, cfg.rope_base)
+    return cos, sin, causal_mask(seq)
 
-    return apply
+
+def _layers(cfg: ModelConfig, leaves, x: Tensor, layers: range, mlp_apply, tables) -> Tensor:
+    for layer in layers:
+        x = attn_sublayer(cfg, leaves, layer, x, *tables)
+        x = mlp_sublayer(cfg, leaves, layer, x, mlp_apply)
+    return x
+
+
+def _lm_head(cfg: ModelConfig, leaves, x: Tensor) -> Tensor:
+    if cfg.final_norm:
+        x = rms_norm(x, leaves["final_norm"])
+    return matmul(x, swap_last2(leaves["lm_head"]))
 
 
 def decoder_logits(
@@ -387,18 +413,9 @@ def decoder_logits(
 ) -> Tensor:
     """Causal decoder logits (..., T, V) for int token ids (T,) or (B, T)."""
     ids = np.asarray(tokens, dtype=np.int64)
-    seq = ids.shape[-1]
-    if seq > cfg.max_seq:
-        raise CapacityError(f"sequence length {seq} exceeds max_seq {cfg.max_seq}")
+    tables = _seq_tables(cfg, ids.shape[-1])
     x = embedding(leaves["embed"], ids)
-    cos, sin = rope_tables(0, seq, cfg.head_dim, cfg.rope_base)
-    mask = causal_mask(seq)
-    for layer in range(cfg.n_layers):
-        x = attn_sublayer(cfg, leaves, layer, x, cos, sin, mask)
-        x = mlp_sublayer(cfg, leaves, layer, x, mlp_apply)
-    if cfg.final_norm:
-        x = rms_norm(x, leaves["final_norm"])
-    return matmul(x, swap_last2(leaves["lm_head"]))
+    return _lm_head(cfg, leaves, _layers(cfg, leaves, x, range(cfg.n_layers), mlp_apply, tables))
 
 
 def forward(model: ModelParams | DenseModel, tokens, route: Route | int | None = None) -> Tensor:
@@ -408,11 +425,7 @@ def forward(model: ModelParams | DenseModel, tokens, route: Route | int | None =
     dense baseline ignores ``route``.
     """
     leaves = as_leaves(model.params)
-    if isinstance(model, ModelParams):
-        if route is None:
-            raise ValueError("route is required for the dual-expert model")
-        return decoder_logits(model.config, leaves, tokens, routed_mlp_apply(leaves, route))
-    return decoder_logits(model.config, leaves, tokens, dense_mlp_apply(leaves))
+    return decoder_logits(model.config, leaves, tokens, mlp_dispatch(model, leaves, route))
 
 
 def route_logit_gap(model: ModelParams, tokens) -> np.ndarray:
@@ -435,30 +448,19 @@ def forward_parts(model: ModelParams, tokens, route: Route | int, split_layer: i
     if not 0 <= split_layer < cfg.n_layers:
         raise ValueError(f"split_layer {split_layer} outside 0..{cfg.n_layers - 1}")
     ids = np.asarray(tokens, dtype=np.int64)
-    seq = ids.shape[-1]
-    if seq > cfg.max_seq:
-        raise CapacityError(f"sequence length {seq} exceeds max_seq {cfg.max_seq}")
+    tables = _seq_tables(cfg, ids.shape[-1])
     leaves = as_leaves(model.params)
-    apply = routed_mlp_apply(leaves, route)
-    cos, sin = rope_tables(0, seq, cfg.head_dim, cfg.rope_base)
-    mask = causal_mask(seq)
+    apply = mlp_dispatch(model, leaves, route)
     with no_grad():
-        x = embedding(leaves["embed"], ids)
-        for layer in range(split_layer):
-            x = attn_sublayer(cfg, leaves, layer, x, cos, sin, mask)
-            x = mlp_sublayer(cfg, leaves, layer, x, apply)
-        u = attn_sublayer(cfg, leaves, split_layer, x, cos, sin, mask)
+        x = _layers(cfg, leaves, embedding(leaves["embed"], ids), range(split_layer), apply, tables)
+        u = attn_sublayer(cfg, leaves, split_layer, x, *tables)
         x_norm = rms_norm(u, leaves[f"layer{split_layer}.ln2"])
 
     def downstream(resid: np.ndarray) -> np.ndarray:
         with no_grad():
             y = Tensor(np.asarray(resid, dtype=np.float64))
-            for layer in range(split_layer + 1, cfg.n_layers):
-                y = attn_sublayer(cfg, leaves, layer, y, cos, sin, mask)
-                y = mlp_sublayer(cfg, leaves, layer, y, apply)
-            if cfg.final_norm:
-                y = rms_norm(y, leaves["final_norm"])
-            return matmul(y, swap_last2(leaves["lm_head"])).data
+            y = _layers(cfg, leaves, y, range(split_layer + 1, cfg.n_layers), apply, tables)
+            return _lm_head(cfg, leaves, y).data
 
     return u.data, x_norm.data, downstream
 
@@ -466,25 +468,6 @@ def forward_parts(model: ModelParams, tokens, route: Route | int, split_layer: i
 # ---------------------------------------------------------------------------
 # generation (plain numpy, with an optional KV cache)
 # ---------------------------------------------------------------------------
-
-
-def _np_rms(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    from .tensor import RMS_EPS
-
-    s = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
-    return x / s * gain
-
-
-def _np_swiglu(pv: ParamVector, prefix: str, x: np.ndarray) -> np.ndarray:
-    gate = x @ pv[f"{prefix}.w_gate"].T
-    up = x @ pv[f"{prefix}.w_up"].T
-    return (gate * _sigmoid(gate) * up) @ pv[f"{prefix}.w_down"].T
-
-
-def _np_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    half = x.shape[-1] // 2
-    x1, x2 = x[..., :half], x[..., half:]
-    return np.concatenate((x1 * cos - x2 * sin, x1 * sin + x2 * cos), axis=-1)
 
 
 class _KVCache:
@@ -515,12 +498,12 @@ def _np_chunk(
     x = pv["embed"][ids]
     cos, sin = rope_tables(pos0, n, hd, cfg.rope_base)
     for layer in range(cfg.n_layers):
-        h = _np_rms(x, pv[f"layer{layer}.ln1"])
+        h = x / _rms_scale(x) * pv[f"layer{layer}.ln1"]
         q = (h @ pv[f"layer{layer}.wq"].T).reshape(n, h_heads, hd).transpose(1, 0, 2)
         k = (h @ pv[f"layer{layer}.wk"].T).reshape(n, h_heads, hd).transpose(1, 0, 2)
         v = (h @ pv[f"layer{layer}.wv"].T).reshape(n, h_heads, hd).transpose(1, 0, 2)
-        q = _np_rope(q, cos, sin)
-        k = _np_rope(k, cos, sin)
+        q = _rope(q, cos, sin)
+        k = _rope(k, cos, sin)
         cache.append(layer, k, v)
         scores = q @ np.swapaxes(cache.k[layer], -1, -2) / math.sqrt(hd)
         total = cache.k[layer].shape[1]
@@ -529,17 +512,16 @@ def _np_chunk(
             col = np.arange(total)[None, :]
             row = np.arange(pos0, pos0 + n)[:, None]
             scores = scores + np.where(col > row, MASK_NEG, 0.0)
-        z = scores - scores.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        w = e / e.sum(axis=-1, keepdims=True)
-        ctx = (w @ cache.v[layer]).transpose(1, 0, 2).reshape(n, cfg.d_model)
+        ctx = (_softmax(scores) @ cache.v[layer]).transpose(1, 0, 2).reshape(n, cfg.d_model)
         x = x + ctx @ pv[f"layer{layer}.wo"].T
-        h2 = _np_rms(x, pv[f"layer{layer}.ln2"])
+        h2 = x / _rms_scale(x) * pv[f"layer{layer}.ln2"]
         if route_for_count is not None:
             _notify(layer, route_for_count, n)
-        x = x + _np_swiglu(pv, prefix_for_layer(layer), h2)
+        mlp = prefix_for_layer(layer)
+        gate = h2 @ pv[f"{mlp}.w_gate"].T
+        x = x + (gate * _sigmoid(gate) * (h2 @ pv[f"{mlp}.w_up"].T)) @ pv[f"{mlp}.w_down"].T
     if cfg.final_norm:
-        x = _np_rms(x, pv["final_norm"])
+        x = x / _rms_scale(x) * pv["final_norm"]
     return x @ pv["lm_head"].T
 
 
@@ -547,10 +529,7 @@ def _sample(logits: np.ndarray, sampler: str, temperature: float, rng) -> int:
     if sampler == "greedy":
         return int(np.argmax(logits))
     if sampler == "temperature":
-        z = logits / temperature
-        z = z - z.max()
-        p = np.exp(z)
-        p /= p.sum()
+        p = _softmax(logits / temperature)
         return int(rng.choice(p.size, p=p))
     raise ValueError(f"unknown sampler {sampler!r}")
 
@@ -583,19 +562,14 @@ def generate(
     rng = np.random.default_rng(seed) if seed is not None else None
 
     route = resolve_route(prompt)
-    if isinstance(model, ModelParams):
-        r = int(route)
-        prefix_for_layer = lambda layer: f"layer{layer}.expert{r}"
-        count_route: int | None = r
-    else:
-        prefix_for_layer = lambda layer: f"layer{layer}.mlp"
-        count_route = None
+    expert = model.expert_index(route)
+    prefix_for_layer = lambda layer: mlp_prefix(layer, expert)
 
     pv = model.params
     out: list[int] = []
     if use_cache:
         cache = _KVCache(cfg.n_layers)
-        logits = _np_chunk(cfg, pv, np.asarray(prompt, np.int64), prefix_for_layer, cache, 0, count_route)
+        logits = _np_chunk(cfg, pv, np.asarray(prompt, np.int64), prefix_for_layer, cache, 0, expert)
         while len(out) < max_new:
             nxt = _sample(logits[-1], sampler, temperature, rng)
             if nxt == EOS_ID:
@@ -610,12 +584,12 @@ def generate(
                 prefix_for_layer,
                 cache,
                 len(prompt) + len(out) - 1,
-                count_route,
+                expert,
             )
     else:
         for _ in range(max_new):
             seq = np.asarray(prompt + out, np.int64)
-            logits = _np_chunk(cfg, pv, seq, prefix_for_layer, _KVCache(cfg.n_layers), 0, count_route)
+            logits = _np_chunk(cfg, pv, seq, prefix_for_layer, _KVCache(cfg.n_layers), 0, expert)
             nxt = _sample(logits[-1], sampler, temperature, rng)
             if nxt == EOS_ID:
                 break

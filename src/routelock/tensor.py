@@ -327,6 +327,24 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
+def _rms_scale(x: np.ndarray) -> np.ndarray:
+    """sqrt(mean(x^2, last axis) + eps), kept as a trailing axis of 1."""
+    return np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the trailing axis, shifted by the row max so exp cannot overflow."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate the feature halves (x1, x2) of the trailing axis by the angles of cos/sin."""
+    half = x.shape[-1] // 2
+    x1, x2 = x[..., :half], x[..., half:]
+    return np.concatenate((x1 * cos - x2 * sin, x1 * sin + x2 * cos), axis=-1)
+
+
 def silu(a) -> Tensor:
     a = _coerce(a)
     s = _sigmoid(a.data)
@@ -344,8 +362,7 @@ def rms_norm(a, gain) -> Tensor:
     if gain.ndim - gain.pointed != 1 or gain.shape[-1] != a.shape[-1]:
         raise ShapeError(f"rms_norm gain shape {gain.shape} does not match last dim of {a.shape}")
     d = a.shape[-1]
-    ms = np.mean(a.data * a.data, axis=-1, keepdims=True)
-    s = np.sqrt(ms + RMS_EPS)
+    s = _rms_scale(a.data)
     normed = a.data / s
     data = normed * _lift(gain, a.ndim - a.pointed)
 
@@ -362,9 +379,7 @@ def rms_norm(a, gain) -> Tensor:
 def softmax(a) -> Tensor:
     """Softmax over the trailing axis."""
     a = _coerce(a)
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = _softmax(a.data)
 
     def vjp(g):
         return (p * (g - np.sum(g * p, axis=-1, keepdims=True)),)
@@ -399,15 +414,8 @@ def rope_rotate(a, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     h = a.shape[-1]
     if h % 2 != 0:
         raise ShapeError(f"rotary features must be even, got {h}")
-    half = h // 2
-    x1, x2 = a.data[..., :half], a.data[..., half:]
-    data = np.concatenate((x1 * cos - x2 * sin, x1 * sin + x2 * cos), axis=-1)
-
-    def vjp(g):
-        g1, g2 = g[..., :half], g[..., half:]
-        return (np.concatenate((g1 * cos + g2 * sin, -g1 * sin + g2 * cos), axis=-1),)
-
-    return _node(data, (a,), vjp, "rope_rotate")
+    # the rotation by -angle is the inverse and, being orthogonal, the transpose
+    return _node(_rope(a.data, cos, sin), (a,), lambda g: (_rope(g, cos, -sin),), "rope_rotate")
 
 
 def softmax_cross_entropy(logits, targets, mask=None, reduction: str = "mean") -> Tensor:
@@ -464,9 +472,7 @@ def softmax_cross_entropy(logits, targets, mask=None, reduction: str = "mean") -
     loss = _reduce(nll * coeff, logits.pointed)
 
     def vjp(g):
-        e = np.exp(z)
-        p = e / e.sum(axis=-1, keepdims=True)
-        grad = p * coeff[..., None]
+        grad = _softmax(logits.data) * coeff[..., None]
         np.put_along_axis(
             grad,
             targets[..., None],

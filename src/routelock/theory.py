@@ -21,8 +21,7 @@ import numpy as np
 from .errors import DegenerateInputError, SingularityError
 from .model import ModelParams, forward, forward_parts, mlp_expert
 from .params import ParamVector, sampled_cross_hessian_max
-from .tensor import add, mul
-from .trainer import ChatExample, batch_loss_fn, make_batch, split_by_mode
+from .trainer import ChatExample, two_mode_loss_fn
 
 SYM_TOL = 1e-12
 PSD_TOL = -1e-10
@@ -217,16 +216,6 @@ class HessianAuditReport:
     probes: int
     step: float
 
-    def as_dict(self) -> dict:
-        return {
-            "beta0_beta1": self.cross_beta0_beta1,
-            "alpha_beta0": self.alpha_beta0,
-            "alpha_beta1": self.alpha_beta1,
-            "beta0_beta0": self.beta0_beta0,
-            "probes": self.probes,
-            "step": self.step,
-        }
-
 
 def hessian_block_audit(
     model: ModelParams,
@@ -243,16 +232,7 @@ def hessian_block_audit(
     and within-expert blocks are the non-degeneracy controls showing the
     probe does detect real curvature.
     """
-    dataset = list(batch0) + list(batch1)
-    d0, d1 = split_by_mode(dataset)
-    pi0, pi1 = len(d0) / len(dataset), len(d1) / len(dataset)
-    b0, b1 = make_batch(d0), make_batch(d1)
-    fn0 = batch_loss_fn(model, d0[0].mode, "example_mean")
-    fn1 = batch_loss_fn(model, d1[0].mode, "example_mean")
-
-    def loss_fn(leaves, _batch):
-        return add(mul(fn0(leaves, b0), pi0), mul(fn1(leaves, b1), pi1))
-
+    loss_fn = two_mode_loss_fn(model, list(batch0) + list(batch1))
     groups = model.groups()
     kw = dict(step=step, probes=probes)
 

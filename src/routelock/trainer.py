@@ -27,10 +27,10 @@ from .errors import BatchingError, DataError
 from .model import (
     DenseModel,
     ModelParams,
-    _swiglu,
+    _swiglu_at,
     decoder_logits,
-    dense_mlp_apply,
-    routed_mlp_apply,
+    mlp_dispatch,
+    mlp_prefix,
     segment_group,
 )
 from .params import ParamVector, as_leaves, value_and_grad
@@ -93,20 +93,6 @@ class TrainConfig:
         if self.update_segments not in ("all", "experts_only"):
             raise ValueError(f"unknown update_segments {self.update_segments!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "optimizer": self.optimizer,
-            "momentum": self.momentum,
-            "reduction": self.reduction,
-            "shuffle": self.shuffle,
-            "update_segments": self.update_segments,
-            "grad_clip": self.grad_clip,
-        }
-
 
 def _xent_reduction(reduction: str) -> str:
     return "example_mean" if reduction == "example_mean" else "sum"
@@ -139,11 +125,9 @@ def _single_mode(examples: Sequence[ChatExample]) -> Route:
 def batch_loss_fn(model: ModelParams | DenseModel, route: Route | None, reduction: str):
     """Loss closure over parameter leaves, for value_and_grad."""
     cfg = model.config
-    routed = isinstance(model, ModelParams)
 
     def loss_fn(leaves: Mapping[str, Tensor], batch: dict) -> Tensor:
-        apply = routed_mlp_apply(leaves, route) if routed else dense_mlp_apply(leaves)
-        logits = decoder_logits(cfg, leaves, batch["inputs"], apply)
+        logits = decoder_logits(cfg, leaves, batch["inputs"], mlp_dispatch(model, leaves, route))
         return softmax_cross_entropy(
             logits, batch["labels"], batch["label_mask"], reduction=_xent_reduction(reduction)
         )
@@ -188,20 +172,40 @@ def mode_weights(dataset: Sequence[ChatExample]) -> tuple[float, float]:
     return len(d0) / len(dataset), len(d1) / len(dataset)
 
 
+def two_mode_loss_fn(
+    model: ModelParams | DenseModel,
+    dataset: Sequence[ChatExample],
+    reduction: str = "example_mean",
+):
+    """The training objective pi0 * L0 + pi1 * L1 as one closure over parameter leaves.
+
+    pi_m is mode m's share of the examples and L_m the loss of all of
+    mode m's examples as one batch; a mode with no examples has no term.
+    The closure ignores its batch argument.
+    """
+    pi0, pi1 = mode_weights(dataset)
+    d0, d1 = split_by_mode(dataset)
+    terms = [(batch_loss_fn(model, Route(r), reduction), make_batch(part), pi)
+             for r, (part, pi) in enumerate(((d0, pi0), (d1, pi1))) if part]
+
+    def loss_fn(leaves: Mapping[str, Tensor], _batch) -> Tensor:
+        total = None
+        for mode_fn, batch, pi in terms:
+            term = mul(mode_fn(leaves, batch), pi)
+            total = term if total is None else add(total, term)
+        return total
+
+    return loss_fn
+
+
 def full_objective(
     model: ModelParams | DenseModel,
     dataset: Sequence[ChatExample],
     reduction: str = "example_mean",
 ) -> float:
-    """Example-frequency-weighted sum of the two mode losses."""
-    pi0, pi1 = mode_weights(dataset)
-    d0, d1 = split_by_mode(dataset)
-    total = 0.0
-    if d0:
-        total += pi0 * mode_loss(model, d0, reduction)
-    if d1:
-        total += pi1 * mode_loss(model, d1, reduction)
-    return total
+    """Value of the two-mode objective."""
+    with no_grad():
+        return float(two_mode_loss_fn(model, dataset, reduction)(as_leaves(model.params), None).data)
 
 
 def full_objective_grad(
@@ -209,21 +213,8 @@ def full_objective_grad(
     dataset: Sequence[ChatExample],
     reduction: str = "example_mean",
 ) -> tuple[float, ParamVector]:
-    """Value and gradient of the weighted objective through a single graph."""
-    pi0, pi1 = mode_weights(dataset)
-    d0, d1 = split_by_mode(dataset)
-    batches = [(Route(r), make_batch(part), pi) for r, (part, pi) in
-               enumerate(((d0, pi0), (d1, pi1))) if part]
-
-    def loss_fn(leaves: Mapping[str, Tensor], _batch) -> Tensor:
-        total = None
-        for route, batch, pi in batches:
-            part = batch_loss_fn(model, route, reduction)(leaves, batch)
-            term = mul(part, pi)
-            total = term if total is None else add(total, term)
-        return total
-
-    return value_and_grad(loss_fn, model.params, None)
+    """Value and gradient of the two-mode objective through a single graph."""
+    return value_and_grad(two_mode_loss_fn(model, dataset, reduction), model.params, None)
 
 
 def sgd_step(params: ParamVector, grads: ParamVector, learning_rate: float) -> ParamVector:
@@ -375,8 +366,7 @@ def train(
 
         for batch_examples in schedule:
             route = batch_examples[0].mode
-            work = model.with_params(params) if routed else DenseModel(model.config, params)
-            loss, grads = mode_loss_grad(work, batch_examples, cfg.reduction)
+            loss, grads = mode_loss_grad(model.with_params(params), batch_examples, cfg.reduction)
 
             if cfg.grad_clip is not None:
                 gnorm = grads.norm()
@@ -424,20 +414,19 @@ def train(
                     mode=int(route),
                     loss=loss,
                     active_grad_norm=active_norm,
-                    expert_gap_norm=_gap_norm(params) if routed else 0.0,
+                    expert_gap_norm=_gap_norm(params),
                     cum_grad_diff_norm=cum_norm,
                 )
             )
             step += 1
 
         if epoch_callback is not None:
-            final = model.with_params(params) if routed else DenseModel(model.config, params)
+            final = model.with_params(params)
             l0 = mode_loss(final, d0, cfg.reduction) if d0 else float("nan")
             l1 = mode_loss(final, d1, cfg.reduction) if d1 else float("nan")
             epoch_callback(epoch, l0, l1)
 
-    result = model.with_params(params) if routed else DenseModel(model.config, params)
-    return result, log
+    return model.with_params(params), log
 
 
 # ---------------------------------------------------------------------------
@@ -468,18 +457,7 @@ def token_level_route_variant(
 
     def loss_fn(leaves: Mapping[str, Tensor], batch: dict) -> Tensor:
         def apply(layer: int, h: Tensor) -> Tensor:
-            f0 = _swiglu(
-                leaves[f"layer{layer}.expert0.w_gate"],
-                leaves[f"layer{layer}.expert0.w_up"],
-                leaves[f"layer{layer}.expert0.w_down"],
-                h,
-            )
-            f1 = _swiglu(
-                leaves[f"layer{layer}.expert1.w_gate"],
-                leaves[f"layer{layer}.expert1.w_up"],
-                leaves[f"layer{layer}.expert1.w_down"],
-                h,
-            )
+            f0, f1 = (_swiglu_at(leaves, mlp_prefix(layer, r), h) for r in (0, 1))
             return add(mul(f0, m0), mul(f1, m1))
 
         logits = decoder_logits(cfg, leaves, batch["inputs"], apply)
@@ -497,6 +475,39 @@ def token_level_route_variant(
 MODE_NAMES = {"no_think": Route.NO_THINK, "think": Route.THINK}
 
 
+def read_jsonl(path):
+    """Yield (f"{path}:{line}", record) for each non-blank line of a JSONL file.
+
+    Raises DataError, naming the line, on invalid JSON or a record that is
+    not a JSON object.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{where}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise DataError(f"{where}: record must be a JSON object")
+            yield where, record
+
+
+def record_fields(record: dict, where: str = "record") -> tuple[Route, str, str]:
+    """(mode, prompt, target) of a {"prompt","target","mode",["answer"]} record, checked."""
+    try:
+        mode = MODE_NAMES[record.get("mode")]
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{where}: mode must be one of {sorted(MODE_NAMES)}") from exc
+    for key in ("prompt", "target"):
+        if not isinstance(record.get(key), str):
+            raise DataError(f"{where}: {key!r} must be a string")
+    return mode, record["prompt"], record["target"]
+
+
 def example_from_record(
     record: dict, vocab: Vocabulary, where: str = "record"
 ) -> tuple[ChatExample, str | None]:
@@ -506,45 +517,17 @@ def example_from_record(
     no control token is present, and prompts that route differently than
     tagged are rejected.
     """
-    try:
-        mode = MODE_NAMES[record["mode"]]
-    except KeyError as exc:
-        raise DataError(f"{where}: mode must be one of {sorted(MODE_NAMES)}") from exc
-    prompt = [BOS_ID] + encode(record["prompt"], vocab)
+    mode, prompt_text, target_text = record_fields(record, where)
+    prompt = [BOS_ID] + encode(prompt_text, vocab)
     if not any(t in (CTRL_THINK_ID, CTRL_NOTHINK_ID) for t in prompt):
         prompt = prompt + [control_token_id(mode)]
     if resolve_route(prompt) is not mode:
         raise DataError(f"{where}: prompt control tokens route to the other mode")
-    target = encode(record["target"], vocab) + [EOS_ID]
+    target = encode(target_text, vocab) + [EOS_ID]
     return ChatExample.build(prompt, target, mode), record.get("answer")
 
 
 def load_dataset_jsonl(path, vocab: Vocabulary) -> tuple[list[ChatExample], list[str | None]]:
-    examples, answers = [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            ex, answer = example_from_record(record, vocab, where=f"{path}:{lineno}")
-            examples.append(ex)
-            answers.append(answer)
-    return examples, answers
-
-
-def dataset_texts(path) -> list[str]:
-    """All prompt/target strings in a dataset file (for vocabulary building)."""
-    texts = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            texts.append(record["prompt"])
-            texts.append(record["target"])
-    return texts
+    """Examples and gold answers (None where absent) of a JSONL dataset file."""
+    pairs = [example_from_record(record, vocab, where) for where, record in read_jsonl(path)]
+    return [ex for ex, _ in pairs], [answer for _, answer in pairs]

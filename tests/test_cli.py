@@ -5,7 +5,9 @@ import pytest
 
 from routelock.checkpoint import load_checkpoint, save_checkpoint
 from routelock.cli import main
+from routelock.model import ModelConfig, ModelParams
 from routelock.synth import SynthTaskSpec, synth_records
+from routelock.tokenizer import Vocabulary
 
 CFG = {
     "model": {"d_model": 16, "n_layers": 2, "n_heads": 2, "d_ff": 24, "max_seq": 32},
@@ -236,3 +238,82 @@ def test_commands_echo_config(trained):
     resolved = json.loads((out / "train_config.json").read_text())
     assert resolved["seed"] == 7
     assert resolved["train"]["learning_rate"] == 0.2
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+def run_train(tmp_path, cfg, records):
+    data = tmp_path / "data.jsonl"
+    with open(data, "w") as fh:
+        for r in records:
+            fh.write(json.dumps(r) + "\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return main(["train", "--config", str(cfg_path), "--dataset", str(data), "--out", str(tmp_path / "o")])
+
+
+def test_train_record_missing_target_names_line(tmp_path, capsys):
+    records = synth_records(SynthTaskSpec(modulus=5, n_problems=3, seed=1))
+    del records[3]["target"]
+    assert run_train(tmp_path, CFG, records) == 1
+    line = one_error_line(capsys)
+    assert "data.jsonl:4" in line and "target" in line
+
+
+@pytest.mark.parametrize(
+    "section, change, word",
+    [
+        ("train", {"learning_rate": None}, "learning_rate"),
+        ("train", {"learnig_rate": 0.1}, "learnig_rate"),
+        ("model", {"d_modle": 16}, "d_modle"),
+    ],
+)
+def test_train_bad_config_field_is_one_error_line(tmp_path, capsys, section, change, word):
+    fields = {k: v for k, v in {**CFG[section], **change}.items() if v is not None}
+    cfg = {**CFG, section: fields}
+    records = synth_records(SynthTaskSpec(modulus=5, n_problems=3, seed=1))
+    assert run_train(tmp_path, cfg, records) == 1
+    line = one_error_line(capsys)
+    assert section in line and word in line
+
+
+def test_eval_baseline_rows_do_not_replace_current_rows(trained, capsys):
+    tmp_path, out, ckpt = trained
+    eval_path = tmp_path / "eval.jsonl"
+    records = synth_records(SynthTaskSpec(modulus=5, n_problems=4, seed=42))[::2]
+    with open(eval_path, "w") as fh:
+        for r in records:
+            fh.write(json.dumps({"prompt": r["prompt"], "answer": r["answer"]}) + "\n")
+    base = {f"model/{m}": {"mode": i, "accuracy": 0.5, "mean_length": 99.0, "refl_per_answer": 7.0,
+                           "n_prompts": 4, "n_skipped": 0} for i, m in enumerate(("no_think", "think"))}
+    base_path = tmp_path / "base.json"
+    base_path.write_text(json.dumps(base))
+    edir = tmp_path / "ev"
+    rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(eval_path), "--seed", "5",
+               "--out", str(edir), "--max-new", "8", "--baseline", str(base_path)])
+    assert rc == 0
+    current = json.loads((edir / "leakage_report.json").read_text())
+    rows = {(r[0], r[1]): r for r in (line.split(",") for line in
+                                      (edir / "leakage_delta.csv").read_text().splitlines()[1:])}
+    assert set(rows) == {(name, mode) for name in ("model", "baseline") for mode in ("no_think", "think")}
+    for mode in ("no_think", "think"):
+        length = current[f"model/{mode}"]["mean_length"]
+        assert float(rows[("model", mode)][3]) == pytest.approx(length, abs=1e-5)
+        assert float(rows[("model", mode)][6]) == pytest.approx(length - 99.0, abs=1e-4)
+        assert float(rows[("baseline", mode)][3]) == 99.0
+
+
+def test_gradcheck_checkpoint_uses_checkpoint_vocabulary(tmp_path):
+    vocab = Vocabulary(["compute", "plus", "mod"])
+    cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_layers=2, n_heads=2, d_ff=12, max_seq=32)
+    ckpt = tmp_path / "small.ple"
+    save_checkpoint(ModelParams.init_random(cfg, seed=4), ckpt)
+    vocab.save(tmp_path / "small.vocab.txt")
+    assert len(vocab) == 9
+    rc = main(["gradcheck", "--seed", "2", "--probes", "8", "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "g")])
+    assert rc == 0

@@ -7,7 +7,9 @@ import pytest
 from routelock.errors import ShapeError
 from routelock.tensor import (
     Tensor,
+    _rope,
     _sigmoid,
+    _softmax,
     add,
     backward,
     embedding,
@@ -275,6 +277,95 @@ def test_sigmoid_bitwise_equals_masked_form():
             assert _sigmoid(arr).tobytes() == masked_sigmoid(arr).tobytes()
     x = rng.normal(scale=10.0, size=(25, 21, 128))
     assert _sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+
+
+NAN_BITS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000123, 0xFFF8000000000456],
+                    dtype=np.uint64).view(np.float64)
+SPECIAL = np.array([np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e308, 1e200])
+
+
+def special_draws(rng, shape):
+    """Normal draws with about a quarter replaced by NaNs, infinities, zeros and extremes."""
+    x = rng.normal(scale=5.0, size=shape)
+    hit = rng.random(shape) < 0.25
+    x[hit] = rng.choice(np.concatenate([NAN_BITS, SPECIAL]), size=int(hit.sum()))
+    return x
+
+
+def assert_bitwise_where_not_nan(a, b):
+    """Equal bits everywhere except inside NaNs, whose sign and payload may differ."""
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def explicit_rope_vjp(g, cos, sin):
+    half = g.shape[-1] // 2
+    g1, g2 = g[..., :half], g[..., half:]
+    return np.concatenate((g1 * cos + g2 * sin, -g1 * sin + g2 * cos), axis=-1)
+
+
+def explicit_softmax(x):
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def explicit_cross_entropy_vjp(logits, targets, coeff, g):
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=-1, keepdims=True)
+    grad = p * coeff[..., None]
+    picked = np.take_along_axis(grad, targets[..., None], axis=-1)
+    np.put_along_axis(grad, targets[..., None], picked - coeff[..., None], axis=-1)
+    return grad * g
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rope_vjp_kernel_matches_explicit_formula_bitwise():
+    rng = np.random.default_rng(21)
+    for shape in ((5, 4), (2, 3, 6, 8), (3, 1, 2)):
+        t, half = shape[-2], shape[-1] // 2
+        for draw in (rng.normal, lambda size: special_draws(rng, size)):
+            g, cos, sin = draw(size=shape), draw(size=(t, half)), draw(size=(t, half))
+            ref = explicit_rope_vjp(g, cos, sin)
+            assert_bitwise_where_not_nan(_rope(g, cos, -sin), ref)
+            a = Tensor(draw(size=shape), requires_grad=True)
+            assert_bitwise_where_not_nan(rope_rotate(a, cos, sin)._vjp(g)[0], ref)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_softmax_kernel_matches_explicit_formulas_bitwise():
+    rng = np.random.default_rng(22)
+    for shape in ((7,), (4, 9), (2, 3, 5, 5)):
+        for x in (rng.normal(scale=30.0, size=shape), special_draws(rng, shape)):
+            assert_bitwise_where_not_nan(_softmax(x), explicit_softmax(x))
+            a = Tensor(x)
+            assert_bitwise_where_not_nan(softmax(a).data, explicit_softmax(x))
+    # temperature sampling's probabilities over one logit row
+    for temperature in (0.3, 1.0, 2.5):
+        for row in (rng.normal(scale=10.0, size=40), special_draws(rng, 40)):
+            z = row / temperature
+            z = z - z.max()
+            p = np.exp(z)
+            p /= p.sum()
+            assert_bitwise_where_not_nan(_softmax(row / temperature), p)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cross_entropy_vjp_matches_explicit_formula_bitwise():
+    rng = np.random.default_rng(23)
+    for draw in (lambda size: rng.normal(scale=20.0, size=size), lambda size: special_draws(rng, size)):
+        logits = Tensor(draw((3, 6, 11)), requires_grad=True)
+        targets = rng.integers(0, 11, size=(3, 6))
+        mask = rng.random((3, 6)) < 0.7
+        mask[:, 0] = True
+        loss = softmax_cross_entropy(logits, targets, mask, reduction="example_mean")
+        coeff = mask / mask.sum(axis=-1, keepdims=True) / 3
+        g = np.float64(0.75)
+        ref = explicit_cross_entropy_vjp(logits.data, targets, coeff, g)
+        assert_bitwise_where_not_nan(loss._vjp(g)[0], ref)
 
 
 def test_pointed_tensor_raises_while_recording():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from routelock.errors import BatchingError, DataError
-from routelock.params import ParamVector
+from routelock.params import ParamVector, value_and_grad
 from routelock.tokenizer import (
     CTRL_NOTHINK_ID,
     CTRL_THINK_ID,
@@ -26,9 +26,11 @@ from routelock.trainer import (
     split_by_mode,
     token_level_route_variant,
     train,
+    two_mode_loss_fn,
 )
 
 from conftest import TINY_CFG, tiny_model
+from test_acceptance import GRAD_CFG, full_loss_fn, grad_dataset
 
 
 def ex(prompt, target, mode):
@@ -98,6 +100,34 @@ def test_full_objective_matches_per_example_average(tiny):
     data = tiny_dataset()
     naive = sum(mode_loss(tiny, [e]) for e in data) / len(data)
     assert abs(full_objective(tiny, data) - naive) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_two_mode_loss_fn_matches_reference_bitwise(seed):
+    # full_loss_fn in the acceptance suite is the hand-built pi-weighted closure
+    model = tiny_model(seed, GRAD_CFG)
+    dataset = grad_dataset(np.random.default_rng(seed))
+    ref_loss, ref_grads = value_and_grad(full_loss_fn(model, dataset), model.params, None)
+    loss, grads = value_and_grad(two_mode_loss_fn(model, dataset), model.params, None)
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert grads.flatten().tobytes() == ref_grads.flatten().tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_full_objective_equals_weighted_mode_loss_sum_bitwise(seed):
+    model = tiny_model(seed, GRAD_CFG)
+    dataset = grad_dataset(np.random.default_rng(seed))
+    for data in (dataset, dataset[:3], dataset[1:], dataset[:2]):
+        for reduction in ("example_mean", "token_sum"):
+            pi0, pi1 = mode_weights(data)
+            d0, d1 = split_by_mode(data)
+            total = 0.0
+            if d0:
+                total += pi0 * mode_loss(model, d0, reduction)
+            if d1:
+                total += pi1 * mode_loss(model, d1, reduction)
+            value = full_objective(model, data, reduction)
+            assert np.float64(value).tobytes() == np.float64(total).tobytes()
 
 
 def test_full_objective_empty_dataset(tiny):
@@ -312,6 +342,24 @@ def test_loader_rejects_bad_json_with_line(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text('{"prompt": "q", "target": "x", "mode": "think"}\nnot json\n')
     with pytest.raises(DataError, match=":2"):
+        load_dataset_jsonl(path, Vocabulary(["q", "x"]))
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('[1, 2]', "must be a JSON object"),
+        ('"text"', "must be a JSON object"),
+        ('{"prompt": "q", "mode": "think"}', "'target' must be a string"),
+        ('{"target": "x", "mode": "think"}', "'prompt' must be a string"),
+        ('{"prompt": 3, "target": "x", "mode": "think"}', "'prompt' must be a string"),
+        ('{"prompt": "q", "target": "x", "mode": ["think"]}', "mode must be one of"),
+    ],
+)
+def test_loader_rejects_malformed_record_with_line(tmp_path, line, message):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"prompt": "q", "target": "x", "mode": "think"}\n\n' + line + "\n")
+    with pytest.raises(DataError, match=f":3: .*{message}"):
         load_dataset_jsonl(path, Vocabulary(["q", "x"]))
 
 
