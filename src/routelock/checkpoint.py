@@ -10,6 +10,7 @@ data in manifest order. Save -> load -> save reproduces identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict
 
@@ -50,28 +51,38 @@ def save_checkpoint(model: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """The model saved at ``path``; a malformed or truncated file raises ValueError naming it."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise ValueError(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
+    if len(blob) < 16:
+        raise ValueError(f"{path}: truncated: {len(blob)} bytes, shorter than the 16-byte preamble")
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
     (hlen,) = struct.unpack_from("<Q", blob, 8)
-    header = json.loads(blob[16 : 16 + hlen].decode("utf-8"))
-    cfg = ModelConfig(**header["config"])
-    payload = blob[16 + hlen :]
-    segments = []
-    for entry in header["segments"]:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        raw = payload[entry["offset"] : entry["offset"] + n * 8]
-        arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-        segments.append((entry["name"], arr))
-    pv = ParamVector(segments)
-    expected = routed_layout(cfg)
-    if [(n, s) for n, s in ((e["name"], tuple(e["shape"])) for e in header["segments"])] != [
-        (n, tuple(s)) for n, s in expected
-    ]:
+    if len(blob) < 16 + hlen:
+        raise ValueError(f"{path}: truncated: {len(blob)} bytes, the header alone ends at byte {16 + hlen}")
+    try:
+        header = json.loads(blob[16 : 16 + hlen].decode("utf-8"))
+        cfg = ModelConfig(**header["config"])
+        entries = [(e["name"], tuple(e["shape"]), e["offset"]) for e in header["segments"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed header: {exc}") from exc
+    if [(n, s) for n, s, _ in entries] != [(n, tuple(s)) for n, s in routed_layout(cfg)]:
         raise ValueError(f"{path}: segment manifest does not match the config layout")
-    return ModelParams(cfg, pv)
+    total = 0
+    for name, shape, offset in entries:
+        if offset != total:
+            raise ValueError(f"{path}: segment {name!r} at offset {offset}, expected contiguous offset {total}")
+        total += math.prod(shape) * 8
+    payload = blob[16 + hlen :]
+    if len(payload) != total:
+        cut = " (truncated)" if len(payload) < total else ""
+        raise ValueError(f"{path}: payload is {len(payload)} bytes, the manifest needs {total}{cut}")
+    segments = [
+        (name, np.frombuffer(payload, "<f8", math.prod(shape), offset).reshape(shape).astype(np.float64))
+        for name, shape, offset in entries
+    ]
+    return ModelParams(cfg, ParamVector(segments))

@@ -70,11 +70,22 @@ def _digest(*parts) -> str:
     return h.hexdigest()[:12]
 
 
+def _read_json(path, error: type[ValueError]):
+    """The JSON document at ``path``; invalid JSON raises ``error`` naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: invalid JSON: {exc}") from exc
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    config = _read_json(path, ConfigError)
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: a config must be a JSON object, got {type(config).__name__}")
+    return config
 
 
 def _resolve_seed(args, config: dict) -> int:
@@ -82,6 +93,13 @@ def _resolve_seed(args, config: dict) -> int:
     if seed is None:
         raise ValueError("a seed is required (flag --seed or config field \"seed\")")
     return int(seed)
+
+
+def _section(config: dict, section: str) -> dict:
+    fields = config.get(section, {})
+    if not isinstance(fields, dict):
+        raise ConfigError(f"config section \"{section}\" must be a JSON object, got {type(fields).__name__}")
+    return fields
 
 
 def _from_config(cls, section: str, fields: dict):
@@ -127,8 +145,8 @@ def cmd_train(args) -> int:
         text for where, record in records for text in record_fields(record, where)[1:]
     )
     defaults = dict(vocab_size=len(vocab), d_model=64, n_layers=2, n_heads=4, d_ff=128, max_seq=64)
-    cfg = _from_config(ModelConfig, "model", {**defaults, **config.get("model", {})})
-    train_cfg = _from_config(TrainConfig, "train", {**config.get("train", {}), "seed": seed})
+    cfg = _from_config(ModelConfig, "model", {**defaults, **_section(config, "model")})
+    train_cfg = _from_config(TrainConfig, "train", {**_section(config, "train"), "seed": seed})
     dataset = [example_from_record(record, vocab, where)[0] for where, record in records]
 
     model = ModelParams.clone_from_dense(DenseModel.init_random(cfg, seed=seed))
@@ -365,10 +383,31 @@ def _eval_prompts_from_file(path, vocab: Vocabulary, mode: Route):
     return out
 
 
+def _load_baseline(path) -> dict[tuple[str, str], LeakageReport]:
+    """A prior leakage_report.json, its rows keyed ("baseline", mode) so they cannot replace this run's."""
+    rows = _read_json(path, DataError)
+    if not isinstance(rows, dict):
+        raise DataError(f"{path}: a baseline must be a JSON object of leakage reports")
+    if not rows:
+        raise DataError(f"{path}: the baseline holds no reports")
+    base = {}
+    for key, rec in rows.items():
+        try:
+            rep = LeakageReport(**rec)
+        except TypeError as exc:
+            raise DataError(f"{path}: report {key!r} is not a leakage report: {exc}") from exc
+        for field, value in asdict(rep).items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise DataError(f"{path}: report {key!r}: {field} must be a number, got {value!r}")
+        base[("baseline", key.split("/")[-1])] = rep
+    return base
+
+
 def cmd_eval(args) -> int:
     config = _load_config(args.config)
     seed = _resolve_seed(args, config)
     out = _out_dir(args, config, "runs/eval")
+    base = _load_baseline(args.baseline) if args.baseline else {}
     model = load_checkpoint(args.checkpoint)
     vocab = _load_vocab(args.checkpoint, args.vocab)
     lexicon_path = args.lexicon or config.get("lexicon")
@@ -399,11 +438,7 @@ def cmd_eval(args) -> int:
         )
         + "\n"
     )
-    if args.baseline:
-        # the baseline's rows are keyed apart so they cannot replace this run's rows
-        with open(args.baseline, encoding="utf-8") as fh:
-            rows = json.load(fh)
-        base = {("baseline", key.split("/")[-1]): LeakageReport(**rec) for key, rec in rows.items()}
+    if base:
         csv_delta, table = leakage_delta_table({**reports, **base}, next(iter(base)))
         (out / "leakage_delta.csv").write_text(csv_delta)
         print(table)

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, ShapeError
+from .errors import CapacityError, ConfigError
 from .params import ParamVector, as_leaves
 from .tensor import (
     Tensor,
@@ -203,55 +203,12 @@ class ModelParams:
             out[segment_group(name)].append(name)
         return out
 
-    def expert(self, layer: int, route: Route | int) -> "ExpertMlp":
-        prefix = mlp_prefix(layer, int(route))
-        return ExpertMlp(
-            self.params[f"{prefix}.w_gate"],
-            self.params[f"{prefix}.w_up"],
-            self.params[f"{prefix}.w_down"],
-        )
-
-
-@dataclass
-class ExpertMlp:
-    """One gated feed-forward expert: down(silu(gate x) * (up x))."""
-
-    w_gate: np.ndarray
-    w_up: np.ndarray
-    w_down: np.ndarray
-
-    def __post_init__(self):
-        if (
-            self.w_gate.shape != self.w_up.shape
-            or self.w_down.shape != (self.w_gate.shape[1], self.w_gate.shape[0])
-        ):
-            raise ShapeError(
-                f"inconsistent expert shapes {self.w_gate.shape}, {self.w_up.shape}, {self.w_down.shape}"
-            )
-
-
-def _swiglu(w_gate: Tensor, w_up: Tensor, w_down: Tensor, x: Tensor) -> Tensor:
-    gate = matmul(x, swap_last2(w_gate))
-    up = matmul(x, swap_last2(w_up))
-    return matmul(mul(silu(gate), up), swap_last2(w_down))
-
 
 def _swiglu_at(leaves: Mapping[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    """``_swiglu`` with the MLP weights named ``prefix``.w_gate/w_up/w_down."""
-    return _swiglu(leaves[f"{prefix}.w_gate"], leaves[f"{prefix}.w_up"], leaves[f"{prefix}.w_down"], x)
-
-
-def mlp_expert(expert: ExpertMlp, x) -> np.ndarray:
-    """Apply one expert to a feature vector or a stack of them."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape[-1] != expert.w_gate.shape[1]:
-        raise ShapeError(f"input width {arr.shape[-1]} does not match expert width {expert.w_gate.shape[1]}")
-    vec = arr.ndim == 1
-    if vec:
-        arr = arr[None, :]
-    with no_grad():
-        out = _swiglu(Tensor(expert.w_gate), Tensor(expert.w_up), Tensor(expert.w_down), Tensor(arr))
-    return out.data[0] if vec else out.data
+    """down(silu(gate x) * (up x)) with the MLP weights named ``prefix``.w_gate/w_up/w_down."""
+    gate = matmul(x, swap_last2(leaves[f"{prefix}.w_gate"]))
+    up = matmul(x, swap_last2(leaves[f"{prefix}.w_up"]))
+    return matmul(mul(silu(gate), up), swap_last2(leaves[f"{prefix}.w_down"]))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +262,9 @@ def rope_tables(pos0: int, n: int, head_dim: int, base: float) -> tuple[np.ndarr
 
 
 def causal_mask(n: int) -> np.ndarray:
-    return np.triu(np.full((n, n), MASK_NEG), k=1)
+    """(n, n) additive mask: MASK_NEG where the column is a later position than the row, else 0."""
+    pos = np.arange(n)
+    return np.where(pos[None, :] > pos[:, None], MASK_NEG, 0.0)
 
 
 def _to_heads(t: Tensor, n_heads: int) -> Tensor:
@@ -345,17 +304,6 @@ def attn_sublayer(
     return add(x, matmul(ctx, swap_last2(leaves[f"layer{layer}.wo"])))
 
 
-def mlp_sublayer(
-    cfg: ModelConfig,
-    leaves: Mapping[str, Tensor],
-    layer: int,
-    x: Tensor,
-    mlp_apply: Callable[[int, Tensor], Tensor],
-) -> Tensor:
-    h = rms_norm(x, leaves[f"layer{layer}.ln2"])
-    return add(x, mlp_apply(layer, h))
-
-
 def _positions(h: Tensor, points: int) -> int:
     """Positions an expert runs on, counted for each of ``points`` parameter points.
 
@@ -384,38 +332,30 @@ def mlp_dispatch(model: ModelParams | DenseModel, leaves: Mapping[str, Tensor], 
     return apply
 
 
-def _seq_tables(cfg: ModelConfig, seq: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """cos, sin and causal mask for a length-``seq`` sequence from position 0."""
-    if seq > cfg.max_seq:
-        raise CapacityError(f"sequence length {seq} exceeds max_seq {cfg.max_seq}")
-    cos, sin = rope_tables(0, seq, cfg.head_dim, cfg.rope_base)
-    return cos, sin, causal_mask(seq)
-
-
-def _layers(cfg: ModelConfig, leaves, x: Tensor, layers: range, mlp_apply, tables) -> Tensor:
-    for layer in layers:
-        x = attn_sublayer(cfg, leaves, layer, x, *tables)
-        x = mlp_sublayer(cfg, leaves, layer, x, mlp_apply)
-    return x
-
-
-def _lm_head(cfg: ModelConfig, leaves, x: Tensor) -> Tensor:
-    if cfg.final_norm:
-        x = rms_norm(x, leaves["final_norm"])
-    return matmul(x, swap_last2(leaves["lm_head"]))
-
-
 def decoder_logits(
     cfg: ModelConfig,
     leaves: Mapping[str, Tensor],
     tokens,
     mlp_apply: Callable[[int, Tensor], Tensor],
 ) -> Tensor:
-    """Causal decoder logits (..., T, V) for int token ids (T,) or (B, T)."""
+    """Causal decoder logits (..., T, V) for int token ids (T,) or (B, T).
+
+    ``mlp_apply(layer, h)`` is the MLP output for layer ``layer``'s
+    normalized input ``h``; ``mlp_dispatch`` builds the one a model runs.
+    """
     ids = np.asarray(tokens, dtype=np.int64)
-    tables = _seq_tables(cfg, ids.shape[-1])
+    seq = ids.shape[-1]
+    if seq > cfg.max_seq:
+        raise CapacityError(f"sequence length {seq} exceeds max_seq {cfg.max_seq}")
+    cos, sin = rope_tables(0, seq, cfg.head_dim, cfg.rope_base)
+    mask = causal_mask(seq)
     x = embedding(leaves["embed"], ids)
-    return _lm_head(cfg, leaves, _layers(cfg, leaves, x, range(cfg.n_layers), mlp_apply, tables))
+    for layer in range(cfg.n_layers):
+        x = attn_sublayer(cfg, leaves, layer, x, cos, sin, mask)
+        x = add(x, mlp_apply(layer, rms_norm(x, leaves[f"layer{layer}.ln2"])))
+    if cfg.final_norm:
+        x = rms_norm(x, leaves["final_norm"])
+    return matmul(x, swap_last2(leaves["lm_head"]))
 
 
 def forward(model: ModelParams | DenseModel, tokens, route: Route | int | None = None) -> Tensor:
@@ -434,35 +374,6 @@ def route_logit_gap(model: ModelParams, tokens) -> np.ndarray:
         l0 = forward(model, tokens, Route.NO_THINK).data
         l1 = forward(model, tokens, Route.THINK).data
     return np.max(np.abs(l1 - l0), axis=-1)
-
-
-def forward_parts(model: ModelParams, tokens, route: Route | int, split_layer: int):
-    """Split the route-``route`` forward around layer ``split_layer``'s MLP.
-
-    Returns (u, x_norm, downstream): ``u`` is the residual stream after
-    the split layer's attention, ``x_norm`` its normalized MLP input, and
-    ``downstream(resid)`` maps a post-MLP residual stream to logits
-    through the remaining layers.
-    """
-    cfg = model.config
-    if not 0 <= split_layer < cfg.n_layers:
-        raise ValueError(f"split_layer {split_layer} outside 0..{cfg.n_layers - 1}")
-    ids = np.asarray(tokens, dtype=np.int64)
-    tables = _seq_tables(cfg, ids.shape[-1])
-    leaves = as_leaves(model.params)
-    apply = mlp_dispatch(model, leaves, route)
-    with no_grad():
-        x = _layers(cfg, leaves, embedding(leaves["embed"], ids), range(split_layer), apply, tables)
-        u = attn_sublayer(cfg, leaves, split_layer, x, *tables)
-        x_norm = rms_norm(u, leaves[f"layer{split_layer}.ln2"])
-
-    def downstream(resid: np.ndarray) -> np.ndarray:
-        with no_grad():
-            y = Tensor(np.asarray(resid, dtype=np.float64))
-            y = _layers(cfg, leaves, y, range(split_layer + 1, cfg.n_layers), apply, tables)
-            return _lm_head(cfg, leaves, y).data
-
-    return u.data, x_norm.data, downstream
 
 
 # ---------------------------------------------------------------------------
@@ -484,42 +395,40 @@ class _KVCache:
 
 
 def _np_chunk(
-    cfg: ModelConfig,
-    pv: ParamVector,
-    ids: np.ndarray,
-    prefix_for_layer: Callable[[int], str],
-    cache: _KVCache,
-    pos0: int,
-    route_for_count: int | None,
+    model: ModelParams | DenseModel, ids: np.ndarray, route: Route | int | None, cache: _KVCache, pos0: int
 ) -> np.ndarray:
-    """Process a chunk of ids starting at absolute position pos0; returns (n, V) logits."""
+    """Logits (n, V) for the n ids at absolute positions pos0 .. pos0+n-1.
+
+    ``decoder_logits`` on plain arrays, reading and extending ``cache``:
+    the same MLP (``model.expert_index(route)``, logged as ``mlp_dispatch``
+    logs it), causal mask, score scale and kernels, so its logits are
+    bitwise equal to the tape's. A chunk is a whole prefix from position 0
+    or a single token.
+    """
+    cfg, pv = model.config, model.params
+    r = model.expert_index(route)
     n = ids.shape[0]
     h_heads, hd = cfg.n_heads, cfg.head_dim
     x = pv["embed"][ids]
     cos, sin = rope_tables(pos0, n, hd, cfg.rope_base)
+    mask = causal_mask(n) if n > 1 else None
     for layer in range(cfg.n_layers):
         h = x / _rms_scale(x) * pv[f"layer{layer}.ln1"]
         q = (h @ pv[f"layer{layer}.wq"].T).reshape(n, h_heads, hd).transpose(1, 0, 2)
         k = (h @ pv[f"layer{layer}.wk"].T).reshape(n, h_heads, hd).transpose(1, 0, 2)
         v = (h @ pv[f"layer{layer}.wv"].T).reshape(n, h_heads, hd).transpose(1, 0, 2)
-        q = _rope(q, cos, sin)
-        k = _rope(k, cos, sin)
-        cache.append(layer, k, v)
-        scores = q @ np.swapaxes(cache.k[layer], -1, -2) / math.sqrt(hd)
-        total = cache.k[layer].shape[1]
-        if n > 1:
-            # rows are positions pos0..pos0+n-1; column j allowed iff j <= pos0+row
-            col = np.arange(total)[None, :]
-            row = np.arange(pos0, pos0 + n)[:, None]
-            scores = scores + np.where(col > row, MASK_NEG, 0.0)
+        cache.append(layer, _rope(k, cos, sin), v)
+        scores = (_rope(q, cos, sin) @ np.swapaxes(cache.k[layer], -1, -2)) * (1.0 / math.sqrt(hd))
+        if mask is not None:
+            scores = scores + mask
         ctx = (_softmax(scores) @ cache.v[layer]).transpose(1, 0, 2).reshape(n, cfg.d_model)
         x = x + ctx @ pv[f"layer{layer}.wo"].T
-        h2 = x / _rms_scale(x) * pv[f"layer{layer}.ln2"]
-        if route_for_count is not None:
-            _notify(layer, route_for_count, n)
-        mlp = prefix_for_layer(layer)
-        gate = h2 @ pv[f"{mlp}.w_gate"].T
-        x = x + (gate * _sigmoid(gate) * (h2 @ pv[f"{mlp}.w_up"].T)) @ pv[f"{mlp}.w_down"].T
+        h = x / _rms_scale(x) * pv[f"layer{layer}.ln2"]
+        if r is not None:
+            _notify(layer, r, n)
+        mlp = mlp_prefix(layer, r)
+        gate = h @ pv[f"{mlp}.w_gate"].T
+        x = x + (gate * _sigmoid(gate) * (h @ pv[f"{mlp}.w_up"].T)) @ pv[f"{mlp}.w_down"].T
     if cfg.final_norm:
         x = x / _rms_scale(x) * pv["final_norm"]
     return x @ pv["lm_head"].T
@@ -562,14 +471,10 @@ def generate(
     rng = np.random.default_rng(seed) if seed is not None else None
 
     route = resolve_route(prompt)
-    expert = model.expert_index(route)
-    prefix_for_layer = lambda layer: mlp_prefix(layer, expert)
-
-    pv = model.params
     out: list[int] = []
     if use_cache:
         cache = _KVCache(cfg.n_layers)
-        logits = _np_chunk(cfg, pv, np.asarray(prompt, np.int64), prefix_for_layer, cache, 0, expert)
+        logits = _np_chunk(model, np.asarray(prompt, np.int64), route, cache, 0)
         while len(out) < max_new:
             nxt = _sample(logits[-1], sampler, temperature, rng)
             if nxt == EOS_ID:
@@ -577,19 +482,11 @@ def generate(
             out.append(nxt)
             if len(out) == max_new or len(prompt) + len(out) >= cfg.max_seq:
                 break
-            logits = _np_chunk(
-                cfg,
-                pv,
-                np.asarray([nxt], np.int64),
-                prefix_for_layer,
-                cache,
-                len(prompt) + len(out) - 1,
-                expert,
-            )
+            logits = _np_chunk(model, np.asarray([nxt], np.int64), route, cache, len(prompt) + len(out) - 1)
     else:
         for _ in range(max_new):
             seq = np.asarray(prompt + out, np.int64)
-            logits = _np_chunk(cfg, pv, seq, prefix_for_layer, _KVCache(cfg.n_layers), 0, expert)
+            logits = _np_chunk(model, seq, route, _KVCache(cfg.n_layers), 0)
             nxt = _sample(logits[-1], sampler, temperature, rng)
             if nxt == EOS_ID:
                 break

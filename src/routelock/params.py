@@ -217,26 +217,6 @@ def sampled_cross_hessian_max(
     return max([0.0] + np.abs(entries).tolist())
 
 
-def finite_diff_hessian_block(
-    loss_fn: LossFn,
-    params: ParamVector,
-    batch,
-    block_a: Iterable[str],
-    block_b: Iterable[str],
-    step: float = 1e-3,
-    probes: int = 64,
-    seed: int = 0,
-) -> float:
-    """Sampled max |d^2 L / da db| between two disjoint segment-name blocks."""
-    set_a, set_b = set(block_a), set(block_b)
-    overlap = set_a & set_b
-    if overlap:
-        raise ValueError(f"blocks overlap on segments {sorted(overlap)}")
-    return sampled_cross_hessian_max(
-        loss_fn, params, batch, set_a, set_b, step=step, probes=probes, seed=seed
-    )
-
-
 def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-4) -> float:
     """max |a-b| / max(|a|, |b|, floor), elementwise.
 

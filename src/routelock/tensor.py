@@ -47,10 +47,6 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED[0]
-
-
 class Tensor:
     """A float64 array plus the bookkeeping needed for the reverse pass.
 
@@ -101,24 +97,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return add(self, neg(_coerce(other)))
-
-    def __rsub__(self, other):
-        return add(_coerce(other), neg(self))
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not an op; multiply by a reciprocal")
-        return mul(self, 1.0 / float(other))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -241,11 +223,6 @@ def add(a, b) -> Tensor:
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _node(data, (a, b), vjp, "add")
-
-
-def neg(a) -> Tensor:
-    a = _coerce(a)
-    return _node(-a.data, (a,), lambda g: (-g,), "neg")
 
 
 def mul(a, b) -> Tensor:

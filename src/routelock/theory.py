@@ -19,8 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, SingularityError
-from .model import ModelParams, forward, forward_parts, mlp_expert
-from .params import ParamVector, sampled_cross_hessian_max
+from .model import ModelParams, _swiglu_at, decoder_logits, forward, mlp_dispatch, mlp_prefix
+from .params import ParamVector, as_leaves, sampled_cross_hessian_max
+from .tensor import Tensor, add, no_grad
 from .trainer import ChatExample, two_mode_loss_fn
 
 SYM_TOL = 1e-12
@@ -294,32 +295,50 @@ def linearization_residual(
 ) -> list[LinearizationRow]:
     """Exact route logit gap vs its one-term downstream linearization.
 
-    For each eps the think expert at ``layer`` moves to beta0 + eps*dir;
-    the prediction pushes the expert-output difference through the
-    downstream map's directional derivative (central differences). The
-    relative residual must shrink superlinearly as eps halves; when the
-    downstream map is affine the two agree to rounding.
+    For each eps the think expert at ``layer`` moves to beta0 + eps*dir.
+    The prediction takes f1 - f0, the two experts' outputs on that layer's
+    route-0 MLP input, through the route-0 forward's derivative in that
+    layer's MLP output: central differences of ``decoder_logits`` with the
+    output shifted by +-fd_step along it. The relative residual must
+    shrink superlinearly as eps halves; when the downstream map is affine
+    the two agree to rounding.
     """
     cfg = model.config
     if layer is None:
         layer = cfg.n_layers - 1
+    if not 0 <= layer < cfg.n_layers:
+        raise ValueError(f"layer {layer} outside 0..{cfg.n_layers - 1}")
     rows = []
     for eps in epsilons:
         pert = perturbed_model(model, direction, eps)
-        gap = forward(pert, tokens, 1).data - forward(pert, tokens, 0).data
-        u, x_norm, downstream = forward_parts(pert, tokens, 0, layer)
-        f0 = mlp_expert(pert.expert(layer, 0), x_norm)
-        f1 = mlp_expert(pert.expert(layer, 1), x_norm)
-        df = f1 - f0
-        base = u + f0
-        scale = float(np.sqrt(np.sum(df * df)))
-        if scale == 0.0:
-            rows.append(LinearizationRow(eps, 0.0, 0.0, 0.0, 0.0))
-            continue
-        unit = df / scale
-        pred = (downstream(base + fd_step * unit) - downstream(base - fd_step * unit)) * (
-            scale / (2.0 * fd_step)
-        )
+        leaves = as_leaves(pert.params)
+        route0 = mlp_dispatch(pert, leaves, 0)
+        seen: list[Tensor] = []
+
+        def capture(at: int, h: Tensor) -> Tensor:
+            if at == layer:
+                seen.append(h)
+            return route0(at, h)
+
+        def shifted(delta: np.ndarray) -> np.ndarray:
+            """Route-0 logits with ``delta`` added to layer ``layer``'s MLP output."""
+
+            def apply(at: int, h: Tensor) -> Tensor:
+                out = route0(at, h)
+                return add(out, delta) if at == layer else out
+
+            return decoder_logits(cfg, leaves, tokens, apply).data
+
+        with no_grad():
+            gap = forward(pert, tokens, 1).data - decoder_logits(cfg, leaves, tokens, capture).data
+            f0, f1 = (_swiglu_at(leaves, mlp_prefix(layer, r), seen[0]).data for r in (0, 1))
+            df = f1 - f0
+            scale = float(np.sqrt(np.sum(df * df)))
+            if scale == 0.0:
+                rows.append(LinearizationRow(eps, 0.0, 0.0, 0.0, 0.0))
+                continue
+            unit = df / scale
+            pred = (shifted(fd_step * unit) - shifted(-fd_step * unit)) * (scale / (2.0 * fd_step))
         gap_n = float(np.sqrt(np.sum(gap * gap)))
         res = float(np.sqrt(np.sum((gap - pred) ** 2)))
         rows.append(

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -66,9 +69,6 @@ def test_bad_magic_rejected(tmp_path):
 
 
 def test_manifest_groups_label_partition(tmp_path):
-    import json
-    import struct
-
     model = tiny_model(seed=8)
     path = tmp_path / "m.ple"
     save_checkpoint(model, path)
@@ -80,3 +80,49 @@ def test_manifest_groups_label_partition(tmp_path):
     assert groups["layer1.expert1.w_down"] == "beta1"
     assert groups["embed"] == "alpha"
     assert set(g for g in groups.values()) == {"alpha", "beta0", "beta1"}
+
+
+def saved_blob(tmp_path):
+    path = tmp_path / "m.ple"
+    save_checkpoint(tiny_model(seed=5), path)
+    return path, path.read_bytes()
+
+
+def header_of(blob):
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    return hlen, json.loads(blob[16 : 16 + hlen])
+
+
+@pytest.mark.parametrize("keep", ["preamble", "header", "payload"])
+def test_truncated_checkpoint_is_named(tmp_path, keep):
+    path, blob = saved_blob(tmp_path)
+    hlen, _ = header_of(blob)
+    cut = {"preamble": 6, "header": 16 + hlen // 2, "payload": 16 + hlen + (len(blob) - 16 - hlen) // 2}
+    path.write_bytes(blob[: cut[keep]])
+    with pytest.raises(ValueError, match=r"m\.ple.*truncated"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_trailing_bytes_rejected(tmp_path):
+    path, blob = saved_blob(tmp_path)
+    path.write_bytes(blob + b"\x00" * 8)
+    with pytest.raises(ValueError, match=r"m\.ple.*payload"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_offsets_must_be_contiguous(tmp_path):
+    path, blob = saved_blob(tmp_path)
+    hlen, header = header_of(blob)
+    header["segments"][1]["offset"] += 8
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + hlen :])
+    with pytest.raises(ValueError, match=r"m\.ple.*offset"):
+        load_checkpoint(path)
+
+
+def test_malformed_checkpoint_header_is_named(tmp_path):
+    path, blob = saved_blob(tmp_path)
+    hlen, _ = header_of(blob)
+    path.write_bytes(blob[:16] + b"{" * hlen + blob[16 + hlen :])
+    with pytest.raises(ValueError, match=r"m\.ple.*malformed header"):
+        load_checkpoint(path)

@@ -317,3 +317,61 @@ def test_gradcheck_checkpoint_uses_checkpoint_vocabulary(tmp_path):
     rc = main(["gradcheck", "--seed", "2", "--probes", "8", "--checkpoint", str(ckpt),
                "--out", str(tmp_path / "g")])
     assert rc == 0
+
+
+def small_checkpoint(path):
+    """An untrained one-layer checkpoint at ``path`` with its vocabulary beside it."""
+    vocab = Vocabulary(["compute", "plus", "mod"])
+    cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2, d_ff=12, max_seq=16)
+    save_checkpoint(ModelParams.init_random(cfg, seed=0), path)
+    vocab.save(path.with_suffix(".vocab.txt"))
+
+
+def test_generate_truncated_checkpoint_is_one_error_line(tmp_path, capsys):
+    ckpt = tmp_path / "cut.ple"
+    small_checkpoint(ckpt)
+    ckpt.write_bytes(ckpt.read_bytes()[:6])
+    assert main(["generate", "--checkpoint", str(ckpt), "--prompt", "compute"]) == 1
+    line = one_error_line(capsys)
+    assert "cut.ple" in line and "truncated" in line
+
+
+@pytest.mark.parametrize(
+    "baseline, word",
+    [
+        ({}, "no reports"),
+        ([1], "object"),
+        ({"model/think": 3}, "model/think"),
+        ({"model/think": {"mode": 1, "accuracy": 0.5, "mean_length": 2.0, "refl_per_answer": 0.0,
+                          "colour": "red"}}, "colour"),
+        ({"model/think": {"mode": 1, "accuracy": "high", "mean_length": 2.0, "refl_per_answer": 0.0}},
+         "accuracy"),
+    ],
+)
+def test_eval_bad_baseline_is_one_error_line(tmp_path, capsys, baseline, word):
+    ckpt = tmp_path / "small.ple"
+    small_checkpoint(ckpt)
+    data = tmp_path / "eval.jsonl"
+    data.write_text(json.dumps({"prompt": "compute", "answer": "1"}) + "\n")
+    base_path = tmp_path / "base.json"
+    base_path.write_text(json.dumps(baseline))
+    rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(data), "--seed", "5",
+               "--out", str(tmp_path / "ev"), "--max-new", "2", "--baseline", str(base_path)])
+    assert rc == 1
+    line = one_error_line(capsys)
+    assert "base.json" in line and word in line
+
+
+@pytest.mark.parametrize(
+    "cfg, word",
+    [
+        ([1], "object"),
+        ({**CFG, "model": 3}, "model"),
+        ({**CFG, "train": ["learning_rate", 0.2]}, "train"),
+    ],
+)
+def test_train_config_not_an_object_is_one_error_line(tmp_path, capsys, cfg, word):
+    records = synth_records(SynthTaskSpec(modulus=5, n_problems=3, seed=1))
+    assert run_train(tmp_path, cfg, records) == 1
+    line = one_error_line(capsys)
+    assert word in line and "object" in line

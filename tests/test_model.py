@@ -5,17 +5,16 @@ from routelock.errors import CapacityError, ConfigError
 from routelock.model import (
     DenseModel,
     ExpertCallRecorder,
-    ExpertMlp,
     ModelConfig,
     ModelParams,
+    _swiglu_at,
     forward,
     generate,
-    mlp_expert,
     route_logit_gap,
     segment_group,
 )
-from routelock.params import ParamVector
-from routelock.tensor import _sigmoid
+from routelock.params import ParamVector, as_leaves
+from routelock.tensor import Tensor, _sigmoid
 from routelock.tokenizer import CTRL_NOTHINK_ID, CTRL_THINK_ID, EOS_ID, Route
 
 from conftest import TINY_CFG, tiny_dense, tiny_model
@@ -153,48 +152,27 @@ def test_same_route_forward_is_deterministic(tiny):
 # --- expert MLP -------------------------------------------------------------
 
 
-def test_mlp_expert_zero_input(tiny):
-    out = mlp_expert(tiny.expert(0, 0), np.zeros(TINY_CFG.d_model))
-    assert np.array_equal(out, np.zeros(TINY_CFG.d_model))
-
-
-def test_mlp_expert_scalar_case():
-    one = np.ones((1, 1))
-    expert = ExpertMlp(one, one, one)
-    out = mlp_expert(expert, np.ones(1))
-    assert abs(out[0] - 0.7310585786300049) < 1e-12
-
-
-def test_mlp_expert_matches_reference(tiny):
-    rng = np.random.default_rng(4)
-    expert = tiny.expert(1, 1)
-    x = rng.normal(size=TINY_CFG.d_model)
+@pytest.mark.parametrize("kind", ["zero", "random"])
+def test_swiglu_at_matches_reference(tiny, kind):
+    x = np.zeros(TINY_CFG.d_model) if kind == "zero" else np.random.default_rng(4).normal(size=TINY_CFG.d_model)
+    w = {name: tiny.params[f"layer1.expert1.{name}"] for name in ("w_gate", "w_up", "w_down")}
     # straight-line reference
-    gate = expert.w_gate @ x
-    ref = expert.w_down @ ((gate * _sigmoid(gate)) * (expert.w_up @ x))
-    assert np.max(np.abs(mlp_expert(expert, x) - ref)) <= 1e-12
+    gate = w["w_gate"] @ x
+    ref = w["w_down"] @ ((gate * _sigmoid(gate)) * (w["w_up"] @ x))
+    out = _swiglu_at(as_leaves(tiny.params), "layer1.expert1", Tensor(x[None, :])).data[0]
+    assert np.max(np.abs(out - ref)) <= 1e-12
 
 
-def test_expert_shape_validation():
-    with pytest.raises(Exception):
-        ExpertMlp(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2)))
-
-
-def test_graph_forward_matches_numpy_prefill_bitwise(tiny):
-    # the generation path is a second, independently written forward; the
-    # two implementations must agree exactly on the same inputs
+@pytest.mark.parametrize("d_model", [8, 12, 16])
+def test_graph_forward_matches_numpy_prefill_bitwise(d_model):
+    # the generation path is a second, plain-array forward; the two must
+    # agree exactly on the same inputs, at every head dimension
     from routelock.model import _KVCache, _np_chunk
 
-    a = forward(tiny, TOKENS, Route.NO_THINK).data
-    b = _np_chunk(
-        tiny.config,
-        tiny.params,
-        np.asarray(TOKENS, np.int64),
-        lambda layer: f"layer{layer}.expert0",
-        _KVCache(tiny.config.n_layers),
-        0,
-        None,
-    )
+    cfg = ModelConfig(vocab_size=24, d_model=d_model, n_layers=2, n_heads=2, d_ff=12, max_seq=24)
+    model = tiny_model(seed=0, cfg=cfg)
+    a = forward(model, TOKENS, Route.NO_THINK).data
+    b = _np_chunk(model, np.asarray(TOKENS, np.int64), Route.NO_THINK, _KVCache(cfg.n_layers), 0)
     assert np.array_equal(a, b)
 
 

@@ -6,8 +6,8 @@ from routelock.params import (
     CHUNK_POINTS,
     ParamVector,
     finite_diff_grad,
-    finite_diff_hessian_block,
     grads_max_relative_error,
+    sampled_cross_hessian_max,
     value_and_grad,
 )
 from routelock.tensor import matmul, mul, sum_all
@@ -130,7 +130,7 @@ def test_hessian_block_separable():
     def loss_fn(leaves, _):
         return sum_all(mul(leaves["a"], leaves["a"])) + sum_all(mul(leaves["b"], leaves["b"]))
 
-    worst = finite_diff_hessian_block(loss_fn, p, None, {"a"}, {"b"}, probes=8)
+    worst = sampled_cross_hessian_max(loss_fn, p, None, ["a"], ["b"], probes=8)
     assert worst <= 1e-6
 
 
@@ -140,20 +140,14 @@ def test_hessian_block_bilinear():
     def loss_fn(leaves, _):
         return sum_all(mul(leaves["a"], leaves["b"]))
 
-    worst = finite_diff_hessian_block(loss_fn, p, None, {"a"}, {"b"}, probes=4)
+    worst = sampled_cross_hessian_max(loss_fn, p, None, ["a"], ["b"], probes=4)
     assert abs(worst - 1.0) <= 1e-4
-
-
-def test_hessian_block_overlap_rejected():
-    p = pv(a=np.zeros(2), b=np.zeros(2))
-    with pytest.raises(ValueError, match="overlap"):
-        finite_diff_hessian_block(lambda l, _: sum_all(l["a"]), p, None, {"a"}, {"a", "b"})
 
 
 def test_hessian_block_bad_probes():
     p = pv(a=np.zeros(2), b=np.zeros(2))
     with pytest.raises(ValueError):
-        finite_diff_hessian_block(lambda l, _: sum_all(l["a"]), p, None, {"a"}, {"b"}, probes=0)
+        sampled_cross_hessian_max(lambda l, _: sum_all(l["a"]), p, None, ["a"], ["b"], probes=0)
 
 
 def test_add_scaled():
