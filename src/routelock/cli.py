@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +92,9 @@ def _resolve_seed(args, config: dict) -> int:
     seed = args.seed if args.seed is not None else config.get("seed")
     if seed is None:
         raise ValueError("a seed is required (flag --seed or config field \"seed\")")
-    return int(seed)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"config field \"seed\" must be an integer, got {seed!r}")
+    return seed
 
 
 def _section(config: dict, section: str) -> dict:
@@ -104,6 +106,9 @@ def _section(config: dict, section: str) -> dict:
 
 def _from_config(cls, section: str, fields: dict):
     """``cls(**fields)``; a missing, unknown or ill-typed field is a ConfigError."""
+    for f in dataclass_fields(cls):
+        if f.type in (int, "int") and f.name in fields and type(fields[f.name]) is not int:
+            raise ConfigError(f"config section \"{section}\": {f.name} must be an integer, got {fields[f.name]!r}")
     try:
         return cls(**fields)
     except TypeError as exc:
@@ -217,150 +222,171 @@ def cmd_generate(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# theory
+# claims: theory and gradcheck
 # ---------------------------------------------------------------------------
 
-THEORY_CHECKS = (
-    "stationarity",
-    "conflict-gap",
-    "equal-curvature",
-    "dominance",
-    "interference",
-    "decoupling",
-    "hessian",
-    "linearization",
-)
+QUAD_DIM = 8
 
 
-def _tiny_audit_setup(seed: int):
-    spec = SynthTaskSpec(modulus=5, n_problems=6, seed=seed)
-    data, vocab = generate_synth_dataset(spec)
-    cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_layers=2, n_heads=2, d_ff=12, max_seq=24)
-    model = ModelParams.clone_from_dense(DenseModel.init_random(cfg, seed))
-    d0, d1 = split_by_mode(data)
-    return model, d0, d1
+def _stationarity(m0, m1, seed, i):
+    bd = dense_optimum(m0, m1)
+    return np.linalg.norm(m0.pi * m0.grad(bd) + m1.pi * m1.grad(bd)), 1e-10, None
 
 
-def _theory_records(check: str, instances: int, seed: int, inject_error: bool):
-    """Yield {check, inputs_digest, measured, threshold, pass} per instance."""
-    dim = 8
-    if check in ("stationarity", "conflict-gap", "equal-curvature", "dominance", "interference"):
-        for i in range(instances):
-            m0, m1 = random_quadratic_pair(
-                dim, seed + i, equal_curvature=(check == "equal-curvature")
-            )
-            if check == "stationarity":
-                bd = dense_optimum(m0, m1)
-                g = m0.pi * m0.grad(bd) + m1.pi * m1.grad(bd)
-                measured, threshold = float(np.linalg.norm(g)), 1e-10
-                ok = measured <= threshold
-            elif check == "conflict-gap":
-                gap = conflict_gap(m0, m1)
-                split, dense, _ = fixed_backbone_dominance(m0, m1)
-                measured = max(abs(gap - (dense - split)), -min(gap, 0.0))
-                threshold = 1e-10
-                ok = measured <= threshold
-            elif check == "equal-curvature":
-                gap = conflict_gap(m0, m1)
-                closed = equal_curvature_gap(m0.H, m0.beta_star, m1.beta_star, m0.pi)
-                measured, threshold = abs(gap - closed), 1e-10
-                ok = measured <= threshold
-            elif check == "dominance":
-                split, dense, ok = fixed_backbone_dominance(m0, m1)
-                measured, threshold = split - dense, 1e-12
-                ok = measured <= threshold
-            else:  # interference
-                rng = np.random.default_rng(seed + 1000 + i)
-                beta = rng.normal(size=dim)
-                rep = verify_interference_on_quadratic(m0, m1, beta, eta=1e-4)
-                ok = rep.sign_consistent and (
-                    rep.split_change <= rep.split_second_order + 1e-15
-                )
-                measured, threshold = rep.dense_change - rep.first_order, rep.second_order_bound
-            if inject_error:
-                ok = False
-            yield {
-                "check": check,
-                "inputs_digest": _digest(check, seed, i),
-                "measured": float(measured),
-                "threshold": float(threshold),
-                "pass": bool(ok),
-            }
-        return
-
-    model, d0, d1 = _tiny_audit_setup(seed)
-    if check == "decoupling":
-        _, grads = mode_loss_grad(model, d0[: min(4, len(d0))])
-        worst = max(
-            float(np.max(np.abs(grads[n]))) for n in grads.names if ".expert1." in n
-        )
-        if inject_error:
-            worst += 1.0
-        yield {
-            "check": check,
-            "inputs_digest": _digest(check, seed),
-            "measured": worst,
-            "threshold": 0.0,
-            "pass": worst <= 0.0,
-        }
-    elif check == "hessian":
-        rep = hessian_block_audit(model, d0[:4], d1[:4], probes=16, seed=seed)
-        measured = rep.cross_beta0_beta1 + (1.0 if inject_error else 0.0)
-        ok = measured <= 1e-6 and rep.beta0_beta0 > 1e-4 and rep.alpha_beta0 > 1e-4
-        yield {
-            "check": check,
-            "inputs_digest": _digest(check, seed),
-            "measured": measured,
-            "threshold": 1e-6,
-            "pass": ok,
-        }
-    else:  # linearization
-        direction = random_expert_direction(model, model.config.n_layers - 1, seed)
-        tokens = list(d0[0].tokens)
-        rows = linearization_residual(model, tokens, direction, [1e-1, 5e-2, 2.5e-2])
-        ratios = [
-            rows[i + 1].rel_residual / rows[i].rel_residual
-            for i in range(len(rows) - 1)
-            if rows[i].rel_residual > 0
-        ]
-        measured = max(ratios) if ratios else 0.0
-        if inject_error:
-            measured += 1.0
-        yield {
-            "check": check,
-            "inputs_digest": _digest(check, seed),
-            "measured": measured,
-            "threshold": 0.6,
-            "pass": measured <= 0.6,
-        }
+def _conflict_gap(m0, m1, seed, i):
+    gap = conflict_gap(m0, m1)
+    split, dense, _ = fixed_backbone_dominance(m0, m1)
+    return max(abs(gap - (dense - split)), -min(gap, 0.0)), 1e-10, None
 
 
-def cmd_theory(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    out = _out_dir(args, config, "runs/theory")
-    checks = args.checks.split(",") if args.checks else list(THEORY_CHECKS)
-    for c in checks:
-        if c not in THEORY_CHECKS:
-            return _fail(f"unknown check {c!r}; available: {', '.join(THEORY_CHECKS)}")
-    _echo_config(out, "theory", {"seed": seed, "checks": checks, "instances": args.instances})
+def _equal_curvature(m0, m1, seed, i):
+    closed = equal_curvature_gap(m0.H, m0.beta_star, m1.beta_star, m0.pi)
+    return abs(conflict_gap(m0, m1) - closed), 1e-10, None
 
+
+def _dominance(m0, m1, seed, i):
+    split, dense, _ = fixed_backbone_dominance(m0, m1)
+    return split - dense, 1e-12, None
+
+
+def _interference(m0, m1, seed, i):
+    beta = np.random.default_rng(seed + 1000 + i).normal(size=QUAD_DIM)
+    rep = verify_interference_on_quadratic(m0, m1, beta, eta=1e-4)
+    ok = rep.sign_consistent and rep.split_change <= rep.split_second_order + 1e-15
+    return rep.dense_change - rep.first_order, rep.second_order_bound, ok
+
+
+def _grad_vs_fd(model, d0, d1, seed, probes):
+    """Reverse mode against central differences on ``probes`` sampled coordinates."""
+    batch = make_batch(d0[:4])
+    loss_fn = batch_loss_fn(model, Route.NO_THINK, "example_mean")
+    _, grads = value_and_grad(loss_fn, model.params, batch)
+    size = model.params.size
+    coords = np.random.default_rng(seed).choice(size, size=min(probes, size), replace=False)
+    fd = central_differences(loss_fn, model.params, batch, coords, step=1e-5)
+    return max_relative_error(grads.flatten()[coords], fd), 1e-5, None
+
+
+def _decoupling(model, d0, d1, seed, probes):
+    """The inactive (think) expert's gradient on a no-think batch is exactly zero."""
+    _, grads = mode_loss_grad(model, d0[:4])
+    worst = max(float(np.max(np.abs(grads[n]))) for n in grads.names if ".expert1." in n)
+    return worst, 0.0, None
+
+
+def _hessian(model, d0, d1, seed, probes):
+    """The cross-expert curvature vanishes; the alpha-expert and within-expert controls do not."""
+    rep = hessian_block_audit(model, d0[:4], d1[:4], probes=16, seed=seed)
+    ok = rep.cross_beta0_beta1 <= 1e-6 and rep.beta0_beta0 > 1e-4 and rep.alpha_beta0 > 1e-4
+    return rep.cross_beta0_beta1, 1e-6, ok
+
+
+def _linearization(model, d0, d1, seed, probes):
+    direction = random_expert_direction(model, model.config.n_layers - 1, seed)
+    rows = linearization_residual(model, list(d0[0].tokens), direction, [1e-1, 5e-2, 2.5e-2])
+    ratios = [b.rel_residual / a.rel_residual for a, b in zip(rows, rows[1:]) if a.rel_residual > 0]
+    return max(ratios) if ratios else 0.0, 0.6, None
+
+
+# Each claim: (subject, measure). A measure returns (measured, threshold, ok), where
+# ok None means measured <= threshold. Quadratic measures take (m0, m1, seed, i) and
+# run once per random instance, drawn with equal curvature for "equal-curvature";
+# model measures take the audit setup (model, d0, d1, seed, probes) and run once.
+CLAIMS = {
+    "stationarity": ("quadratic", _stationarity),
+    "conflict-gap": ("quadratic", _conflict_gap),
+    "equal-curvature": ("equal-curvature", _equal_curvature),
+    "dominance": ("quadratic", _dominance),
+    "interference": ("quadratic", _interference),
+    "grad-vs-fd": ("model", _grad_vs_fd),
+    "decoupling": ("model", _decoupling),
+    "hessian": ("model", _hessian),
+    "linearization": ("model", _linearization),
+}
+THEORY_CHECKS = tuple(name for name in CLAIMS if name != "grad-vs-fd")
+GRADCHECK_CHECKS = ("grad-vs-fd", "decoupling", "hessian")
+
+
+def _audit_setup(seed: int, probes: int | None, checkpoint=None):
+    """(model, d0, d1, seed, probes) on a fresh tiny model, or on ``checkpoint``
+    with synthetic data in its vocabulary."""
+    if checkpoint:
+        model = load_checkpoint(checkpoint)
+        spec = SynthTaskSpec(modulus=5, n_problems=4, seed=seed)
+        data, _ = generate_synth_dataset(spec, _load_vocab(checkpoint))
+    else:
+        data, vocab = generate_synth_dataset(SynthTaskSpec(modulus=5, n_problems=6, seed=seed))
+        cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_layers=2, n_heads=2, d_ff=12, max_seq=24)
+        model = ModelParams.clone_from_dense(DenseModel.init_random(cfg, seed))
+    return (model, *split_by_mode(data), seed, probes)
+
+
+def _run_claims(command: str, out: Path, resolved: dict, checks, seed: int, setup,
+                inject_error: bool, instances: int = 0) -> int:
+    """Write ``<command>_<check>.jsonl`` records {check, inputs_digest, measured, threshold, pass}
+    and one table row per check, ``instances`` records per quadratic claim and one per model
+    claim on the subject ``setup()`` builds; 1 if any record fails."""
+    subject = setup() if any(CLAIMS[c][0] == "model" for c in checks) else None
+    _echo_config(out, command, resolved)
     all_ok = True
     print(f"{'check':<18}{'records':>8}{'worst measured':>18}{'pass':>7}")
     for check in checks:
-        records = list(_theory_records(check, args.instances, seed, args.inject_error))
-        path = out / f"theory_{check}.jsonl"
-        with open(path, "w", encoding="utf-8") as fh:
+        kind, measure = CLAIMS[check]
+        if kind == "model":
+            runs = [((check, seed), measure(*subject))]
+        else:
+            runs = [
+                ((check, seed, i), measure(*random_quadratic_pair(
+                    QUAD_DIM, seed + i, equal_curvature=kind == "equal-curvature"), seed, i))
+                for i in range(instances)
+            ]
+        records = [
+            {
+                "check": check,
+                "inputs_digest": _digest(*key),
+                "measured": float(measured),
+                "threshold": float(threshold),
+                "pass": bool(measured <= threshold if ok is None else ok) and not inject_error,
+            }
+            for key, (measured, threshold, ok) in runs
+        ]
+        with open(out / f"{command}_{check}.jsonl", "w", encoding="utf-8") as fh:
             for rec in records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
         ok = all(r["pass"] for r in records)
-        worst = max(r["measured"] for r in records)
         all_ok &= ok
+        worst = max(r["measured"] for r in records)
         print(f"{check:<18}{len(records):>8}{worst:>18.3e}{str(ok):>7}")
     if not all_ok:
         print("FAILED checks present", file=sys.stderr)
         return 1
     return 0
+
+
+def cmd_theory(args) -> int:
+    if args.instances < 1:
+        return _fail("--instances must be >= 1")
+    config = _load_config(args.config)
+    seed = _resolve_seed(args, config)
+    checks = args.checks.split(",") if args.checks else list(THEORY_CHECKS)
+    for c in checks:
+        if c not in THEORY_CHECKS:
+            return _fail(f"unknown check {c!r}; available: {', '.join(THEORY_CHECKS)}")
+    out = _out_dir(args, config, "runs/theory")
+    resolved = {"seed": seed, "checks": checks, "instances": args.instances}
+    return _run_claims("theory", out, resolved, checks, seed, lambda: _audit_setup(seed, None),
+                       args.inject_error, args.instances)
+
+
+def cmd_gradcheck(args) -> int:
+    if args.probes < 1:
+        return _fail("--probes must be >= 1")
+    config = _load_config(args.config)
+    seed = _resolve_seed(args, config)
+    out = _out_dir(args, config, "runs/gradcheck")
+    resolved = {"seed": seed, "probes": args.probes, "checkpoint": args.checkpoint}
+    return _run_claims("gradcheck", out, resolved, GRADCHECK_CHECKS, seed,
+                       lambda: _audit_setup(seed, args.probes, args.checkpoint), args.inject_error)
 
 
 # ---------------------------------------------------------------------------
@@ -510,66 +536,6 @@ def cmd_filter(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# gradcheck
-# ---------------------------------------------------------------------------
-
-
-def cmd_gradcheck(args) -> int:
-    if args.probes < 1:
-        return _fail("--probes must be >= 1")
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    out = _out_dir(args, config, "runs/gradcheck")
-
-    if args.checkpoint:
-        model = load_checkpoint(args.checkpoint)
-        spec = SynthTaskSpec(modulus=5, n_problems=4, seed=seed)
-        data, _ = generate_synth_dataset(spec, _load_vocab(args.checkpoint))
-    else:
-        model, d0, d1 = _tiny_audit_setup(seed)
-        data = d0 + d1
-    d0, d1 = split_by_mode(data)
-
-    results = {}
-
-    # reverse-mode vs central differences on sampled coordinates
-    batch = make_batch(d0[:4])
-    loss_fn = batch_loss_fn(model, Route.NO_THINK, "example_mean")
-    _, grads = value_and_grad(loss_fn, model.params, batch)
-    if args.inject_error:
-        grads = grads.from_flat(grads.flatten() + 1e-2)
-    rng = np.random.default_rng(seed)
-    size = model.params.size
-    coords = rng.choice(size, size=min(args.probes, size), replace=False)
-    fd = central_differences(loss_fn, model.params, batch, coords, step=1e-5)
-    worst = max_relative_error(grads.flatten()[coords], fd)
-    results["grad_vs_fd_max_rel"] = (worst, 1e-5, worst <= 1e-5)
-
-    # inactive-expert zero
-    _, g0 = mode_loss_grad(model, d0[:4])
-    worst_inactive = max(float(np.max(np.abs(g0[n]))) for n in g0.names if ".expert1." in n)
-    if args.inject_error:
-        worst_inactive += 1.0
-    results["inactive_expert_max_abs"] = (worst_inactive, 0.0, worst_inactive <= 0.0)
-
-    # cross-expert curvature probes
-    rep = hessian_block_audit(model, d0[:3], d1[:3], probes=min(args.probes, 32), seed=seed)
-    results["hessian_cross_max_abs"] = (rep.cross_beta0_beta1, 1e-6, rep.cross_beta0_beta1 <= 1e-6)
-
-    all_ok = True
-    report = {}
-    for name, (measured, threshold, ok) in results.items():
-        ok = bool(ok)
-        all_ok &= ok
-        report[name] = {"measured": float(measured), "threshold": float(threshold), "pass": ok}
-        print(f"{name:<28}{measured:>14.3e}  (<= {threshold:g})  {'PASS' if ok else 'FAIL'}")
-    (out / "gradcheck.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _echo_config(out, "gradcheck", {"seed": seed, "probes": args.probes,
-                                    "checkpoint": args.checkpoint})
-    return 0 if all_ok else 1
-
-
-# ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
@@ -631,7 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="gradient, decoupling, and curvature audits")
     common(p)
     p.add_argument("--checkpoint", help="audit this checkpoint instead of a fresh tiny model")
-    p.add_argument("--probes", type=int, default=64)
+    p.add_argument("--probes", type=int, default=64,
+                   help="coordinates the gradient check samples (default 64)")
     p.add_argument("--inject-error", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_gradcheck)
 

@@ -149,10 +149,53 @@ def test_theory_record_count_contract(tmp_path):
     assert set(record) == {"check", "inputs_digest", "measured", "threshold", "pass"}
 
 
-def test_theory_negative_control(tmp_path):
-    rc = main(["theory", "--seed", "3", "--checks", "decoupling", "--inject-error",
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theory", "--seed", "3", "--instances", "5"],
+        ["gradcheck", "--seed", "2", "--probes", "8"],
+    ],
+    ids=["theory", "gradcheck"],
+)
+def test_inject_error_fails_every_record(tmp_path, argv):
+    out = tmp_path / "o"
+    assert main([*argv, "--inject-error", "--out", str(out)]) == 1
+    files = sorted(out.glob(f"{argv[0]}_*.jsonl"))
+    assert len(files) == (8 if argv[0] == "theory" else 3)
+    records = [json.loads(line) for path in files for line in path.read_text().splitlines()]
+    assert records and all(r["pass"] is False for r in records)
+
+
+def test_gradcheck_shares_theory_records(tmp_path):
+    g, t = tmp_path / "g", tmp_path / "t"
+    assert main(["gradcheck", "--seed", "2", "--probes", "8", "--out", str(g)]) == 0
+    assert main(["theory", "--seed", "2", "--checks", "decoupling,hessian", "--out", str(t)]) == 0
+    for check in ("decoupling", "hessian"):
+        shared = (g / f"gradcheck_{check}.jsonl").read_bytes()
+        assert shared == (t / f"theory_{check}.jsonl").read_bytes()
+        assert set(json.loads(shared)) == {"check", "inputs_digest", "measured", "threshold", "pass"}
+
+
+@pytest.mark.parametrize("instances", ["0", "-2"])
+def test_theory_instances_validation(tmp_path, capsys, instances):
+    out = tmp_path / "t"
+    rc = main(["theory", "--seed", "3", "--checks", "stationarity", "--instances", instances,
+               "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --instances must be >= 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [[1], True, 1.5], ids=["list", "bool", "float"])
+def test_config_seed_must_be_an_integer(tmp_path, capsys, seed):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": seed}))
+    rc = main(["theory", "--config", str(cfg_path), "--checks", "stationarity", "--instances", "1",
                "--out", str(tmp_path / "t")])
-    assert rc != 0
+    assert rc == 1
+    assert "seed" in one_error_line(capsys)
 
 
 def test_theory_unknown_check(tmp_path):
@@ -227,12 +270,6 @@ def test_gradcheck_probe_validation(tmp_path, capsys):
     assert rc != 0
 
 
-def test_gradcheck_negative_control(tmp_path):
-    rc = main(["gradcheck", "--seed", "2", "--probes", "8", "--inject-error",
-               "--out", str(tmp_path / "g")])
-    assert rc != 0
-
-
 def test_commands_echo_config(trained):
     _, out, _ = trained
     resolved = json.loads((out / "train_config.json").read_text())
@@ -270,6 +307,9 @@ def test_train_record_missing_target_names_line(tmp_path, capsys):
         ("train", {"learning_rate": None}, "learning_rate"),
         ("train", {"learnig_rate": 0.1}, "learnig_rate"),
         ("model", {"d_modle": 16}, "d_modle"),
+        ("train", {"epochs": 2.5}, "epochs"),
+        ("train", {"batch_size": 2.5}, "batch_size"),
+        ("model", {"d_model": 8.0}, "d_model"),
     ],
 )
 def test_train_bad_config_field_is_one_error_line(tmp_path, capsys, section, change, word):
