@@ -51,7 +51,7 @@ def save_checkpoint(model: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    """The model saved at ``path``; a malformed or truncated file raises ValueError naming it."""
+    """The model saved at ``path``; a malformed, truncated or non-finite file raises ValueError naming it."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
@@ -85,4 +85,7 @@ def load_checkpoint(path) -> ModelParams:
         (name, np.frombuffer(payload, "<f8", math.prod(shape), offset).reshape(shape).astype(np.float64))
         for name, shape, offset in entries
     ]
+    for name, arr in segments:
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: non-finite values (NaN or inf) in segment {name!r}")
     return ModelParams(cfg, ParamVector(segments))

@@ -70,6 +70,11 @@ def _digest(*parts) -> str:
     return h.hexdigest()[:12]
 
 
+def _params_digest(model) -> str:
+    """sha256 over every parameter segment's name, shape and bytes."""
+    return hashlib.sha256(b"".join(f"{n}{a.shape}".encode() + a.tobytes() for n, a in model.params.items())).hexdigest()
+
+
 def _read_json(path, error: type[ValueError]):
     """The JSON document at ``path``; invalid JSON raises ``error`` naming the file."""
     with open(path, encoding="utf-8") as fh:
@@ -333,7 +338,10 @@ def _run_claims(command: str, out: Path, resolved: dict, checks, seed: int, setu
     for check in checks:
         kind, measure = CLAIMS[check]
         if kind == "model":
-            runs = [((check, seed), measure(*subject))]
+            model, probes = subject[0], subject[-1]
+            # the subject's parameters are an input of every model claim; --probes only of grad-vs-fd
+            key = (check, seed, _params_digest(model)) + ((probes,) if check == "grad-vs-fd" else ())
+            runs = [(key, measure(*subject))]
         else:
             runs = [
                 ((check, seed, i), measure(*random_quadratic_pair(

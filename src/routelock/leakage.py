@@ -19,11 +19,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CapacityError
-from .model import DenseModel, ModelParams, generate
+from .model import DenseModel, ModelParams, check_prompt, generate_batch
 from .tokenizer import Route, Vocabulary, decode
 
 DEFAULT_MARKERS = ("wait", "hmm", "alternatively")
 ANSWER_MARKER = "answer:"
+EVAL_BATCH = 64  # prompts per generate_batch call; bounds the KV cache's rows
 
 
 @dataclass(frozen=True)
@@ -85,26 +86,28 @@ def evaluate(
 ) -> LeakageReport:
     """Generate per prompt and score exact-match accuracy, length, leakage.
 
-    ``model`` may also be a callable prompt_ids -> completion ids (stub
-    models for tests). Prompts whose generation exceeds capacity are
-    skipped with a warning on stderr and counted in ``n_skipped``; any
-    other error propagates.
+    Prompts are decoded ``EVAL_BATCH`` at a time by ``generate_batch``; ``model`` may
+    also be a callable prompt_ids -> completion ids (stub models for tests). Prompts
+    longer than the model's capacity are skipped with a warning on stderr and
+    counted in ``n_skipped``; any other error propagates.
     """
     lexicon = lexicon or ReflectiveLexicon()
-    correct, lengths, refl = 0, [], []
-    skipped = 0
-    for prompt_ids, gold in prompts_with_gold:
-        if callable(model):
-            completion = model(prompt_ids)
-        else:
+    if callable(model):
+        scored = [(model(prompt_ids), gold) for prompt_ids, gold in prompts_with_gold]
+    else:
+        kept = []
+        for prompt_ids, gold in prompts_with_gold:
             try:
-                completion, _ = generate(
-                    model, prompt_ids, max_new, sampler=sampler, temperature=temperature, seed=seed
-                )
+                kept.append((check_prompt(model.config, prompt_ids), gold))
             except CapacityError as exc:
-                skipped += 1
                 print(f"warning: skipping prompt ({exc})", file=sys.stderr)
-                continue
+        scored = []
+        for a in range(0, len(kept), EVAL_BATCH):
+            batch = kept[a : a + EVAL_BATCH]
+            rows = generate_batch(model, [p for p, _ in batch], max_new, sampler, temperature, seed)
+            scored += [(completion, gold) for (completion, _), (_, gold) in zip(rows, batch)]
+    correct, lengths, refl = 0, [], []
+    for completion, gold in scored:
         text = decode(completion, vocab)
         lengths.append(len(completion))
         refl.append(count_reflective(text, lexicon))
@@ -118,7 +121,7 @@ def evaluate(
         mean_length=float(np.mean(lengths)) if lengths else 0.0,
         refl_per_answer=float(np.mean(refl)) if refl else 0.0,
         n_prompts=n,
-        n_skipped=skipped,
+        n_skipped=len(prompts_with_gold) - n,
     )
 
 

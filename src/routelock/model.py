@@ -17,6 +17,7 @@ Expert segments form the beta0/beta1 partitions; everything else is alpha.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
@@ -221,7 +222,9 @@ _RECORDERS: list["ExpertCallRecorder"] = []
 class ExpertCallRecorder:
     """Context manager logging (layer, route, positions) per expert application.
 
-    A forward over K parameter points logs the positions of all K points.
+    A forward over K parameter points logs the positions of all K points. A
+    batched generation chunk logs (layer, route, rows x n) once per route
+    group, so totals per route equal the sums over one-prompt calls.
     """
 
     def __init__(self):
@@ -377,70 +380,184 @@ def route_logit_gap(model: ModelParams, tokens) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# generation (plain numpy, with an optional KV cache)
+# generation (plain numpy, batched by route and position, with an optional KV cache)
 # ---------------------------------------------------------------------------
 
 
-class _KVCache:
-    def __init__(self, n_layers: int):
-        self.k: list[np.ndarray | None] = [None] * n_layers
-        self.v: list[np.ndarray | None] = [None] * n_layers
+@functools.lru_cache(maxsize=8)
+def _position_tables(max_seq: int, head_dim: int, base: float) -> tuple[np.ndarray, ...]:
+    """Read-only rope tables and causal mask of max_seq positions; slices equal the per-chunk ones bitwise."""
+    tables = (*rope_tables(0, max_seq, head_dim, base), causal_mask(max_seq))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
-    def append(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
-        if self.k[layer] is None:
-            self.k[layer], self.v[layer] = k, v
-        else:
-            self.k[layer] = np.concatenate((self.k[layer], k), axis=1)
-            self.v[layer] = np.concatenate((self.v[layer], v), axis=1)
+
+class _KVCache:
+    """Keys and values of ``rows`` sequences as (layers, rows, heads, max_seq, head_dim); position tables."""
+
+    def __init__(self, cfg: ModelConfig, rows: int):
+        shape = (cfg.n_layers, rows, cfg.n_heads, cfg.max_seq, cfg.head_dim)
+        self.k, self.v = np.empty(shape), np.empty(shape)
+        self.cos, self.sin, self.mask = _position_tables(cfg.max_seq, cfg.head_dim, cfg.rope_base)
+
+    def keep(self, rows: list[int], filled: int) -> None:
+        """Move rows ``rows`` (their first ``filled`` positions) to the front, in that order."""
+        self.k[:, : len(rows), :, :filled] = self.k[:, rows, :, :filled]
+        self.v[:, : len(rows), :, :filled] = self.v[:, rows, :, :filled]
+
+
+def _swiglu_np(pv: ParamVector, layer: int, expert: int | None, h: np.ndarray) -> np.ndarray:
+    """``_swiglu_at`` on plain arrays, logged as ``mlp_dispatch`` logs it: (layer, expert, rows x n)."""
+    if expert is not None:
+        _notify(layer, expert, h.size // h.shape[-1])
+    mlp = mlp_prefix(layer, expert)
+    gate = h @ pv[f"{mlp}.w_gate"].T
+    return (gate * _sigmoid(gate) * (h @ pv[f"{mlp}.w_up"].T)) @ pv[f"{mlp}.w_down"].T
 
 
 def _np_chunk(
-    model: ModelParams | DenseModel, ids: np.ndarray, route: Route | int | None, cache: _KVCache, pos0: int
+    model: ModelParams | DenseModel,
+    ids: np.ndarray,
+    experts: Sequence[int | None],
+    cache: _KVCache,
+    pos0: Sequence[int],
+    row0: int = 0,
 ) -> np.ndarray:
-    """Logits (n, V) for the n ids at absolute positions pos0 .. pos0+n-1.
+    """Logits (R, n, V) for ids (R, n): ``decoder_logits`` on plain arrays, row r at positions
+    pos0[r] .. pos0[r]+n-1 (a prefix from 0, or one token) in cache row row0+r, on MLP experts[r].
 
-    ``decoder_logits`` on plain arrays, reading and extending ``cache``:
-    the same MLP (``model.expert_index(route)``, logged as ``mlp_dispatch``
-    logs it), causal mask, score scale and kernels, so its logits are
-    bitwise equal to the tape's. A chunk is a whole prefix from position 0
-    or a single token.
+    Every op acts per element, reduces a row's own last axis, or is a stacked matmul (one
+    BLAS call per row), so each row is bitwise a one-row call, and the tape. Rows at equal
+    positions (contiguous: ``pos0`` is nondecreasing) share attention calls; ragged rows are
+    not padded into one, as a longer softmax or ``weights @ V`` sum regroups its pairwise sum.
     """
     cfg, pv = model.config, model.params
-    r = model.expert_index(route)
-    n = ids.shape[0]
+    rows, n = ids.shape
     h_heads, hd = cfg.n_heads, cfg.head_dim
+    cuts = [r for r in range(1, rows) if pos0[r] != pos0[r - 1]]
+    runs = [(a, b, pos0[a]) for a, b in zip([0] + cuts, cuts + [rows])]
+    if cuts:
+        at = np.add.outer(pos0, np.arange(n))[:, None]
+        cos, sin = cache.cos[at], cache.sin[at]
+    else:
+        cos, sin = cache.cos[pos0[0] : pos0[0] + n], cache.sin[pos0[0] : pos0[0] + n]
+    if len(set(experts)) == 1:
+        groups = [(experts[0], slice(None))]
+    else:
+        groups = [(e, np.flatnonzero(np.asarray(experts) == e)) for e in sorted(set(experts))]
+    kc, vc = cache.k[:, row0 : row0 + rows], cache.v[:, row0 : row0 + rows]
+    mask = cache.mask[:n, :n] if n > 1 else None
     x = pv["embed"][ids]
-    cos, sin = rope_tables(pos0, n, hd, cfg.rope_base)
-    mask = causal_mask(n) if n > 1 else None
     for layer in range(cfg.n_layers):
         h = x / _rms_scale(x) * pv[f"layer{layer}.ln1"]
-        q = (h @ pv[f"layer{layer}.wq"].T).reshape(n, h_heads, hd).transpose(1, 0, 2)
-        k = (h @ pv[f"layer{layer}.wk"].T).reshape(n, h_heads, hd).transpose(1, 0, 2)
-        v = (h @ pv[f"layer{layer}.wv"].T).reshape(n, h_heads, hd).transpose(1, 0, 2)
-        cache.append(layer, _rope(k, cos, sin), v)
-        scores = (_rope(q, cos, sin) @ np.swapaxes(cache.k[layer], -1, -2)) * (1.0 / math.sqrt(hd))
-        if mask is not None:
-            scores = scores + mask
-        ctx = (_softmax(scores) @ cache.v[layer]).transpose(1, 0, 2).reshape(n, cfg.d_model)
-        x = x + ctx @ pv[f"layer{layer}.wo"].T
+        # q and k heads are rotated in one call: rope acts per element
+        qk = np.concatenate((h @ pv[f"layer{layer}.wq"].T, h @ pv[f"layer{layer}.wk"].T), axis=-1)
+        qk = _rope(qk.reshape(rows, n, 2 * h_heads, hd).transpose(0, 2, 1, 3), cos, sin)
+        q, k = qk[:, :h_heads], qk[:, h_heads:]
+        v = (h @ pv[f"layer{layer}.wv"].T).reshape(rows, n, h_heads, hd).transpose(0, 2, 1, 3)
+        ctx = []
+        for a, b, p in runs:
+            kc[layer, a:b, :, p : p + n], vc[layer, a:b, :, p : p + n] = k[a:b], v[a:b]
+            scores = (q[a:b] @ np.swapaxes(kc[layer, a:b, :, : p + n], -1, -2)) * (1.0 / math.sqrt(hd))
+            if mask is not None:
+                scores = scores + mask
+            ctx.append(_softmax(scores) @ vc[layer, a:b, :, : p + n])
+        ctx = np.concatenate(ctx) if cuts else ctx[0]
+        x = x + ctx.transpose(0, 2, 1, 3).reshape(rows, n, cfg.d_model) @ pv[f"layer{layer}.wo"].T
         h = x / _rms_scale(x) * pv[f"layer{layer}.ln2"]
-        if r is not None:
-            _notify(layer, r, n)
-        mlp = mlp_prefix(layer, r)
-        gate = h @ pv[f"{mlp}.w_gate"].T
-        x = x + (gate * _sigmoid(gate) * (h @ pv[f"{mlp}.w_up"].T)) @ pv[f"{mlp}.w_down"].T
+        if len(groups) == 1:
+            x = x + _swiglu_np(pv, layer, groups[0][0], h)
+        else:
+            y = np.empty_like(x)
+            for e, sel in groups:
+                y[sel] = _swiglu_np(pv, layer, e, h[sel])
+            x = x + y
     if cfg.final_norm:
         x = x / _rms_scale(x) * pv["final_norm"]
     return x @ pv["lm_head"].T
 
 
-def _sample(logits: np.ndarray, sampler: str, temperature: float, rng) -> int:
+def _feed(model, rows: list[list[int]], experts: list, cache: _KVCache, fed: list[int]) -> np.ndarray:
+    """Last-position logits (R, V) of rows sorted by length whose first fed[r] tokens are
+    in the cache: one chunk per run of rows with equal unfed lengths."""
+    out, a = [], 0
+    while a < len(rows):
+        n, b = len(rows[a]) - fed[a], a + 1
+        while b < len(rows) and len(rows[b]) - fed[b] == n:
+            b += 1
+        ids = np.asarray([t for row in rows[a:b] for t in row[-n:]], np.int64).reshape(b - a, n)
+        out.append(_np_chunk(model, ids, experts[a:b], cache, fed[a:b], a)[:, -1])
+        a = b
+    return out[0] if len(out) == 1 else np.concatenate(out)
+
+
+def _sample(logits: np.ndarray, sampler: str, temperature: float, rngs) -> list[int]:
+    """One token per row of logits (R, V); temperature sampling draws row r from ``rngs[r]``."""
     if sampler == "greedy":
-        return int(np.argmax(logits))
-    if sampler == "temperature":
-        p = _softmax(logits / temperature)
-        return int(rng.choice(p.size, p=p))
-    raise ValueError(f"unknown sampler {sampler!r}")
+        return logits.argmax(axis=-1).tolist()
+    return [int(rng.choice(row.size, p=_softmax(row / temperature))) for row, rng in zip(logits, rngs)]
+
+
+def check_prompt(cfg: ModelConfig, prompt_ids: Sequence[int]) -> list[int]:
+    """The prompt as a list of ints; an empty one raises ValueError, one past max_seq CapacityError."""
+    prompt = [int(t) for t in prompt_ids]
+    if not prompt:
+        raise ValueError("prompt must be non-empty")
+    if len(prompt) > cfg.max_seq:
+        raise CapacityError(f"prompt length {len(prompt)} exceeds max_seq {cfg.max_seq}")
+    return prompt
+
+
+def generate_batch(
+    model: ModelParams | DenseModel,
+    prompts: Sequence[Sequence[int]],
+    max_new: int,
+    sampler: str = "greedy",
+    temperature: float = 1.0,
+    seed: int | None = None,
+    use_cache: bool = True,
+) -> list[tuple[list[int], Route]]:
+    """One (completion, route) per prompt, each bitwise what ``generate`` gives it alone.
+
+    Rows run in order of prompt length, each on the route its own prompt locks, and leave
+    the batch at EOS (not returned), after ``max_new`` tokens or at max_seq. Each row samples
+    from its own ``default_rng(seed)``; without the cache, live rows recompute from position 0.
+    """
+    cfg = model.config
+    seqs = [check_prompt(cfg, p) for p in prompts]
+    if max_new < 0:
+        raise ValueError("max_new must be >= 0")
+    if sampler not in ("greedy", "temperature"):
+        raise ValueError(f"unknown sampler {sampler!r}")
+    if sampler == "temperature" and seed is None:
+        raise ValueError("temperature sampling requires a seed")
+    routes = [resolve_route(p) for p in seqs]
+    starts = [len(p) for p in seqs]
+    # live rows by length: tokens (aliasing seqs), expert, rng, prompt length, tokens in the cache
+    order = sorted(range(len(seqs)), key=starts.__getitem__) if max_new else []
+    live = [
+        [seqs[i] for i in order],
+        [model.expert_index(routes[i]) for i in order],
+        [np.random.default_rng(seed) if sampler == "temperature" else None for _ in order],
+        [starts[i] for i in order],
+        [0] * len(order),
+    ]
+    cache = _KVCache(cfg, len(order))
+    while live[0]:
+        rows, experts, rngs, start, fed = live
+        keep = []
+        for j, t in enumerate(_sample(_feed(model, rows, experts, cache, fed), sampler, temperature, rngs)):
+            fed[j] = len(rows[j]) if use_cache else 0
+            if t != EOS_ID:
+                rows[j].append(t)
+                if len(rows[j]) - start[j] < max_new and len(rows[j]) < cfg.max_seq:
+                    keep.append(j)
+        if len(keep) < len(rows):
+            if use_cache and keep:
+                cache.keep(keep, fed[keep[-1]])
+            live = [[col[j] for j in keep] for col in live]
+    return [(seq[n:], route) for seq, n, route in zip(seqs, starts, routes)]
 
 
 def generate(
@@ -452,45 +569,6 @@ def generate(
     seed: int | None = None,
     use_cache: bool = True,
 ) -> tuple[list[int], Route]:
-    """Autoregressive decoding with the route resolved once and locked.
-
-    Stops at EOS (not included in the returned completion) or after
-    ``max_new`` tokens; generation also stops at the model's max_seq
-    capacity. Returns (completion ids, route used).
-    """
-    cfg = model.config
-    prompt = list(int(t) for t in prompt_ids)
-    if not prompt:
-        raise ValueError("prompt must be non-empty")
-    if len(prompt) > cfg.max_seq:
-        raise CapacityError(f"prompt length {len(prompt)} exceeds max_seq {cfg.max_seq}")
-    if max_new < 0:
-        raise ValueError("max_new must be >= 0")
-    if sampler == "temperature" and seed is None:
-        raise ValueError("temperature sampling requires a seed")
-    rng = np.random.default_rng(seed) if seed is not None else None
-
-    route = resolve_route(prompt)
-    out: list[int] = []
-    if use_cache:
-        cache = _KVCache(cfg.n_layers)
-        logits = _np_chunk(model, np.asarray(prompt, np.int64), route, cache, 0)
-        while len(out) < max_new:
-            nxt = _sample(logits[-1], sampler, temperature, rng)
-            if nxt == EOS_ID:
-                break
-            out.append(nxt)
-            if len(out) == max_new or len(prompt) + len(out) >= cfg.max_seq:
-                break
-            logits = _np_chunk(model, np.asarray([nxt], np.int64), route, cache, len(prompt) + len(out) - 1)
-    else:
-        for _ in range(max_new):
-            seq = np.asarray(prompt + out, np.int64)
-            logits = _np_chunk(model, seq, route, _KVCache(cfg.n_layers), 0)
-            nxt = _sample(logits[-1], sampler, temperature, rng)
-            if nxt == EOS_ID:
-                break
-            out.append(nxt)
-            if len(prompt) + len(out) >= cfg.max_seq:
-                break
-    return out, route
+    """Autoregressive decoding with the route resolved once and locked: the
+    one-row ``generate_batch``. Returns (completion ids, route used)."""
+    return generate_batch(model, [prompt_ids], max_new, sampler, temperature, seed, use_cache)[0]

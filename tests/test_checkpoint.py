@@ -6,6 +6,7 @@ import pytest
 
 from routelock.checkpoint import load_checkpoint, save_checkpoint
 from routelock.model import forward
+from routelock.params import ParamVector
 from routelock.tokenizer import Route
 
 from conftest import tiny_model
@@ -125,4 +126,21 @@ def test_malformed_checkpoint_header_is_named(tmp_path):
     hlen, _ = header_of(blob)
     path.write_bytes(blob[:16] + b"{" * hlen + blob[16 + hlen :])
     with pytest.raises(ValueError, match=r"m\.ple.*malformed header"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_payload_is_rejected(tmp_path, bad):
+    model = tiny_model(seed=8)
+    poisoned = {"layer0.wk": (2, 3), "layer1.expert1.w_up": (0, 0)}
+
+    def poison(name, arr):
+        if name in poisoned:
+            arr = arr.copy()
+            arr[poisoned[name]] = bad
+        return arr
+
+    path = tmp_path / "bad.ple"
+    save_checkpoint(model.with_params(ParamVector((n, poison(n, a)) for n, a in model.params.items())), path)
+    with pytest.raises(ValueError, match=r"bad\.ple.*non-finite.*'layer0\.wk'"):
         load_checkpoint(path)

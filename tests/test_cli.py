@@ -367,6 +367,43 @@ def small_checkpoint(path):
     vocab.save(path.with_suffix(".vocab.txt"))
 
 
+def test_generate_non_finite_checkpoint_is_one_error_line(tmp_path, capsys):
+    ckpt = tmp_path / "nan.ple"
+    small_checkpoint(ckpt)
+    model = load_checkpoint(ckpt)
+    model.params["lm_head"][3, 1] = np.nan
+    save_checkpoint(model, ckpt)
+    assert main(["generate", "--checkpoint", str(ckpt), "--prompt", "compute"]) == 1
+    line = one_error_line(capsys)
+    assert "nan.ple" in line and "non-finite" in line and "lm_head" in line
+
+
+def first_digests(out) -> dict[str, str]:
+    return {p.stem: json.loads(p.read_text().splitlines()[0])["inputs_digest"] for p in out.glob("gradcheck_*.jsonl")}
+
+
+def test_gradcheck_digests_name_the_model_and_probes(tmp_path):
+    ckpt = tmp_path / "small.ple"
+    save_checkpoint(ModelParams.init_random(ModelConfig(9, 8, 2, 2, 12, 32), seed=4), ckpt)
+    Vocabulary(["compute", "plus", "mod"]).save(tmp_path / "small.vocab.txt")
+    runs = {
+        "tiny16": ["--probes", "16"],
+        "tiny64": ["--probes", "64"],
+        "ckpt16": ["--probes", "16", "--checkpoint", str(ckpt)],
+    }
+    for name, flags in runs.items():
+        main(["gradcheck", "--seed", "2", *flags, "--out", str(tmp_path / name)])
+    tiny16, tiny64, ckpt16 = (first_digests(tmp_path / name) for name in runs)
+    assert len(tiny16) == 3
+    # another model at the same seed: every record's inputs differ
+    assert all(ckpt16[check] != digest for check, digest in tiny16.items())
+    # --probes is an input of the gradient check only
+    assert tiny64["gradcheck_grad-vs-fd"] != tiny16["gradcheck_grad-vs-fd"]
+    assert {c: d for c, d in tiny64.items() if c != "gradcheck_grad-vs-fd"} == {
+        c: d for c, d in tiny16.items() if c != "gradcheck_grad-vs-fd"
+    }
+
+
 def test_generate_truncated_checkpoint_is_one_error_line(tmp_path, capsys):
     ckpt = tmp_path / "cut.ple"
     small_checkpoint(ckpt)

@@ -11,6 +11,8 @@ from routelock.leakage import (
     leakage_delta_table,
     reports_to_csv,
 )
+from routelock import leakage
+from routelock.model import generate
 from routelock.params import ParamVector
 from routelock.synth import SynthTaskSpec, eval_prompts, generate_synth_dataset
 from routelock.tokenizer import EOS_ID, Route, decode, encode, resolve_route
@@ -163,6 +165,18 @@ def test_evaluate_skips_overlong_prompts_with_warning(synth_model, synth_small, 
     captured = capsys.readouterr()
     assert "skipping prompt" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("mode", [Route.NO_THINK, Route.THINK])
+def test_evaluate_batches_equal_one_prompt_generate(synth_model, synth_small, monkeypatch, mode):
+    # several generate_batch calls, the last one short, score what per-prompt generate scores
+    spec, _, vocab = synth_small
+    prompts = eval_prompts(spec, 8, 13, mode, vocab)
+    monkeypatch.setattr(leakage, "EVAL_BATCH", 3)
+    batched = evaluate(synth_model, prompts, mode, vocab, max_new=10)
+    one_by_one = evaluate(lambda ids: generate(synth_model, ids, 10)[0], prompts, mode, vocab)
+    assert batched == one_by_one
+    assert batched.n_prompts == 8
 
 
 def test_evaluate_propagates_non_capacity_errors(synth_model, synth_small):

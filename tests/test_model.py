@@ -7,9 +7,15 @@ from routelock.model import (
     ExpertCallRecorder,
     ModelConfig,
     ModelParams,
+    _KVCache,
+    _np_chunk,
+    _position_tables,
     _swiglu_at,
+    causal_mask,
     forward,
     generate,
+    generate_batch,
+    rope_tables,
     route_logit_gap,
     segment_group,
 )
@@ -167,13 +173,37 @@ def test_swiglu_at_matches_reference(tiny, kind):
 def test_graph_forward_matches_numpy_prefill_bitwise(d_model):
     # the generation path is a second, plain-array forward; the two must
     # agree exactly on the same inputs, at every head dimension
-    from routelock.model import _KVCache, _np_chunk
-
     cfg = ModelConfig(vocab_size=24, d_model=d_model, n_layers=2, n_heads=2, d_ff=12, max_seq=24)
     model = tiny_model(seed=0, cfg=cfg)
     a = forward(model, TOKENS, Route.NO_THINK).data
-    b = _np_chunk(model, np.asarray(TOKENS, np.int64), Route.NO_THINK, _KVCache(cfg.n_layers), 0)
+    expert = model.expert_index(Route.NO_THINK)
+    b = _np_chunk(model, np.asarray([TOKENS], np.int64), [expert], _KVCache(cfg, 1), [0])[0]
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("d_model", [8, 12, 16])
+def test_multi_row_prefill_rows_match_forward_bitwise(d_model):
+    # rows of one chunk run on different experts and share attention calls;
+    # each row's logits are still those of the tape forward on that row alone
+    cfg = ModelConfig(vocab_size=24, d_model=d_model, n_layers=2, n_heads=2, d_ff=12, max_seq=24)
+    model = perturbed_beta1(tiny_model(seed=0, cfg=cfg), scale=0.5)
+    rows = [TOKENS, [1, 9, 8, 7, 6, 5, CTRL_THINK_ID], [1, 10, 12, 14, 16, 18, 20], TOKENS]
+    routes = [Route.NO_THINK, Route.THINK, Route.THINK, Route.THINK]
+    experts = [model.expert_index(r) for r in routes]
+    out = _np_chunk(model, np.asarray(rows, np.int64), experts, _KVCache(cfg, len(rows)), [0] * len(rows))
+    for row, route, logits in zip(rows, routes, out):
+        assert np.array_equal(logits, forward(model, row, route).data)
+    assert not np.array_equal(out[0], out[3])
+
+
+def test_position_table_slices_match_per_chunk_tables_bitwise():
+    cfg = TINY_CFG
+    cos, sin, mask = _position_tables(cfg.max_seq, cfg.head_dim, cfg.rope_base)
+    for p in range(cfg.max_seq):
+        for n in (1, cfg.max_seq - p):
+            c, s = rope_tables(p, n, cfg.head_dim, cfg.rope_base)
+            assert np.array_equal(cos[p : p + n], c) and np.array_equal(sin[p : p + n], s)
+        assert np.array_equal(mask[: p + 1, : p + 1], causal_mask(p + 1))
 
 
 # --- generation -------------------------------------------------------------
@@ -261,3 +291,96 @@ def test_generate_stops_at_eos(tiny):
     pv = ParamVector((n, head if n == "lm_head" else a) for n, a in tiny.params.items())
     out, _ = generate(tiny.with_params(pv), TOKENS, max_new=5)
     assert out == []
+
+
+# --- batched generation -------------------------------------------------------
+
+# prompt lengths 3, 5 and 8 on both routes, and one 20-token prompt that
+# reaches max_seq (24) after 4 tokens
+RAGGED = [
+    [1, 8, CTRL_NOTHINK_ID],
+    [1, 9, 10, 11, CTRL_THINK_ID],
+    [1, 8, 9, 10, 11, 12, 13, CTRL_NOTHINK_ID],
+    [1, 12, CTRL_THINK_ID],
+    [1, 13, 14, 15, CTRL_NOTHINK_ID],
+    [1, 6, 7, 8, 9, 10, 11, CTRL_THINK_ID],
+    [1] + list(range(6, 24)) + [CTRL_THINK_ID],
+    [1, 7, 9, CTRL_NOTHINK_ID],
+    [1, 11, 10, 9, 8, 7, 6, CTRL_THINK_ID],
+]
+
+
+def split_model():
+    """Experts that differ, and an EOS head row scaled so that rows stop at different steps."""
+    model = perturbed_beta1(tiny_model(seed=3), scale=0.5)
+    head = model.params["lm_head"].copy()
+    head[EOS_ID] *= 1.5
+    return model.with_params(ParamVector((n, head if n == "lm_head" else a) for n, a in model.params.items()))
+
+
+def shuffled(prompts, seed=0):
+    return [prompts[i] for i in np.random.default_rng(seed).permutation(len(prompts))]
+
+
+@pytest.mark.parametrize("use_cache", [True, False])
+def test_generate_batch_rows_equal_generate(use_cache):
+    model = split_model()
+    prompts = shuffled(RAGGED)
+    rows = generate_batch(model, prompts, max_new=8, use_cache=use_cache)
+    assert rows == [generate(model, p, max_new=8, use_cache=use_cache) for p in prompts]
+    # the batch covers both routes and all three ways a row stops, at several steps
+    assert {route for _, route in rows} == {Route.NO_THINK, Route.THINK}
+    stops = {
+        "max_seq" if len(p) + len(c) == TINY_CFG.max_seq else "max_new" if len(c) == 8 else f"eos@{len(c)}"
+        for p, (c, _) in zip(prompts, rows)
+    }
+    assert {"max_seq", "max_new"} < stops and len(stops) >= 5
+
+
+def test_mixed_route_batch_rows_equal_pure_batches():
+    model = split_model()
+    prompts = shuffled(RAGGED, seed=1)
+    rows = generate_batch(model, prompts, max_new=8)
+    for route in Route:
+        pure = [p for p, (_, r) in zip(prompts, rows) if r is route]
+        assert generate_batch(model, pure, max_new=8) == [row for row in rows if row[1] is route]
+
+
+def test_generate_batch_temperature_rows_equal_generate():
+    model = split_model()
+    prompts = shuffled(RAGGED, seed=2)
+    kw = dict(max_new=8, sampler="temperature", temperature=1.3, seed=9)
+    assert generate_batch(model, prompts, **kw) == [generate(model, p, **kw) for p in prompts]
+
+
+def test_generate_batch_edge_sizes(tiny):
+    assert generate_batch(tiny, [], max_new=4) == []
+    assert generate_batch(tiny, RAGGED, max_new=0) == [generate(tiny, p, max_new=0) for p in RAGGED]
+    assert generate_batch(tiny, [[1, 8], [1, 9, CTRL_THINK_ID]], max_new=0) == [
+        ([], Route.NO_THINK),
+        ([], Route.THINK),
+    ]
+
+
+def test_generate_batch_rejects_bad_prompts_as_generate_does(tiny):
+    with pytest.raises(CapacityError):
+        generate_batch(tiny, [TOKENS, list(range(TINY_CFG.max_seq + 1))], max_new=1)
+    with pytest.raises(ValueError, match="non-empty"):
+        generate_batch(tiny, [TOKENS, []], max_new=1)
+
+
+def test_generate_batch_expert_positions_equal_one_prompt_sums():
+    model = split_model()
+    prompts = shuffled(RAGGED, seed=3)
+    with ExpertCallRecorder() as batch:
+        generate_batch(model, prompts, max_new=8)
+    singles = []
+    for p in prompts:
+        with ExpertCallRecorder() as rec:
+            generate(model, p, max_new=8)
+        singles.append(rec)
+    assert batch.total_positions == sum(rec.total_positions for rec in singles)
+    assert batch.routes_used == set().union(*(rec.routes_used for rec in singles)) == {0, 1}
+    for route in (0, 1):
+        per_route = [sum(n for _, r, n in rec.calls if r == route) for rec in (batch, *singles)]
+        assert per_route[0] == sum(per_route[1:])
