@@ -120,9 +120,14 @@ def _from_config(cls, section: str, fields: dict):
         raise ConfigError(f"config section \"{section}\": {exc}") from exc
 
 
-def _load_vocab(checkpoint, path=None) -> Vocabulary:
-    """The vocabulary at ``path``, by default the one saved beside ``checkpoint``."""
-    return Vocabulary.load(path or Path(checkpoint).with_suffix(".vocab.txt"))
+def _load_vocab(checkpoint, model, path=None) -> Vocabulary:
+    """The vocabulary at ``path``, by default the one saved beside ``checkpoint``; it must fit ``model``."""
+    path = path or Path(checkpoint).with_suffix(".vocab.txt")
+    vocab = Vocabulary.load(path)
+    if len(vocab) != model.config.vocab_size:
+        raise DataError(f"{path}: {len(vocab)} tokens, but checkpoint {checkpoint} has vocab_size "
+                        f"{model.config.vocab_size}")
+    return vocab
 
 
 def _out_dir(args, config: dict, default: str) -> Path:
@@ -202,13 +207,13 @@ def cmd_generate(args) -> int:
     if not checkpoint:
         return _fail("generate needs a checkpoint (flag --checkpoint or config field)")
     model = load_checkpoint(checkpoint)
-    vocab = _load_vocab(checkpoint, args.vocab)
+    vocab = _load_vocab(checkpoint, model, args.vocab)
     prompt_ids = encode(args.prompt, vocab)
     if UNK_ID in prompt_ids:
         unknown = [tok for tok in args.prompt.split() if tok not in vocab]
         print(f"warning: unknown tokens mapped to <unk>: {unknown}", file=sys.stderr)
     sampler = "temperature" if args.temp is not None else "greedy"
-    seed = args.seed if args.seed is not None else config.get("seed")
+    seed = None if args.seed is None and config.get("seed") is None else _resolve_seed(args, config)
     print(
         f"resolved: checkpoint={checkpoint} sampler={sampler} max_new={args.max_new} seed={seed}",
         file=sys.stderr,
@@ -318,7 +323,7 @@ def _audit_setup(seed: int, probes: int | None, checkpoint=None):
     if checkpoint:
         model = load_checkpoint(checkpoint)
         spec = SynthTaskSpec(modulus=5, n_problems=4, seed=seed)
-        data, _ = generate_synth_dataset(spec, _load_vocab(checkpoint))
+        data, _ = generate_synth_dataset(spec, _load_vocab(checkpoint, model))
     else:
         data, vocab = generate_synth_dataset(SynthTaskSpec(modulus=5, n_problems=6, seed=seed))
         cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_layers=2, n_heads=2, d_ff=12, max_seq=24)
@@ -443,7 +448,7 @@ def cmd_eval(args) -> int:
     out = _out_dir(args, config, "runs/eval")
     base = _load_baseline(args.baseline) if args.baseline else {}
     model = load_checkpoint(args.checkpoint)
-    vocab = _load_vocab(args.checkpoint, args.vocab)
+    vocab = _load_vocab(args.checkpoint, model, args.vocab)
     lexicon_path = args.lexicon or config.get("lexicon")
     lexicon = ReflectiveLexicon.load(lexicon_path) if lexicon_path else ReflectiveLexicon()
 

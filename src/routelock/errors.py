@@ -5,7 +5,7 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-class NumericError(ArithmeticError):
+class NumericError(ValueError):
     """A forward pass produced a non-finite value."""
 
 

@@ -532,6 +532,8 @@ def generate_batch(
         raise ValueError(f"unknown sampler {sampler!r}")
     if sampler == "temperature" and seed is None:
         raise ValueError("temperature sampling requires a seed")
+    if not temperature > 0:
+        raise ValueError(f"temperature must be > 0, got {temperature!r}")
     routes = [resolve_route(p) for p in seqs]
     starts = [len(p) for p in seqs]
     # live rows by length: tokens (aliasing seqs), expert, rng, prompt length, tokens in the cache

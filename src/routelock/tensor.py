@@ -306,7 +306,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _rms_scale(x: np.ndarray) -> np.ndarray:
     """sqrt(mean(x^2, last axis) + eps), kept as a trailing axis of 1."""
-    return np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
+    # np.mean's own arithmetic (a sum, then a true divide by the count) without its Python wrapper
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + RMS_EPS)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -395,14 +396,14 @@ def rope_rotate(a, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     return _node(_rope(a.data, cos, sin), (a,), lambda g: (_rope(g, cos, -sin),), "rope_rotate")
 
 
-def softmax_cross_entropy(logits, targets, mask=None, reduction: str = "mean") -> Tensor:
+def softmax_cross_entropy(logits, targets, mask=None, reduction: str = "example_mean") -> Tensor:
     """Negative log-softmax at target ids over unmasked positions.
 
     ``logits`` is (T, V) or (B, T, V); ``targets`` and ``mask`` match the
-    leading shape. Reductions: "mean" over unmasked positions, "sum",
-    or "example_mean" (per-example token mean, then mean over examples;
-    a 2-d input counts as one example). Pointed logits give one loss per
-    point; targets and mask are shared by every point.
+    leading shape. Reductions: "example_mean" (per-example token mean, then
+    mean over examples; a 2-d input counts as one example) or "token_sum".
+    Pointed logits give one loss per point; targets and mask are shared by
+    every point.
     """
     logits = _coerce(logits)
     v = logits.shape[-1]
@@ -425,24 +426,13 @@ def softmax_cross_entropy(logits, targets, mask=None, reduction: str = "mean") -
     picked = np.take_along_axis(z, idx, axis=-1)[..., 0]
     nll = lse - picked
 
-    if reduction == "mean":
-        denom = w.sum()
-        if denom == 0.0:
-            raise ValueError("no unmasked positions")
-        coeff = w / denom
-    elif reduction == "sum":
+    if reduction == "token_sum":
         coeff = w
     elif reduction == "example_mean":
-        if len(lead) == 1:
-            denom = w.sum()
-            if denom == 0.0:
-                raise ValueError("no unmasked positions")
-            coeff = w / denom
-        else:
-            per_ex = w.sum(axis=-1)
-            if np.any(per_ex == 0.0):
-                raise ValueError("an example has no unmasked positions")
-            coeff = w / per_ex[..., None] / w.shape[0]
+        per_ex = w.sum(axis=-1, keepdims=True)
+        if np.any(per_ex == 0.0):
+            raise ValueError("an example has no unmasked positions")
+        coeff = w / per_ex / (w.size // w.shape[-1])
     else:
         raise ValueError(f"unknown reduction {reduction!r}")
 

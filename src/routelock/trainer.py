@@ -17,8 +17,9 @@ prompt and control tokens contribute no loss.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -94,10 +95,6 @@ class TrainConfig:
             raise ValueError(f"unknown update_segments {self.update_segments!r}")
 
 
-def _xent_reduction(reduction: str) -> str:
-    return "example_mean" if reduction == "example_mean" else "sum"
-
-
 def make_batch(examples: Sequence[ChatExample]) -> dict:
     """Pad to a rectangle and shift: inputs predict the next token."""
     width = max(len(ex.tokens) for ex in examples)
@@ -128,9 +125,7 @@ def batch_loss_fn(model: ModelParams | DenseModel, route: Route | None, reductio
 
     def loss_fn(leaves: Mapping[str, Tensor], batch: dict) -> Tensor:
         logits = decoder_logits(cfg, leaves, batch["inputs"], mlp_dispatch(model, leaves, route))
-        return softmax_cross_entropy(
-            logits, batch["labels"], batch["label_mask"], reduction=_xent_reduction(reduction)
-        )
+        return softmax_cross_entropy(logits, batch["labels"], batch["label_mask"], reduction=reduction)
 
     return loss_fn
 
@@ -226,15 +221,6 @@ def sgd_step(params: ParamVector, grads: ParamVector, learning_rate: float) -> P
 # trajectory log
 # ---------------------------------------------------------------------------
 
-TRAJECTORY_COLUMNS = (
-    "step",
-    "mode",
-    "loss",
-    "active_grad_norm",
-    "expert_gap_norm",
-    "cum_grad_diff_norm",
-)
-
 
 @dataclass
 class StepRecord:
@@ -264,44 +250,32 @@ class TrajectoryLog:
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(TRAJECTORY_COLUMNS)
+            names = [f.name for f in fields(StepRecord)]
+            writer.writerow(names)
             for r in self.records:
-                writer.writerow(
-                    [
-                        r.step,
-                        r.mode,
-                        f"{r.loss:.17g}",
-                        f"{r.active_grad_norm:.17g}",
-                        f"{r.expert_gap_norm:.17g}",
-                        f"{r.cum_grad_diff_norm:.17g}",
-                    ]
-                )
+                values = (getattr(r, n) for n in names)
+                writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in values])
 
     def predicted_expert_gap(self) -> dict[str, np.ndarray]:
         """-lr * cumulative (g1 - g0), per expert-local suffix."""
         return {k: -self.learning_rate * v for k, v in self.cum_grad_diff.items()}
 
 
+def _norm(arrays) -> float:
+    """Euclidean norm over all entries of ``arrays``; 0.0 when there are none."""
+    return float(np.sqrt(sum(float(np.sum(a * a)) for a in arrays)))
+
+
+def _expert_slice(pv: ParamVector, expert: int) -> dict[str, np.ndarray]:
+    """Expert ``expert``'s segments, keyed by expert-local suffix (e.g. ``layer0.w_gate``)."""
+    tag = f".expert{expert}."
+    return {n.replace(tag, "."): a for n, a in pv.items() if tag in n}
+
+
 def expert_gap(params: ParamVector) -> dict[str, np.ndarray]:
     """beta1 - beta0, keyed by expert-local suffix."""
-    out = {}
-    for name, arr in params.items():
-        if ".expert1." in name:
-            suffix = name.replace(".expert1.", ".")
-            out[suffix] = arr - params[name.replace(".expert1.", ".expert0.")]
-    return out
-
-
-def _gap_norm(params: ParamVector) -> float:
-    gap = expert_gap(params)
-    if not gap:
-        return 0.0
-    return float(np.sqrt(sum(float(np.sum(v * v)) for v in gap.values())))
-
-
-def _expert_grad_slice(grads: ParamVector, route: int) -> dict[str, np.ndarray]:
-    tag = f".expert{route}."
-    return {n.replace(tag, "."): g for n, g in grads.items() if tag in n}
+    beta0 = _expert_slice(params, 0)
+    return {k: b1 - beta0[k] for k, b1 in _expert_slice(params, 1).items()}
 
 
 def validate_dataset(dataset: Sequence[ChatExample]) -> None:
@@ -315,10 +289,6 @@ def validate_dataset(dataset: Sequence[ChatExample]) -> None:
             raise DataError(f"example {i}: loss mask length mismatch")
 
 
-def _chunks(pool: list[ChatExample], size: int) -> list[list[ChatExample]]:
-    return [pool[i : i + size] for i in range(0, len(pool), size)]
-
-
 def train(
     model: ModelParams | DenseModel,
     dataset: Sequence[ChatExample],
@@ -330,101 +300,66 @@ def train(
     Returns a new model of the same kind plus the trajectory log. When
     both mode pools are nonempty the schedule strictly alternates
     no-think/think batches; leftover batches of the larger pool follow.
+    Each step logs the norm of the active expert's gradient (of every
+    gradient for the dense model, which has no experts); under plain SGD
+    a routed model also sums the paired think - no-think expert gradients.
     """
     validate_dataset(dataset)
     if not dataset:
         raise ValueError("dataset is empty")
-    routed = isinstance(model, ModelParams)
     params = model.params.copy()
     log = TrajectoryLog(learning_rate=cfg.learning_rate)
-    velocity: dict[str, np.ndarray] | None = None
-    if cfg.optimizer == "sgd_momentum":
-        velocity = {n: np.zeros_like(a) for n, a in params.items()}
-
-    d0, d1 = split_by_mode(dataset)
-    rng0 = np.random.default_rng([cfg.seed, 0])
-    rng1 = np.random.default_rng([cfg.seed, 1])
-    frozen_alpha = cfg.update_segments == "experts_only"
-
+    velocity = params.zeros_like() if cfg.optimizer == "sgd_momentum" else None
+    pools = split_by_mode(dataset)
+    rngs = [np.random.default_rng([cfg.seed, m]) for m in (0, 1)]
     pending_g0: dict[str, np.ndarray] | None = None
-    step = 0
     for epoch in range(cfg.epochs):
-        p0, p1 = list(d0), list(d1)
-        if cfg.shuffle:
-            if p0:
-                rng0.shuffle(p0)
-            if p1:
-                rng1.shuffle(p1)
-        b0 = _chunks(p0, cfg.batch_size)
-        b1 = _chunks(p1, cfg.batch_size)
-        schedule: list[list[ChatExample]] = []
-        for pair in range(max(len(b0), len(b1))):
-            if pair < len(b0):
-                schedule.append(b0[pair])
-            if pair < len(b1):
-                schedule.append(b1[pair])
+        chunks = []
+        for pool, rng in zip(pools, rngs):
+            pool = list(pool)
+            if cfg.shuffle:
+                rng.shuffle(pool)
+            chunks.append([pool[i : i + cfg.batch_size] for i in range(0, len(pool), cfg.batch_size)])
+        for batch in (b for pair in itertools.zip_longest(*chunks) for b in pair if b):
+            route = batch[0].mode
+            loss, grads = mode_loss_grad(model.with_params(params), batch, cfg.reduction)
+            if cfg.grad_clip is not None and (gnorm := grads.norm()) > cfg.grad_clip:
+                grads = ParamVector((n, g * (cfg.grad_clip / gnorm)) for n, g in grads.items())
 
-        for batch_examples in schedule:
-            route = batch_examples[0].mode
-            loss, grads = mode_loss_grad(model.with_params(params), batch_examples, cfg.reduction)
+            expert = model.expert_index(route)
+            active = dict(grads.items()) if expert is None else _expert_slice(grads, expert)
+            if cfg.optimizer == "sgd" and expert is not None:
+                if route is Route.NO_THINK:
+                    pending_g0 = active
+                elif pending_g0 is not None:
+                    for suffix, g1 in active.items():
+                        diff = g1 - pending_g0[suffix]
+                        total = log.cum_grad_diff.get(suffix)
+                        log.cum_grad_diff[suffix] = diff if total is None else total + diff
+                    log.paired_steps += 1
+                    pending_g0 = None
 
-            if cfg.grad_clip is not None:
-                gnorm = grads.norm()
-                if gnorm > cfg.grad_clip:
-                    grads = ParamVector((n, g * (cfg.grad_clip / gnorm)) for n, g in grads.items())
-
-            if routed:
-                active = _expert_grad_slice(grads, int(route))
-                active_norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in active.values())))
-                if cfg.optimizer == "sgd":
-                    if route is Route.NO_THINK:
-                        pending_g0 = active
-                    elif pending_g0 is not None:
-                        for suffix, g1 in active.items():
-                            diff = g1 - pending_g0[suffix]
-                            if suffix in log.cum_grad_diff:
-                                log.cum_grad_diff[suffix] = log.cum_grad_diff[suffix] + diff
-                            else:
-                                log.cum_grad_diff[suffix] = diff
-                        log.paired_steps += 1
-                        pending_g0 = None
-            else:
-                active_norm = grads.norm()
-
-            if frozen_alpha:
+            if cfg.update_segments == "experts_only":
                 grads = ParamVector(
-                    (n, g if segment_group(n) != "alpha" else np.zeros_like(g))
-                    for n, g in grads.items()
+                    (n, g if segment_group(n) != "alpha" else np.zeros_like(g)) for n, g in grads.items()
                 )
             if velocity is not None:
-                for n, g in grads.items():
-                    velocity[n] = cfg.momentum * velocity[n] + g
-                params = ParamVector(
-                    (n, a - cfg.learning_rate * velocity[n]) for n, a in params.items()
-                )
-            else:
-                params = sgd_step(params, grads, cfg.learning_rate)
-
-            cum_norm = float(
-                np.sqrt(sum(float(np.sum(v * v)) for v in log.cum_grad_diff.values()))
-            ) if log.cum_grad_diff else 0.0
+                grads = velocity = grads.add_scaled(velocity, cfg.momentum)
+            params = sgd_step(params, grads, cfg.learning_rate)
             log.records.append(
                 StepRecord(
-                    step=step,
+                    step=len(log.records),
                     mode=int(route),
                     loss=loss,
-                    active_grad_norm=active_norm,
-                    expert_gap_norm=_gap_norm(params),
-                    cum_grad_diff_norm=cum_norm,
+                    active_grad_norm=_norm(active.values()),
+                    expert_gap_norm=_norm(expert_gap(params).values()),
+                    cum_grad_diff_norm=_norm(log.cum_grad_diff.values()),
                 )
             )
-            step += 1
 
         if epoch_callback is not None:
             final = model.with_params(params)
-            l0 = mode_loss(final, d0, cfg.reduction) if d0 else float("nan")
-            l1 = mode_loss(final, d1, cfg.reduction) if d1 else float("nan")
-            epoch_callback(epoch, l0, l1)
+            epoch_callback(epoch, *(mode_loss(final, p, cfg.reduction) if p else float("nan") for p in pools))
 
     return model.with_params(params), log
 

@@ -309,8 +309,7 @@ DEMO_TRAIN = TrainConfig(
 def test_c12_end_to_end_demo():
     data, vocab = generate_synth_dataset(DEMO_SPEC)
     cfg = ModelConfig(vocab_size=len(vocab), d_model=64, n_layers=2, n_heads=4, d_ff=128, max_seq=32)
-    dense_src = DenseModel.init_random(cfg, seed=0)
-    model = ModelParams.clone_from_dense(dense_src)
+    model = ModelParams.clone_from_dense(DenseModel.init_random(cfg, seed=0))
     trained, _ = train(model, data, DEMO_TRAIN)
 
     held0 = eval_prompts(DEMO_SPEC, 100, 777, Route.NO_THINK, vocab)
@@ -323,17 +322,10 @@ def test_c12_end_to_end_demo():
     assert rep0.mean_length <= 0.5 * rep1.mean_length
     assert rep0.accuracy >= 0.90
 
-    # dense baseline trained identically; reported for comparison, not asserted
-    dense_trained, _ = train(dense_src, data, DEMO_TRAIN)
-    dense0 = evaluate(dense_trained, held0, Route.NO_THINK, vocab, max_new=24)
-    dense1 = evaluate(dense_trained, held1, Route.THINK, vocab, max_new=24)
     report(
         "C12 end-to-end-demo",
         f"routed: think acc {rep1.accuracy:.2f} len {rep1.mean_length:.1f} refl {rep1.refl_per_answer:.2f} | "
-        f"no-think acc {rep0.accuracy:.2f} len {rep0.mean_length:.1f} refl {rep0.refl_per_answer:.3f} || "
-        f"dense baseline: think acc {dense1.accuracy:.2f} len {dense1.mean_length:.1f} "
-        f"refl {dense1.refl_per_answer:.2f} | no-think acc {dense0.accuracy:.2f} "
-        f"len {dense0.mean_length:.1f} refl {dense0.refl_per_answer:.3f}",
+        f"no-think acc {rep0.accuracy:.2f} len {rep0.mean_length:.1f} refl {rep0.refl_per_answer:.3f}",
     )
 
 

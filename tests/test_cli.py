@@ -452,3 +452,67 @@ def test_train_config_not_an_object_is_one_error_line(tmp_path, capsys, cfg, wor
     assert run_train(tmp_path, cfg, records) == 1
     line = one_error_line(capsys)
     assert word in line and "object" in line
+
+
+def diverging_train(tmp_path):
+    write_dataset(tmp_path / "data.jsonl")
+    cfg = {**CFG, "train": {**CFG["train"], "learning_rate": 1e200}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    return ["train", "--config", str(tmp_path / "cfg.json"), "--dataset", str(tmp_path / "data.jsonl"),
+            "--out", str(tmp_path / "o")]
+
+
+def with_vocab(words, *argv):
+    """A command on small.ple, given a vocabulary file ``other.vocab.txt`` of ``words``."""
+    def build(tmp_path):
+        Vocabulary(words).save(tmp_path / "other.vocab.txt")
+        (tmp_path / "eval.jsonl").write_text(json.dumps({"prompt": "compute", "answer": "1"}) + "\n")
+        return [a.replace("{dir}", str(tmp_path)) for a in argv]
+    return build
+
+
+def generate_with(*flags, config=None):
+    def build(tmp_path):
+        argv = ["generate", "--checkpoint", str(tmp_path / "small.ple"), "--prompt", "compute", *flags]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        return argv
+    return build
+
+
+LARGE = ["compute", "plus", "mod", "x", "y"]  # 11 tokens; "y" is id 10
+OPERATOR_ERRORS = {
+    "train-diverges": (diverging_train, ["non-finite loss"]),
+    "generate-vocab-larger": (with_vocab(LARGE, "generate", "--checkpoint", "{dir}/small.ple", "--prompt",
+                                         "compute y", "--vocab", "{dir}/other.vocab.txt"),
+                              ["other.vocab.txt", "small.ple", "11", "9"]),
+    "generate-vocab-smaller": (with_vocab([], "generate", "--checkpoint", "{dir}/small.ple", "--prompt",
+                                          "compute", "--vocab", "{dir}/other.vocab.txt"),
+                               ["other.vocab.txt", "small.ple", "6", "9"]),
+    "eval-vocab-larger": (with_vocab(LARGE, "eval", "--checkpoint", "{dir}/small.ple", "--dataset",
+                                     "{dir}/eval.jsonl", "--seed", "5", "--out", "{dir}/ev",
+                                     "--vocab", "{dir}/other.vocab.txt"),
+                          ["other.vocab.txt", "small.ple"]),
+    "gradcheck-vocab-smaller": (with_vocab(["compute"], "gradcheck", "--seed", "2", "--probes", "8",
+                                           "--checkpoint", "{dir}/other.ple", "--out", "{dir}/g"),
+                                ["other.vocab.txt", "other.ple", "7", "9"]),
+    "generate-seed-not-an-integer": (generate_with("--temp", "1.0", config={"seed": "abc"}),
+                                     ["seed", "'abc'"]),
+    "generate-temperature-zero": (generate_with("--temp", "0", "--seed", "1"), ["temperature", "0.0"]),
+    "generate-temperature-negative": (generate_with("--temp", "-1", "--seed", "1"), ["temperature", "-1.0"]),
+    "generate-temperature-nan": (generate_with("--temp", "nan", "--seed", "1"), ["temperature", "nan"]),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("row", list(OPERATOR_ERRORS))
+def test_operator_error_is_one_error_line(tmp_path, capsys, row):
+    build, words = OPERATOR_ERRORS[row]
+    small_checkpoint(tmp_path / "small.ple")
+    small_checkpoint(tmp_path / "other.ple")  # its own vocabulary is replaced by with_vocab's file
+    rc = main(build(tmp_path))
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert rc == 1 and len(errors) == 1 and "Traceback" not in err, err
+    assert all(word in errors[0] for word in words), errors[0]

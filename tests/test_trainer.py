@@ -29,7 +29,7 @@ from routelock.trainer import (
     two_mode_loss_fn,
 )
 
-from conftest import TINY_CFG, tiny_model
+from conftest import TINY_CFG, tiny_dense, tiny_model
 from test_acceptance import GRAD_CFG, full_loss_fn, grad_dataset
 
 
@@ -231,6 +231,19 @@ def test_train_seed_determinism(tmp_path, tiny):
     log1.to_csv(p1)
     log2.to_csv(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_dense_training_logs_full_gradients_and_no_pairs():
+    dense, data = tiny_dense(), tiny_dataset() * 2
+    cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=2, seed=0, shuffle=False)
+    trained, log = train(dense, data, cfg)
+    assert trained.params.names == dense.params.names
+    assert log.paired_steps == 0 and log.cum_grad_diff == {}
+    assert [r.mode for r in log.records] == [0, 1, 0, 1] * 2
+    assert all(r.expert_gap_norm == 0.0 and r.cum_grad_diff_norm == 0.0 for r in log.records)
+    # no experts: the logged norm is the whole first batch's gradient norm
+    _, grads = mode_loss_grad(dense, split_by_mode(data)[0][:2])
+    assert log.records[0].active_grad_norm == grads.norm()
 
 
 def test_trajectory_csv_column_order(tmp_path, tiny):
