@@ -2,9 +2,13 @@
 
 Subcommands: train, generate, theory, eval, filter, gradcheck. One JSON
 config document drives a run; command-line flags override config fields
-(flag > config > built-in default). Seeds are mandatory everywhere, and
-every command echoes its fully resolved configuration and seed into its
-output directory, so greedy-path artifacts reproduce bitwise.
+(flag > config > built-in default). ``train``, ``theory``, ``eval`` and
+``gradcheck`` need a seed, as does temperature sampling in ``generate``;
+greedy ``generate`` and ``filter`` take none. ``main`` resolves a command's
+inputs before the command runs; each command checks its inputs, computes,
+and only then writes, so a command that fails writes nothing. Every command
+with an output directory echoes its resolved inputs there, so greedy-path
+artifacts reproduce bitwise.
 """
 
 from __future__ import annotations
@@ -58,11 +62,6 @@ from .trainer import (
 from .synth import SynthTaskSpec, generate_synth_dataset
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
-
-
 def _digest(*parts) -> str:
     h = hashlib.sha256()
     for p in parts:
@@ -93,15 +92,6 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _resolve_seed(args, config: dict) -> int:
-    seed = args.seed if args.seed is not None else config.get("seed")
-    if seed is None:
-        raise ValueError("a seed is required (flag --seed or config field \"seed\")")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"config field \"seed\" must be an integer, got {seed!r}")
-    return seed
-
-
 def _section(config: dict, section: str) -> dict:
     fields = config.get(section, {})
     if not isinstance(fields, dict):
@@ -130,15 +120,49 @@ def _load_vocab(checkpoint, model, path=None) -> Vocabulary:
     return vocab
 
 
-def _out_dir(args, config: dict, default: str) -> Path:
-    out = Path(args.out or config.get("report_dir") or default)
+# Per command, the inputs a config document may supply and their defaults; the field for
+# --out is "report_dir". Each input resolves as its flag, then its config field, then its
+# default, and a REQUIRED one must come from the flag or the config.
+REQUIRED = object()
+CONFIG_INPUTS = {
+    "train": {"seed": REQUIRED, "out": "runs/train", "dataset": REQUIRED, "checkpoint": None},
+    "generate": {"seed": None, "checkpoint": REQUIRED},
+    "theory": {"seed": REQUIRED, "out": "runs/theory"},
+    "eval": {"seed": REQUIRED, "out": "runs/eval", "lexicon": None},
+    "filter": {"out": "runs/filter", "lexicon": None},
+    "gradcheck": {"seed": REQUIRED, "out": "runs/gradcheck"},
+}
+
+
+def _resolve(args) -> argparse.Namespace:
+    """``args`` with every config-backed input resolved and ``args.config`` the loaded document
+    (which only ``train`` reads further, for its model and train sections); creates nothing."""
+    config = args.config = _load_config(args.config)
+    for name, default in CONFIG_INPUTS[args.command].items():
+        field = "report_dir" if name == "out" else name
+        value = next((v for v in (getattr(args, name), config.get(field)) if v is not None), default)
+        if value is REQUIRED:
+            raise ConfigError(f"{args.command} needs a {name} (flag --{name} or config field \"{field}\")")
+        kind = int if name == "seed" else str
+        if value is not None and type(value) is not kind:
+            raise ConfigError(f"config field \"{field}\" must be {'an integer' if kind is int else 'a string'}, "
+                              f"got {value!r}")
+        setattr(args, name, value)
+    return args
+
+
+def _out_dir(args) -> Path:
+    """The resolved output directory, created at a command's first write."""
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _echo_config(out: Path, name: str, resolved: dict) -> None:
-    path = out / f"{name}_config.json"
-    path.write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
+def _write_config(args, **derived) -> None:
+    """``<command>_config.json``: every resolved input, then what the command derived from them."""
+    resolved = {k: v for k, v in vars(args).items() if k not in ("fn", "command", "config")}
+    path = _out_dir(args) / f"{args.command}_config.json"
+    path.write_text(json.dumps({**resolved, **derived}, indent=2, sort_keys=True) + "\n")
     print(f"resolved config -> {path}")
 
 
@@ -148,48 +172,34 @@ def _echo_config(out: Path, name: str, resolved: dict) -> None:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    dataset_path = args.dataset or config.get("dataset")
-    if not dataset_path:
-        return _fail("train needs a dataset (flag --dataset or config field)")
-    out = _out_dir(args, config, "runs/train")
-
-    records = list(read_jsonl(dataset_path))
+    records = list(read_jsonl(args.dataset))
     vocab = Vocabulary.from_texts(
         text for where, record in records for text in record_fields(record, where)[1:]
     )
     defaults = dict(vocab_size=len(vocab), d_model=64, n_layers=2, n_heads=4, d_ff=128, max_seq=64)
-    cfg = _from_config(ModelConfig, "model", {**defaults, **_section(config, "model")})
-    train_cfg = _from_config(TrainConfig, "train", {**_section(config, "train"), "seed": seed})
+    cfg = _from_config(ModelConfig, "model", {**defaults, **_section(args.config, "model")})
+    train_cfg = _from_config(TrainConfig, "train", {**_section(args.config, "train"), "seed": args.seed})
     dataset = [example_from_record(record, vocab, where)[0] for where, record in records]
 
-    model = ModelParams.clone_from_dense(DenseModel.init_random(cfg, seed=seed))
+    model = ModelParams.clone_from_dense(DenseModel.init_random(cfg, seed=args.seed))
 
     def on_epoch(epoch: int, l0: float, l1: float) -> None:
         print(f"epoch {epoch}: no_think loss {l0:.6f}  think loss {l1:.6f}")
 
-    trained, log = train(model, dataset, train_cfg, epoch_callback=on_epoch)
+    # a diverging run overflows on its way to a non-finite loss, which value_and_grad then
+    # reports as the run's one error; numpy's warnings along the way would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        trained, log = train(model, dataset, train_cfg, epoch_callback=on_epoch)
 
-    ckpt_path = Path(args.checkpoint or config.get("checkpoint") or out / "model.ple")
+    ckpt_path = Path(args.checkpoint or Path(args.out, "model.ple"))
     ckpt_path.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(trained, ckpt_path)
     vocab_path = ckpt_path.with_suffix(".vocab.txt")
     vocab.save(vocab_path)
-    log_path = out / "trajectory.csv"
+    log_path = _out_dir(args) / "trajectory.csv"
     log.to_csv(log_path)
-    _echo_config(
-        out,
-        "train",
-        {
-            "seed": seed,
-            "dataset": str(dataset_path),
-            "checkpoint": str(ckpt_path),
-            "vocab": str(vocab_path),
-            "model": asdict(cfg),
-            "train": asdict(train_cfg),
-        },
-    )
+    _write_config(args, checkpoint=str(ckpt_path), vocab=str(vocab_path), model=asdict(cfg),
+                  train=asdict(train_cfg))
     print(f"checkpoint -> {ckpt_path}")
     print(f"vocabulary -> {vocab_path}")
     print(f"trajectory -> {log_path}")
@@ -202,29 +212,24 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    config = _load_config(args.config)
-    checkpoint = args.checkpoint or config.get("checkpoint")
-    if not checkpoint:
-        return _fail("generate needs a checkpoint (flag --checkpoint or config field)")
-    model = load_checkpoint(checkpoint)
-    vocab = _load_vocab(checkpoint, model, args.vocab)
+    model = load_checkpoint(args.checkpoint)
+    vocab = _load_vocab(args.checkpoint, model, args.vocab)
     prompt_ids = encode(args.prompt, vocab)
-    if UNK_ID in prompt_ids:
-        unknown = [tok for tok in args.prompt.split() if tok not in vocab]
-        print(f"warning: unknown tokens mapped to <unk>: {unknown}", file=sys.stderr)
     sampler = "temperature" if args.temp is not None else "greedy"
-    seed = None if args.seed is None and config.get("seed") is None else _resolve_seed(args, config)
-    print(
-        f"resolved: checkpoint={checkpoint} sampler={sampler} max_new={args.max_new} seed={seed}",
-        file=sys.stderr,
-    )
     completion, route = generate(
         model,
         prompt_ids,
         max_new=args.max_new,
         sampler=sampler,
         temperature=args.temp if args.temp is not None else 1.0,
-        seed=seed,
+        seed=args.seed,
+    )
+    if UNK_ID in prompt_ids:
+        unknown = [tok for tok in args.prompt.split() if tok not in vocab]
+        print(f"warning: unknown tokens mapped to <unk>: {unknown}", file=sys.stderr)
+    print(
+        f"resolved: checkpoint={args.checkpoint} sampler={sampler} max_new={args.max_new} seed={args.seed}",
+        file=sys.stderr,
     )
     print(decode(completion, vocab))
     print(f"route={int(route)}")
@@ -331,39 +336,42 @@ def _audit_setup(seed: int, probes: int | None, checkpoint=None):
     return (model, *split_by_mode(data), seed, probes)
 
 
-def _run_claims(command: str, out: Path, resolved: dict, checks, seed: int, setup,
-                inject_error: bool, instances: int = 0) -> int:
+def _run_claims(args, checks, setup, instances: int = 0) -> int:
     """Write ``<command>_<check>.jsonl`` records {check, inputs_digest, measured, threshold, pass}
     and one table row per check, ``instances`` records per quadratic claim and one per model
-    claim on the subject ``setup()`` builds; 1 if any record fails."""
+    claim on the subject ``setup()`` builds; 1 if any record fails. Every claim is measured
+    before anything is written."""
     subject = setup() if any(CLAIMS[c][0] == "model" for c in checks) else None
-    _echo_config(out, command, resolved)
-    all_ok = True
-    print(f"{'check':<18}{'records':>8}{'worst measured':>18}{'pass':>7}")
+    results = {}
     for check in checks:
         kind, measure = CLAIMS[check]
         if kind == "model":
             model, probes = subject[0], subject[-1]
             # the subject's parameters are an input of every model claim; --probes only of grad-vs-fd
-            key = (check, seed, _params_digest(model)) + ((probes,) if check == "grad-vs-fd" else ())
+            key = (check, args.seed, _params_digest(model)) + ((probes,) if check == "grad-vs-fd" else ())
             runs = [(key, measure(*subject))]
         else:
             runs = [
-                ((check, seed, i), measure(*random_quadratic_pair(
-                    QUAD_DIM, seed + i, equal_curvature=kind == "equal-curvature"), seed, i))
+                ((check, args.seed, i), measure(*random_quadratic_pair(
+                    QUAD_DIM, args.seed + i, equal_curvature=kind == "equal-curvature"), args.seed, i))
                 for i in range(instances)
             ]
-        records = [
+        results[check] = [
             {
                 "check": check,
                 "inputs_digest": _digest(*key),
                 "measured": float(measured),
                 "threshold": float(threshold),
-                "pass": bool(measured <= threshold if ok is None else ok) and not inject_error,
+                "pass": bool(measured <= threshold if ok is None else ok) and not args.inject_error,
             }
             for key, (measured, threshold, ok) in runs
         ]
-        with open(out / f"{command}_{check}.jsonl", "w", encoding="utf-8") as fh:
+    out = _out_dir(args)
+    _write_config(args)
+    all_ok = True
+    print(f"{'check':<18}{'records':>8}{'worst measured':>18}{'pass':>7}")
+    for check, records in results.items():
+        with open(out / f"{args.command}_{check}.jsonl", "w", encoding="utf-8") as fh:
             for rec in records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
         ok = all(r["pass"] for r in records)
@@ -378,28 +386,18 @@ def _run_claims(command: str, out: Path, resolved: dict, checks, seed: int, setu
 
 def cmd_theory(args) -> int:
     if args.instances < 1:
-        return _fail("--instances must be >= 1")
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    checks = args.checks.split(",") if args.checks else list(THEORY_CHECKS)
-    for c in checks:
+        raise ConfigError("--instances must be >= 1")
+    args.checks = args.checks.split(",") if args.checks else list(THEORY_CHECKS)
+    for c in args.checks:
         if c not in THEORY_CHECKS:
-            return _fail(f"unknown check {c!r}; available: {', '.join(THEORY_CHECKS)}")
-    out = _out_dir(args, config, "runs/theory")
-    resolved = {"seed": seed, "checks": checks, "instances": args.instances}
-    return _run_claims("theory", out, resolved, checks, seed, lambda: _audit_setup(seed, None),
-                       args.inject_error, args.instances)
+            raise ConfigError(f"unknown check {c!r}; available: {', '.join(THEORY_CHECKS)}")
+    return _run_claims(args, args.checks, lambda: _audit_setup(args.seed, None), args.instances)
 
 
 def cmd_gradcheck(args) -> int:
     if args.probes < 1:
-        return _fail("--probes must be >= 1")
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    out = _out_dir(args, config, "runs/gradcheck")
-    resolved = {"seed": seed, "probes": args.probes, "checkpoint": args.checkpoint}
-    return _run_claims("gradcheck", out, resolved, GRADCHECK_CHECKS, seed,
-                       lambda: _audit_setup(seed, args.probes, args.checkpoint), args.inject_error)
+        raise ConfigError("--probes must be >= 1")
+    return _run_claims(args, GRADCHECK_CHECKS, lambda: _audit_setup(args.seed, args.probes, args.checkpoint))
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +441,10 @@ def _load_baseline(path) -> dict[tuple[str, str], LeakageReport]:
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    out = _out_dir(args, config, "runs/eval")
     base = _load_baseline(args.baseline) if args.baseline else {}
     model = load_checkpoint(args.checkpoint)
     vocab = _load_vocab(args.checkpoint, model, args.vocab)
-    lexicon_path = args.lexicon or config.get("lexicon")
-    lexicon = ReflectiveLexicon.load(lexicon_path) if lexicon_path else ReflectiveLexicon()
+    lexicon = ReflectiveLexicon.load(args.lexicon) if args.lexicon else ReflectiveLexicon()
 
     modes = {
         "both": [Route.NO_THINK, Route.THINK],
@@ -461,7 +455,7 @@ def cmd_eval(args) -> int:
     reports: dict[tuple[str, str], LeakageReport] = {}
     for mode in modes:
         prompts = _eval_prompts_from_file(args.dataset, vocab, mode)
-        rep = evaluate(model, prompts, mode, vocab, lexicon, max_new=args.max_new, seed=seed)
+        rep = evaluate(model, prompts, mode, vocab, lexicon, max_new=args.max_new, seed=args.seed)
         name = "think" if mode is Route.THINK else "no_think"
         reports[("model", name)] = rep
         print(
@@ -469,8 +463,8 @@ def cmd_eval(args) -> int:
             f"refl/answer {rep.refl_per_answer:.4f}  ({rep.n_prompts} prompts, {rep.n_skipped} skipped)"
         )
 
-    csv_text = reports_to_csv(reports)
-    (out / "leakage_report.csv").write_text(csv_text)
+    out = _out_dir(args)
+    (out / "leakage_report.csv").write_text(reports_to_csv(reports))
     (out / "leakage_report.json").write_text(
         json.dumps(
             {f"{k[0]}/{k[1]}": asdict(v) for k, v in reports.items()}, indent=2, sort_keys=True
@@ -481,12 +475,7 @@ def cmd_eval(args) -> int:
         csv_delta, table = leakage_delta_table({**reports, **base}, next(iter(base)))
         (out / "leakage_delta.csv").write_text(csv_delta)
         print(table)
-    _echo_config(
-        out,
-        "eval",
-        {"seed": seed, "checkpoint": args.checkpoint, "dataset": args.dataset, "mode": args.mode,
-         "max_new": args.max_new},
-    )
+    _write_config(args)
     return 0
 
 
@@ -496,23 +485,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(args, config, "runs/filter")
-    lexicon_path = args.lexicon or config.get("lexicon")
-    lexicon = ReflectiveLexicon.load(lexicon_path) if lexicon_path else ReflectiveLexicon()
+    lexicon = ReflectiveLexicon.load(args.lexicon) if args.lexicon else ReflectiveLexicon()
     candidates = []
     for where, rec in read_jsonl(args.candidates):
         if not all(isinstance(rec.get(key), str) for key in ("prompt", "response")):
-            return _fail(f"{where}: candidate records need string \"prompt\" and \"response\" fields")
+            raise DataError(f"{where}: candidate records need string \"prompt\" and \"response\" fields")
         candidates.append((rec["prompt"], rec["response"]))
     with open(args.gold, encoding="utf-8") as fh:
         golds = [line.strip() for line in fh if line.strip()]
     if len(golds) != len(candidates):
-        return _fail(f"{len(candidates)} candidates but {len(golds)} gold answers")
+        raise DataError(f"{args.gold}: {len(candidates)} candidates but {len(golds)} gold answers")
 
     triples = [(p, r, g) for (p, r), g in zip(candidates, golds)]
     kept, rejected = filter_no_think_candidates(triples, args.max_len, lexicon)
+    reasons = {i: reason for i, _, reason in rejected}
 
+    out = _out_dir(args)
     kept_path = out / "kept.jsonl"
     with open(kept_path, "w", encoding="utf-8") as fh:
         for prompt, response, gold in kept:
@@ -523,26 +511,9 @@ def cmd_filter(args) -> int:
                 )
                 + "\n"
             )
-    verdicts = []
-    rejected_by_index = {i: reason for i, _, reason in rejected}
-    for i, triple in enumerate(triples):
-        if i in rejected_by_index:
-            verdicts.append(FilterVerdict(i, False, rejected_by_index[i]))
-        else:
-            verdicts.append(FilterVerdict(i, True, None))
     audit_path = out / "filter_audit.jsonl"
-    write_filter_audit(audit_path, verdicts)
-    _echo_config(
-        out,
-        "filter",
-        {
-            "candidates": args.candidates,
-            "gold": args.gold,
-            "max_len": args.max_len,
-            "lexicon": lexicon_path,
-            "seed": args.seed,
-        },
-    )
+    write_filter_audit(audit_path, [FilterVerdict(i, i not in reasons, reasons.get(i)) for i in range(len(triples))])
+    _write_config(args)
     print(f"kept {len(kept)} of {len(triples)} -> {kept_path}")
     print(f"audit -> {audit_path}")
     return 0
@@ -621,9 +592,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(_resolve(args))
     except (ValueError, OSError) as exc:
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

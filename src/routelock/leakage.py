@@ -42,6 +42,8 @@ class ReflectiveLexicon:
     def load(cls, path) -> "ReflectiveLexicon":
         with open(path, encoding="utf-8") as fh:
             markers = [line.strip() for line in fh if line.strip()]
+        if not markers:
+            raise ValueError(f"{path}: lexicon must be nonempty")
         return cls(tuple(markers))
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -481,6 +482,18 @@ def generate_with(*flags, config=None):
     return build
 
 
+def filter_with(*flags, gold="0\n1\n"):
+    """filter on two candidates against ``gold``; ``{dir}/empty.txt`` is an empty file."""
+    def build(tmp_path):
+        rows = [{"prompt": "p0", "response": "answer: 0"}, {"prompt": "p1", "response": "answer: 1"}]
+        (tmp_path / "cand.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        (tmp_path / "gold.txt").write_text(gold)
+        (tmp_path / "empty.txt").write_text("\n")
+        return ["filter", "--candidates", str(tmp_path / "cand.jsonl"), "--gold", str(tmp_path / "gold.txt"),
+                "--out", str(tmp_path / "f"), *(f.replace("{dir}", str(tmp_path)) for f in flags)]
+    return build
+
+
 LARGE = ["compute", "plus", "mod", "x", "y"]  # 11 tokens; "y" is id 10
 OPERATOR_ERRORS = {
     "train-diverges": (diverging_train, ["non-finite loss"]),
@@ -502,17 +515,40 @@ OPERATOR_ERRORS = {
     "generate-temperature-zero": (generate_with("--temp", "0", "--seed", "1"), ["temperature", "0.0"]),
     "generate-temperature-negative": (generate_with("--temp", "-1", "--seed", "1"), ["temperature", "-1.0"]),
     "generate-temperature-nan": (generate_with("--temp", "nan", "--seed", "1"), ["temperature", "nan"]),
+    "theory-unknown-check": (lambda d: ["theory", "--seed", "3", "--checks", "nope", "--out", str(d / "t")],
+                             ["'nope'", "stationarity"]),
+    "filter-max-len-zero": (filter_with("--max-len", "0"), ["max_len"]),
+    "filter-fewer-gold-lines": (filter_with(gold="0\n"), ["gold.txt", "2 candidates", "1 gold"]),
+    "filter-empty-lexicon": (filter_with("--lexicon", "{dir}/empty.txt"), ["empty.txt", "nonempty"]),
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("row", list(OPERATOR_ERRORS))
 def test_operator_error_is_one_error_line(tmp_path, capsys, row):
     build, words = OPERATOR_ERRORS[row]
     small_checkpoint(tmp_path / "small.ple")
     small_checkpoint(tmp_path / "other.ple")  # its own vocabulary is replaced by with_vocab's file
-    rc = main(build(tmp_path))
-    err = capsys.readouterr().err
-    errors = [line for line in err.splitlines() if line.startswith("error: ")]
-    assert rc == 1 and len(errors) == 1 and "Traceback" not in err, err
-    assert all(word in errors[0] for word in words), errors[0]
+    argv = build(tmp_path)
+    rc = main(argv)
+    line = one_error_line(capsys)
+    assert rc == 1 and all(word in line for word in words), line
+    # a failed command leaves nothing behind at its --out path
+    assert "--out" not in argv or not Path(argv[argv.index("--out") + 1]).exists()
+
+
+def test_eval_config_records_lexicon_vocab_and_baseline(tmp_path):
+    small_checkpoint(tmp_path / "small.ple")
+    (tmp_path / "eval.jsonl").write_text(json.dumps({"prompt": "compute", "answer": "1"}) + "\n")
+    (tmp_path / "lex.txt").write_text("wait\n")
+    base = {"model/think": {"mode": 1, "accuracy": 0.5, "mean_length": 2.0, "refl_per_answer": 0.0,
+                            "n_prompts": 1, "n_skipped": 0}}
+    (tmp_path / "base.json").write_text(json.dumps(base))
+    inputs = {"lexicon": str(tmp_path / "lex.txt"), "vocab": str(tmp_path / "small.vocab.txt"),
+              "baseline": str(tmp_path / "base.json")}
+    rc = main(["eval", "--checkpoint", str(tmp_path / "small.ple"), "--dataset", str(tmp_path / "eval.jsonl"),
+               "--seed", "5", "--max-new", "2", "--out", str(tmp_path / "ev"),
+               *(arg for name, path in inputs.items() for arg in (f"--{name}", path))])
+    assert rc == 0
+    resolved = json.loads((tmp_path / "ev" / "eval_config.json").read_text())
+    assert {name: resolved.get(name) for name in inputs} == inputs
