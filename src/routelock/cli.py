@@ -27,12 +27,10 @@ from .errors import ConfigError, DataError
 from .leakage import (
     LeakageReport,
     ReflectiveLexicon,
-    FilterVerdict,
     evaluate,
     filter_no_think_candidates,
     leakage_delta_table,
     reports_to_csv,
-    write_filter_audit,
 )
 from .model import DenseModel, ModelConfig, ModelParams, generate
 from .params import central_differences, max_relative_error, value_and_grad
@@ -47,8 +45,9 @@ from .theory import (
     random_quadratic_pair,
     verify_interference_on_quadratic,
 )
-from .tokenizer import BOS_ID, Route, UNK_ID, Vocabulary, control_token_id, decode, encode
+from .tokenizer import Route, UNK_ID, Vocabulary, decode, encode_prompt
 from .trainer import (
+    MODE_NAMES,
     TrainConfig,
     batch_loss_fn,
     example_from_record,
@@ -56,6 +55,7 @@ from .trainer import (
     mode_loss_grad,
     read_jsonl,
     record_fields,
+    record_mode,
     split_by_mode,
     train,
 )
@@ -158,6 +158,12 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _write_jsonl(path, rows) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
 def _write_config(args, **derived) -> None:
     """``<command>_config.json``: every resolved input, then what the command derived from them."""
     resolved = {k: v for k, v in vars(args).items() if k not in ("fn", "command", "config")}
@@ -214,7 +220,7 @@ def cmd_train(args) -> int:
 def cmd_generate(args) -> int:
     model = load_checkpoint(args.checkpoint)
     vocab = _load_vocab(args.checkpoint, model, args.vocab)
-    prompt_ids = encode(args.prompt, vocab)
+    prompt_ids = encode_prompt(args.prompt, vocab)
     sampler = "temperature" if args.temp is not None else "greedy"
     completion, route = generate(
         model,
@@ -371,9 +377,7 @@ def _run_claims(args, checks, setup, instances: int = 0) -> int:
     all_ok = True
     print(f"{'check':<18}{'records':>8}{'worst measured':>18}{'pass':>7}")
     for check, records in results.items():
-        with open(out / f"{args.command}_{check}.jsonl", "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        _write_jsonl(out / f"{args.command}_{check}.jsonl", records)
         ok = all(r["pass"] for r in records)
         all_ok &= ok
         worst = max(r["measured"] for r in records)
@@ -405,18 +409,16 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _eval_prompts_from_file(path, vocab: Vocabulary, mode: Route):
-    """(prompt ids, gold) pairs; prompts get BOS and the requested control token."""
+def _eval_records(path) -> list[tuple[Route | None, str, str]]:
+    """(mode, prompt, gold) per record of an eval file; mode None means the record runs in every mode."""
     out = []
     for where, record in read_jsonl(path):
         if "answer" not in record:
             raise DataError(f"{where}: eval records need an \"answer\" field")
         if not isinstance(record.get("prompt"), str):
             raise DataError(f"{where}: 'prompt' must be a string")
-        if record.get("mode") is not None and record["mode"] != ("think" if mode else "no_think"):
-            continue
-        ids = [BOS_ID] + encode(record["prompt"], vocab) + [control_token_id(mode)]
-        out.append((ids, str(record["answer"])))
+        mode = None if record.get("mode") is None else record_mode(record, where)
+        out.append((mode, record["prompt"], str(record["answer"])))
     return out
 
 
@@ -445,18 +447,13 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     vocab = _load_vocab(args.checkpoint, model, args.vocab)
     lexicon = ReflectiveLexicon.load(args.lexicon) if args.lexicon else ReflectiveLexicon()
-
-    modes = {
-        "both": [Route.NO_THINK, Route.THINK],
-        "no_think": [Route.NO_THINK],
-        "think": [Route.THINK],
-    }[args.mode]
+    records = _eval_records(args.dataset)
 
     reports: dict[tuple[str, str], LeakageReport] = {}
-    for mode in modes:
-        prompts = _eval_prompts_from_file(args.dataset, vocab, mode)
+    for name in MODE_NAMES if args.mode == "both" else [args.mode]:
+        mode = MODE_NAMES[name]
+        prompts = [(encode_prompt(text, vocab, mode), gold) for route, text, gold in records if route in (None, mode)]
         rep = evaluate(model, prompts, mode, vocab, lexicon, max_new=args.max_new, seed=args.seed)
-        name = "think" if mode is Route.THINK else "no_think"
         reports[("model", name)] = rep
         print(
             f"mode {name}: accuracy {rep.accuracy:.4f}  mean length {rep.mean_length:.2f}  "
@@ -497,22 +494,20 @@ def cmd_filter(args) -> int:
         raise DataError(f"{args.gold}: {len(candidates)} candidates but {len(golds)} gold answers")
 
     triples = [(p, r, g) for (p, r), g in zip(candidates, golds)]
-    kept, rejected = filter_no_think_candidates(triples, args.max_len, lexicon)
-    reasons = {i: reason for i, _, reason in rejected}
+    reasons = filter_no_think_candidates(triples, args.max_len, lexicon)
+    kept = [
+        {"prompt": prompt, "target": response, "mode": "no_think", "answer": gold}
+        for (prompt, response, gold), reason in zip(triples, reasons)
+        if reason is None
+    ]
 
     out = _out_dir(args)
     kept_path = out / "kept.jsonl"
-    with open(kept_path, "w", encoding="utf-8") as fh:
-        for prompt, response, gold in kept:
-            fh.write(
-                json.dumps(
-                    {"prompt": prompt, "target": response, "mode": "no_think", "answer": gold},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    _write_jsonl(kept_path, kept)
     audit_path = out / "filter_audit.jsonl"
-    write_filter_audit(audit_path, [FilterVerdict(i, i not in reasons, reasons.get(i)) for i in range(len(triples))])
+    verdicts = [{"index": i, "verdict": "kept" if reason is None else "rejected", "reason": reason}
+                for i, reason in enumerate(reasons)]
+    _write_jsonl(audit_path, verdicts)
     _write_config(args)
     print(f"kept {len(kept)} of {len(triples)} -> {kept_path}")
     print(f"audit -> {audit_path}")
@@ -531,9 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=True):
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--seed", type=int, help="seed (mandatory here or in the config)")
+        if seed:
+            p.add_argument("--seed", type=int, help="seed (mandatory here or in the config)")
         p.add_argument("--out", help="output directory for artifacts")
 
     p = sub.add_parser("train", help="train a cloned dual-expert model on a JSONL dataset")
@@ -564,14 +560,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab")
     p.add_argument("--dataset", required=True, help="JSONL with prompt/answer records")
-    p.add_argument("--mode", choices=["both", "think", "no_think"], default="both")
+    p.add_argument("--mode", choices=["both", *MODE_NAMES], default="both")
     p.add_argument("--max-new", type=int, default=32)
     p.add_argument("--lexicon", help="marker list, one per line")
     p.add_argument("--baseline", help="prior leakage_report.json to diff against")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("filter", help="apply the correctness/length/style filters")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--candidates", required=True, help="JSONL with prompt/response records")
     p.add_argument("--gold", required=True, help="one gold answer per line")
     p.add_argument("--max-len", type=int, default=8)

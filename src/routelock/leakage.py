@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,41 +74,17 @@ class LeakageReport:
     n_skipped: int = 0
 
 
-def evaluate(
-    model: ModelParams | DenseModel | Callable[[Sequence[int]], list[int]],
-    prompts_with_gold: Sequence[tuple[Sequence[int], str]],
+def score_completions(
+    pairs: Sequence[tuple[Sequence[int], str]],
     mode: Route,
     vocab: Vocabulary,
     lexicon: ReflectiveLexicon | None = None,
-    max_new: int = 32,
-    sampler: str = "greedy",
-    temperature: float = 1.0,
-    seed: int | None = None,
+    n_skipped: int = 0,
 ) -> LeakageReport:
-    """Generate per prompt and score exact-match accuracy, length, leakage.
-
-    Prompts are decoded ``EVAL_BATCH`` at a time by ``generate_batch``; ``model`` may
-    also be a callable prompt_ids -> completion ids (stub models for tests). Prompts
-    longer than the model's capacity are skipped with a warning on stderr and
-    counted in ``n_skipped``; any other error propagates.
-    """
+    """Exact-match accuracy, mean length and leakage over (completion ids, gold) pairs."""
     lexicon = lexicon or ReflectiveLexicon()
-    if callable(model):
-        scored = [(model(prompt_ids), gold) for prompt_ids, gold in prompts_with_gold]
-    else:
-        kept = []
-        for prompt_ids, gold in prompts_with_gold:
-            try:
-                kept.append((check_prompt(model.config, prompt_ids), gold))
-            except CapacityError as exc:
-                print(f"warning: skipping prompt ({exc})", file=sys.stderr)
-        scored = []
-        for a in range(0, len(kept), EVAL_BATCH):
-            batch = kept[a : a + EVAL_BATCH]
-            rows = generate_batch(model, [p for p, _ in batch], max_new, sampler, temperature, seed)
-            scored += [(completion, gold) for (completion, _), (_, gold) in zip(rows, batch)]
     correct, lengths, refl = 0, [], []
-    for completion, gold in scored:
+    for completion, gold in pairs:
         text = decode(completion, vocab)
         lengths.append(len(completion))
         refl.append(count_reflective(text, lexicon))
@@ -123,8 +98,39 @@ def evaluate(
         mean_length=float(np.mean(lengths)) if lengths else 0.0,
         refl_per_answer=float(np.mean(refl)) if refl else 0.0,
         n_prompts=n,
-        n_skipped=len(prompts_with_gold) - n,
+        n_skipped=n_skipped,
     )
+
+
+def evaluate(
+    model: ModelParams | DenseModel,
+    prompts_with_gold: Sequence[tuple[Sequence[int], str]],
+    mode: Route,
+    vocab: Vocabulary,
+    lexicon: ReflectiveLexicon | None = None,
+    max_new: int = 32,
+    sampler: str = "greedy",
+    temperature: float = 1.0,
+    seed: int | None = None,
+) -> LeakageReport:
+    """Generate per prompt and score the completions with ``score_completions``.
+
+    Prompts are decoded ``EVAL_BATCH`` at a time by ``generate_batch``. Prompts
+    longer than the model's capacity are skipped with a warning on stderr and
+    counted in ``n_skipped``; any other error propagates.
+    """
+    kept = []
+    for prompt_ids, gold in prompts_with_gold:
+        try:
+            kept.append((check_prompt(model.config, prompt_ids), gold))
+        except CapacityError as exc:
+            print(f"warning: skipping prompt ({exc})", file=sys.stderr)
+    scored = []
+    for a in range(0, len(kept), EVAL_BATCH):
+        batch = kept[a : a + EVAL_BATCH]
+        rows = generate_batch(model, [p for p, _ in batch], max_new, sampler, temperature, seed)
+        scored += [(completion, gold) for (completion, _), (_, gold) in zip(rows, batch)]
+    return score_completions(scored, mode, vocab, lexicon, n_skipped=len(prompts_with_gold) - len(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -136,61 +142,56 @@ REJECT_LENGTH = "length"
 REJECT_STYLE = "style"
 
 
-@dataclass(frozen=True)
-class FilterVerdict:
-    index: int
-    kept: bool
-    reason: str | None
-
-    def as_dict(self) -> dict:
-        return {"index": self.index, "verdict": "kept" if self.kept else "rejected", "reason": self.reason}
-
-
 def filter_no_think_candidates(
     candidates: Sequence[tuple[str, str, str]],
     max_len: int,
     lexicon: ReflectiveLexicon | None = None,
-) -> tuple[list[tuple[str, str, str]], list[tuple[int, tuple[str, str, str], str]]]:
-    """Keep (prompt, response, gold) triples passing all three filters.
+) -> list[str | None]:
+    """Per (prompt, response, gold) triple, the first filter it fails, None if it passes all three.
 
     Filter order is correctness (extracted answer matches gold), length
-    (token count <= max_len), then style (no reflective markers); a
-    rejection is labeled with the first filter it failed.
+    (token count <= max_len), then style (no reflective markers).
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     lexicon = lexicon or ReflectiveLexicon()
-    kept, rejected = [], []
-    for i, triple in enumerate(candidates):
-        prompt, response, gold = triple
+    reasons = []
+    for _, response, gold in candidates:
         answer = extract_answer(response)
         if answer is None or answer.strip() != str(gold).strip():
-            rejected.append((i, triple, REJECT_CORRECTNESS))
+            reasons.append(REJECT_CORRECTNESS)
         elif len(response.split()) > max_len:
-            rejected.append((i, triple, REJECT_LENGTH))
+            reasons.append(REJECT_LENGTH)
         elif count_reflective(response, lexicon) > 0:
-            rejected.append((i, triple, REJECT_STYLE))
+            reasons.append(REJECT_STYLE)
         else:
-            kept.append(triple)
-    return kept, rejected
+            reasons.append(None)
+    return reasons
 
 
 # ---------------------------------------------------------------------------
 # report tables
 # ---------------------------------------------------------------------------
 
-REPORT_COLUMNS = ("model", "mode", "accuracy", "mean_length", "refl_per_answer")
+METRICS = ("accuracy", "mean_length", "refl_per_answer")
+REPORT_COLUMNS = ("model", "mode") + METRICS
+
+
+def _report_cells(key: tuple[str, str], rep: LeakageReport) -> list[str]:
+    """A report's CSV cells: its model and mode names, then each metric."""
+    return [*key, *(f"{getattr(rep, m):.6g}" for m in METRICS)]
+
+
+def _csv_text(header: Sequence[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def reports_to_csv(reports: dict[tuple[str, str], LeakageReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(REPORT_COLUMNS)
-    for (model_name, mode_name), rep in reports.items():
-        writer.writerow(
-            [model_name, mode_name, f"{rep.accuracy:.6g}", f"{rep.mean_length:.6g}", f"{rep.refl_per_answer:.6g}"]
-        )
-    return buf.getvalue()
+    return _csv_text(REPORT_COLUMNS, (_report_cells(key, rep) for key, rep in reports.items()))
 
 
 def leakage_delta_table(
@@ -203,36 +204,16 @@ def leakage_delta_table(
     if baseline not in reports:
         raise ValueError(f"baseline {baseline!r} not among reports")
     base = reports[baseline]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(REPORT_COLUMNS + ("d_accuracy", "d_mean_length", "d_refl_per_answer"))
+    rows = []
     lines = [
         f"{'model':<16}{'mode':<10}{'acc':>8}{'len':>9}{'refl':>8}{'d_acc':>9}{'d_len':>9}{'d_refl':>9}"
     ]
     for (model_name, mode_name), rep in reports.items():
-        da = rep.accuracy - base.accuracy
-        dl = rep.mean_length - base.mean_length
-        dr = rep.refl_per_answer - base.refl_per_answer
-        writer.writerow(
-            [
-                model_name,
-                mode_name,
-                f"{rep.accuracy:.6g}",
-                f"{rep.mean_length:.6g}",
-                f"{rep.refl_per_answer:.6g}",
-                f"{da:+.6g}",
-                f"{dl:+.6g}",
-                f"{dr:+.6g}",
-            ]
-        )
+        deltas = [getattr(rep, m) - getattr(base, m) for m in METRICS]
+        rows.append(_report_cells((model_name, mode_name), rep) + [f"{d:+.6g}" for d in deltas])
+        da, dl, dr = deltas
         lines.append(
             f"{model_name:<16}{mode_name:<10}{rep.accuracy:>8.3f}{rep.mean_length:>9.2f}"
             f"{rep.refl_per_answer:>8.2f}{da:>+9.3f}{dl:>+9.2f}{dr:>+9.2f}"
         )
-    return buf.getvalue(), "\n".join(lines)
-
-
-def write_filter_audit(path, verdicts: Sequence[FilterVerdict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in verdicts:
-            fh.write(json.dumps(v.as_dict(), sort_keys=True) + "\n")
+    return _csv_text(REPORT_COLUMNS + tuple(f"d_{m}" for m in METRICS), rows), "\n".join(lines)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .leakage import ANSWER_MARKER, DEFAULT_MARKERS
-from .tokenizer import BOS_ID, Route, Vocabulary, control_token_id, encode
+from .tokenizer import Route, Vocabulary, encode_prompt
 from .trainer import ChatExample, example_from_record
 
 
@@ -96,9 +96,5 @@ def eval_prompts(
 ) -> list[tuple[list[int], str]]:
     """Fresh (prompt ids, gold answer) pairs for one mode."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        a, b, _, r = _problem(rng, spec.modulus)
-        ids = [BOS_ID] + encode(prompt_text(a, b, spec.modulus), vocab) + [control_token_id(mode)]
-        out.append((ids, str(r)))
-    return out
+    problems = [_problem(rng, spec.modulus) for _ in range(n)]
+    return [(encode_prompt(prompt_text(a, b, spec.modulus), vocab, mode), str(r)) for a, b, _, r in problems]

@@ -77,12 +77,21 @@ class Vocabulary:
             tokens = [line.rstrip("\n") for line in fh]
         if tuple(tokens[: len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS:
             raise ValueError(f"{path}: reserved specials missing or out of order")
-        return cls(tokens[len(SPECIAL_TOKENS) :])
+        try:
+            return cls(tokens[len(SPECIAL_TOKENS) :])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def encode(text: str, vocab: Vocabulary) -> list[int]:
     """Whitespace-split tokens to ids; unknown words map to UNK_ID."""
     return [vocab.token_to_id.get(tok, UNK_ID) for tok in text.split()]
+
+
+def encode_prompt(text: str, vocab: Vocabulary, route: Route | None = None) -> list[int]:
+    """A prompt's ids: BOS, the text's ids, then ``route``'s control token when one is given."""
+    ids = [BOS_ID] + encode(text, vocab)
+    return ids if route is None else ids + [control_token_id(route)]
 
 
 def decode(ids: Sequence[int], vocab: Vocabulary) -> str:

@@ -37,7 +37,6 @@ from .model import (
 from .params import ParamVector, as_leaves, value_and_grad
 from .tensor import Tensor, add, mul, no_grad, softmax_cross_entropy
 from .tokenizer import (
-    BOS_ID,
     CTRL_NOTHINK_ID,
     CTRL_THINK_ID,
     EOS_ID,
@@ -46,6 +45,7 @@ from .tokenizer import (
     Vocabulary,
     control_token_id,
     encode,
+    encode_prompt,
     resolve_route,
 )
 
@@ -431,12 +431,17 @@ def read_jsonl(path):
             yield where, record
 
 
-def record_fields(record: dict, where: str = "record") -> tuple[Route, str, str]:
-    """(mode, prompt, target) of a {"prompt","target","mode",["answer"]} record, checked."""
+def record_mode(record: dict, where: str = "record") -> Route:
+    """The route a record's "mode" names; anything but a name in MODE_NAMES is a DataError."""
     try:
-        mode = MODE_NAMES[record.get("mode")]
+        return MODE_NAMES[record.get("mode")]
     except (KeyError, TypeError) as exc:
         raise DataError(f"{where}: mode must be one of {sorted(MODE_NAMES)}") from exc
+
+
+def record_fields(record: dict, where: str = "record") -> tuple[Route, str, str]:
+    """(mode, prompt, target) of a {"prompt","target","mode",["answer"]} record, checked."""
+    mode = record_mode(record, where)
     for key in ("prompt", "target"):
         if not isinstance(record.get(key), str):
             raise DataError(f"{where}: {key!r} must be a string")
@@ -453,9 +458,9 @@ def example_from_record(
     tagged are rejected.
     """
     mode, prompt_text, target_text = record_fields(record, where)
-    prompt = [BOS_ID] + encode(prompt_text, vocab)
+    prompt = encode_prompt(prompt_text, vocab)
     if not any(t in (CTRL_THINK_ID, CTRL_NOTHINK_ID) for t in prompt):
-        prompt = prompt + [control_token_id(mode)]
+        prompt.append(control_token_id(mode))
     if resolve_route(prompt) is not mode:
         raise DataError(f"{where}: prompt control tokens route to the other mode")
     target = encode(target_text, vocab) + [EOS_ID]

@@ -344,11 +344,13 @@ def test_c13_filter_pipeline():
     order = rng.permutation(len(candidates))
     shuffled = [candidates[i] for i in order]
     expected = [expected[i] for i in order]
-    kept, rejected = filter_no_think_candidates(shuffled, max_len=8)
+    reasons = filter_no_think_candidates(shuffled, max_len=8)
+    kept = [c for c, r in zip(shuffled, reasons) if r is None]
+    rejected = [(idx, r) for idx, r in enumerate(reasons) if r is not None]
     assert len(kept) == 100
     assert all(resp == "answer: 0" for _, resp, _ in kept)
     assert len(rejected) == 200
-    for idx, _, reason in rejected:
+    for idx, reason in rejected:
         assert expected[idx] == reason
     report("C13 filter-pipeline", "kept exactly the 100 clean candidates; all 200 rejection reasons match")
 

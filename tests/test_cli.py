@@ -4,11 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from routelock import cli
 from routelock.checkpoint import load_checkpoint, save_checkpoint
 from routelock.cli import main
 from routelock.model import ModelConfig, ModelParams
-from routelock.synth import SynthTaskSpec, synth_records
-from routelock.tokenizer import Vocabulary
+from routelock.synth import SynthTaskSpec, eval_prompts, synth_records, task_vocabulary
+from routelock.tokenizer import BOS_ID, SPECIAL_TOKENS, Route, Vocabulary, decode
+from routelock.trainer import MODE_NAMES, example_from_record
 
 CFG = {
     "model": {"d_model": 16, "n_layers": 2, "n_heads": 2, "d_ff": 24, "max_seq": 32},
@@ -464,9 +466,9 @@ def diverging_train(tmp_path):
 
 
 def with_vocab(words, *argv):
-    """A command on small.ple, given a vocabulary file ``other.vocab.txt`` of ``words``."""
+    """A command on small.ple, given a vocabulary file ``other.vocab.txt``: the specials, then ``words``."""
     def build(tmp_path):
-        Vocabulary(words).save(tmp_path / "other.vocab.txt")
+        (tmp_path / "other.vocab.txt").write_text("".join(t + "\n" for t in (*SPECIAL_TOKENS, *words)))
         (tmp_path / "eval.jsonl").write_text(json.dumps({"prompt": "compute", "answer": "1"}) + "\n")
         return [a.replace("{dir}", str(tmp_path)) for a in argv]
     return build
@@ -479,6 +481,15 @@ def generate_with(*flags, config=None):
             (tmp_path / "cfg.json").write_text(json.dumps(config))
             argv += ["--config", str(tmp_path / "cfg.json")]
         return argv
+    return build
+
+
+def eval_with(mode):
+    """eval on small.ple over one record whose "mode" is ``mode``."""
+    def build(tmp_path):
+        (tmp_path / "eval.jsonl").write_text(json.dumps({"prompt": "compute", "answer": "1", "mode": mode}) + "\n")
+        return ["eval", "--checkpoint", str(tmp_path / "small.ple"), "--dataset", str(tmp_path / "eval.jsonl"),
+                "--seed", "5", "--max-new", "2", "--out", str(tmp_path / "ev")]
     return build
 
 
@@ -507,6 +518,16 @@ OPERATOR_ERRORS = {
                                      "{dir}/eval.jsonl", "--seed", "5", "--out", "{dir}/ev",
                                      "--vocab", "{dir}/other.vocab.txt"),
                           ["other.vocab.txt", "small.ple"]),
+    "generate-vocab-duplicate-token": (with_vocab(["compute", "plus", "compute"], "generate", "--checkpoint",
+                                                  "{dir}/small.ple", "--prompt", "compute",
+                                                  "--vocab", "{dir}/other.vocab.txt"),
+                                       ["other.vocab.txt", "duplicate"]),
+    "eval-vocab-empty-line": (with_vocab(["compute", "", "plus"], "eval", "--checkpoint", "{dir}/small.ple",
+                                         "--dataset", "{dir}/eval.jsonl", "--seed", "5", "--out", "{dir}/ev",
+                                         "--vocab", "{dir}/other.vocab.txt"),
+                              ["other.vocab.txt", "invalid token"]),
+    "eval-unknown-mode": (eval_with("thinking"), ["eval.jsonl:1", "mode", "'no_think', 'think'"]),
+    "eval-mode-not-a-name": (eval_with(7), ["eval.jsonl:1", "mode", "'no_think', 'think'"]),
     "gradcheck-vocab-smaller": (with_vocab(["compute"], "gradcheck", "--seed", "2", "--probes", "8",
                                            "--checkpoint", "{dir}/other.ple", "--out", "{dir}/g"),
                                 ["other.vocab.txt", "other.ple", "7", "9"]),
@@ -552,3 +573,69 @@ def test_eval_config_records_lexicon_vocab_and_baseline(tmp_path):
     assert rc == 0
     resolved = json.loads((tmp_path / "ev" / "eval_config.json").read_text())
     assert {name: resolved.get(name) for name in inputs} == inputs
+
+
+def synth_checkpoint(path):
+    """An untrained one-layer checkpoint at ``path`` over the modulus-5 task vocabulary."""
+    vocab = task_vocabulary(SynthTaskSpec(modulus=5))
+    cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2, d_ff=12, max_seq=16)
+    save_checkpoint(ModelParams.init_random(cfg, seed=0), path)
+    vocab.save(path.with_suffix(".vocab.txt"))
+    return vocab
+
+
+def test_generate_encodes_prompt_as_in_training(tmp_path, monkeypatch):
+    synth_checkpoint(tmp_path / "m.ple")
+    seen, real = [], cli.generate
+
+    def spy(model, ids, **kw):
+        seen.append(list(ids))
+        return real(model, ids, **kw)
+
+    monkeypatch.setattr(cli, "generate", spy)
+    text = "compute 1 plus 2 mod 5 /think"
+    assert main(["generate", "--checkpoint", str(tmp_path / "m.ple"), "--prompt", text, "--max-new", "2"]) == 0
+    vocab = Vocabulary.load(tmp_path / "m.vocab.txt")
+    example, _ = example_from_record({"prompt": text, "target": "answer: 3", "mode": "think"}, vocab)
+    assert seen == [list(example.prompt_ids)]
+    assert seen[0][0] == BOS_ID
+
+
+@pytest.mark.parametrize("mode", [Route.NO_THINK, Route.THINK])
+def test_train_eval_and_synth_prompts_share_one_encoding_and_eval_reads_once(tmp_path, monkeypatch, mode):
+    vocab = synth_checkpoint(tmp_path / "m.ple")
+    spec = SynthTaskSpec(modulus=5, n_problems=4, seed=1)
+    synth = eval_prompts(spec, 6, 3, mode, vocab)
+    texts = [decode(ids[1:-1], vocab) for ids, _ in synth]
+    name = {v: k for k, v in MODE_NAMES.items()}[mode]
+    train = [example_from_record({"prompt": t, "target": "answer: 1", "mode": name}, vocab)[0].prompt_ids
+             for t in texts]
+    (tmp_path / "eval.jsonl").write_text("".join(json.dumps({"prompt": t, "answer": g}) + "\n"
+                                                 for t, (_, g) in zip(texts, synth)))
+    seen, reads = {}, []
+    real_evaluate, real_read = cli.evaluate, cli.read_jsonl
+
+    def evaluate_spy(model, prompts, m, *args, **kw):
+        seen[m] = prompts
+        return real_evaluate(model, prompts, m, *args, **kw)
+
+    def read_spy(path):
+        reads.append(path)
+        return real_read(path)
+
+    monkeypatch.setattr(cli, "evaluate", evaluate_spy)
+    monkeypatch.setattr(cli, "read_jsonl", read_spy)
+    rc = main(["eval", "--checkpoint", str(tmp_path / "m.ple"), "--dataset", str(tmp_path / "eval.jsonl"),
+               "--mode", "both", "--seed", "5", "--max-new", "2", "--out", str(tmp_path / "ev")])
+    assert rc == 0
+    assert len(reads) == 1
+    assert [list(ids) for ids in train] == [ids for ids, _ in seen[mode]] == [ids for ids, _ in synth]
+
+
+def test_filter_takes_no_seed(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["filter", "--help"])
+    assert "--seed" not in capsys.readouterr().out
+    argv = filter_with()(tmp_path)
+    assert main(argv) == 0
+    assert "seed" not in json.loads((tmp_path / "f" / "filter_config.json").read_text())

@@ -10,6 +10,7 @@ from routelock.leakage import (
     filter_no_think_candidates,
     leakage_delta_table,
     reports_to_csv,
+    score_completions,
 )
 from routelock import leakage
 from routelock.model import generate
@@ -66,7 +67,7 @@ def test_evaluate_always_correct_stub(synth_small):
     def stub(prompt_ids):
         return encode(f"answer: {golds[tuple(prompt_ids)]}", vocab)
 
-    rep = evaluate(stub, prompts, Route.NO_THINK, vocab)
+    rep = score_completions([(stub(ids), gold) for ids, gold in prompts], Route.NO_THINK, vocab)
     assert rep.accuracy == 1.0
     assert rep.refl_per_answer == 0.0
     assert rep.mean_length == 2.0
@@ -80,7 +81,7 @@ def test_evaluate_always_wrong_reflective_stub(synth_small):
     def stub(_prompt_ids):
         return encode("wait wait answer: 0", vocab)
 
-    rep = evaluate(stub, prompts, Route.NO_THINK, vocab)
+    rep = score_completions([(stub(ids), gold) for ids, gold in prompts], Route.NO_THINK, vocab)
     assert rep.accuracy == 0.0
     assert rep.refl_per_answer == 2.0
 
@@ -130,10 +131,11 @@ def test_filter_labels_first_failing_predicate():
         ("q", "a b c d e f g h answer: 4", "4"),  # too long (10 tokens)
         ("q", "wait answer: 9", "4"),  # wrong answer AND reflective: correctness first
     ]
-    kept, rejected = filter_no_think_candidates(candidates, max_len=8)
-    assert kept == [candidates[0]]
-    reasons = {i: reason for i, _, reason in rejected}
-    assert reasons == {1: "correctness", 2: "style", 3: "length", 4: "correctness"}
+    reasons = filter_no_think_candidates(candidates, max_len=8)
+    assert [c for c, r in zip(candidates, reasons) if r is None] == [candidates[0]]
+    assert {i: r for i, r in enumerate(reasons) if r is not None} == {
+        1: "correctness", 2: "style", 3: "length", 4: "correctness"
+    }
 
 
 def test_filter_partition_property():
@@ -143,9 +145,10 @@ def test_filter_partition_property():
         good = rng.random() < 0.5
         resp = f"answer: {i}" if good else "hmm answer: 0"
         candidates.append((f"p{i}", resp, str(i)))
-    kept, rejected = filter_no_think_candidates(candidates, max_len=8)
-    assert len(kept) + len(rejected) == len(candidates)
-    rejected_idx = {i for i, _, _ in rejected}
+    reasons = filter_no_think_candidates(candidates, max_len=8)
+    kept = [c for c, r in zip(candidates, reasons) if r is None]
+    rejected_idx = {i for i, r in enumerate(reasons) if r is not None}
+    assert len(kept) + len(rejected_idx) == len(candidates)
     kept_set = {c for c in kept}
     for i, c in enumerate(candidates):
         assert (c in kept_set) != (i in rejected_idx)
@@ -174,7 +177,7 @@ def test_evaluate_batches_equal_one_prompt_generate(synth_model, synth_small, mo
     prompts = eval_prompts(spec, 8, 13, mode, vocab)
     monkeypatch.setattr(leakage, "EVAL_BATCH", 3)
     batched = evaluate(synth_model, prompts, mode, vocab, max_new=10)
-    one_by_one = evaluate(lambda ids: generate(synth_model, ids, 10)[0], prompts, mode, vocab)
+    one_by_one = score_completions([(generate(synth_model, ids, 10)[0], gold) for ids, gold in prompts], mode, vocab)
     assert batched == one_by_one
     assert batched.n_prompts == 8
 
