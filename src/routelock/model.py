@@ -33,17 +33,13 @@ from .tensor import (
     _sigmoid,
     _softmax,
     add,
+    attention,
     embedding,
-    matmul,
-    mul,
+    linear,
+    matmul,  # noqa: F401  (kept bound here: perfbench's tracer tests read routelock.model.matmul)
     no_grad,
     rms_norm,
-    rope_rotate,
-    silu,
-    softmax,
-    swap_last2,
-    transpose,
-    reshape,
+    swiglu,
 )
 from .tokenizer import EOS_ID, Route, resolve_route
 
@@ -207,9 +203,7 @@ class ModelParams:
 
 def _swiglu_at(leaves: Mapping[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     """down(silu(gate x) * (up x)) with the MLP weights named ``prefix``.w_gate/w_up/w_down."""
-    gate = matmul(x, swap_last2(leaves[f"{prefix}.w_gate"]))
-    up = matmul(x, swap_last2(leaves[f"{prefix}.w_up"]))
-    return matmul(mul(silu(gate), up), swap_last2(leaves[f"{prefix}.w_down"]))
+    return swiglu(x, leaves[f"{prefix}.w_gate"], leaves[f"{prefix}.w_up"], leaves[f"{prefix}.w_down"])
 
 
 # ---------------------------------------------------------------------------
@@ -270,21 +264,6 @@ def causal_mask(n: int) -> np.ndarray:
     return np.where(pos[None, :] > pos[:, None], MASK_NEG, 0.0)
 
 
-def _to_heads(t: Tensor, n_heads: int) -> Tensor:
-    lead = t.shape[:-2]
-    seq, d = t.shape[-2], t.shape[-1]
-    t = reshape(t, lead + (seq, n_heads, d // n_heads))
-    axes = tuple(range(len(lead))) + (t.ndim - 2, t.ndim - 3, t.ndim - 1)
-    return transpose(t, axes)
-
-
-def _from_heads(t: Tensor) -> Tensor:
-    lead = t.shape[:-3]
-    h, seq, hd = t.shape[-3], t.shape[-2], t.shape[-1]
-    axes = tuple(range(len(lead))) + (t.ndim - 2, t.ndim - 3, t.ndim - 1)
-    return reshape(transpose(t, axes), lead + (seq, h * hd))
-
-
 def attn_sublayer(
     cfg: ModelConfig,
     leaves: Mapping[str, Tensor],
@@ -295,16 +274,9 @@ def attn_sublayer(
     mask: np.ndarray,
 ) -> Tensor:
     h = rms_norm(x, leaves[f"layer{layer}.ln1"])
-    q = matmul(h, swap_last2(leaves[f"layer{layer}.wq"]))
-    k = matmul(h, swap_last2(leaves[f"layer{layer}.wk"]))
-    v = matmul(h, swap_last2(leaves[f"layer{layer}.wv"]))
-    qh = rope_rotate(_to_heads(q, cfg.n_heads), cos, sin)
-    kh = rope_rotate(_to_heads(k, cfg.n_heads), cos, sin)
-    vh = _to_heads(v, cfg.n_heads)
-    scores = mul(matmul(qh, swap_last2(kh)), 1.0 / math.sqrt(cfg.head_dim))
-    weights = softmax(add(scores, mask))
-    ctx = _from_heads(matmul(weights, vh))
-    return add(x, matmul(ctx, swap_last2(leaves[f"layer{layer}.wo"])))
+    q, k, v = (linear(h, leaves[f"layer{layer}.{w}"]) for w in ("wq", "wk", "wv"))
+    ctx = attention(q, k, v, cfg.n_heads, cos, sin, mask)
+    return add(x, linear(ctx, leaves[f"layer{layer}.wo"]))
 
 
 def _positions(h: Tensor, points: int) -> int:
@@ -358,7 +330,7 @@ def decoder_logits(
         x = add(x, mlp_apply(layer, rms_norm(x, leaves[f"layer{layer}.ln2"])))
     if cfg.final_norm:
         x = rms_norm(x, leaves["final_norm"])
-    return matmul(x, swap_last2(leaves["lm_head"]))
+    return linear(x, leaves["lm_head"])
 
 
 def forward(model: ModelParams | DenseModel, tokens, route: Route | int | None = None) -> Tensor:

@@ -23,6 +23,7 @@ while recording raises.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -125,20 +126,24 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor
     return out
 
 
-def _lift(t: Tensor, n: int) -> np.ndarray:
-    """``t``'s data with at least ``n`` non-point axes, padded after the point axis."""
-    d = t.data
-    if not t.pointed or d.ndim > n:
+def _lift(d: np.ndarray, pointed: bool, n: int) -> np.ndarray:
+    """``d`` with at least ``n`` non-point axes, padded after the point axis if ``pointed``."""
+    if not pointed or d.ndim > n:
         return d
     return d.reshape(d.shape[:1] + (1,) * (n + 1 - d.ndim) + d.shape[1:])
 
 
+def _pair(a: np.ndarray, a_pointed: bool, b: np.ndarray, b_pointed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Operand arrays that numpy broadcasts with the point axis kept apart."""
+    if not (a_pointed or b_pointed):
+        return a, b
+    n = max(a.ndim - a_pointed, b.ndim - b_pointed)
+    return _lift(a, a_pointed, n), _lift(b, b_pointed, n)
+
+
 def _aligned(a: Tensor, b: Tensor) -> tuple[np.ndarray, np.ndarray]:
-    """Operand data that numpy broadcasts with the point axis kept apart."""
-    if not (a.pointed or b.pointed):
-        return a.data, b.data
-    n = max(a.ndim - a.pointed, b.ndim - b.pointed)
-    return _lift(a, n), _lift(b, n)
+    """``_pair`` of two tensors' data."""
+    return _pair(a.data, a.pointed, b.data, b.pointed)
 
 
 def _reduce(x: np.ndarray, pointed: bool, fn=np.sum) -> np.ndarray:
@@ -253,6 +258,34 @@ def matmul(a, b) -> Tensor:
     return _node(data, (a, b), vjp, "matmul")
 
 
+def _linear(x: np.ndarray, x_pointed: bool, w: np.ndarray, w_pointed: bool) -> np.ndarray:
+    """x @ w.T as a stacked matmul, the point axis kept apart: ``linear``'s forward on arrays."""
+    xd, wt = _pair(x, x_pointed, np.swapaxes(w, -1, -2), w_pointed)
+    return xd @ wt
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The (f, d) gradient of a weight w in x @ w.T, given that product's gradient g (..., f)."""
+    return _unbroadcast(np.swapaxes(x, -1, -2) @ g, (x.shape[-1], g.shape[-1])).T
+
+
+def linear(x, w) -> Tensor:
+    """x @ w.T for a (f, d) weight: a projection of x's trailing axis from d to f features.
+
+    One node for ``matmul(x, transpose(w))``, with its arithmetic: the forward is a stacked
+    matmul, one GEMM per leading index, so each row of x is bitwise the row alone, and the
+    vjp makes one GEMM per leading index and sums the weight's share.
+    """
+    x, w = _coerce(x), _coerce(w)
+    if w.ndim - w.pointed != 2 or x.ndim - x.pointed < 1 or x.shape[-1] != w.shape[-1]:
+        raise ShapeError(f"linear needs x (..., d) and a weight (f, d), got shapes {x.shape} and {w.shape}")
+
+    def vjp(g):
+        return g @ w.data, _weight_grad(x.data, g)
+
+    return _node(_linear(x.data, x.pointed, w.data, w.pointed), (x, w), vjp, "linear")
+
+
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _coerce(a)
     old = a.shape
@@ -269,12 +302,6 @@ def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
         raise ShapeError(f"transpose {axes} of a pointed tensor must keep the point axis leading")
     inv = tuple(int(i) for i in np.argsort(axes))
     return _node(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),), "transpose")
-
-
-def swap_last2(a) -> Tensor:
-    a = _coerce(a)
-    axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
-    return transpose(a, axes)
 
 
 def sum_all(a) -> Tensor:
@@ -342,7 +369,7 @@ def rms_norm(a, gain) -> Tensor:
     d = a.shape[-1]
     s = _rms_scale(a.data)
     normed = a.data / s
-    data = normed * _lift(gain, a.ndim - a.pointed)
+    data = normed * _lift(gain.data, gain.pointed, a.ndim - a.pointed)
 
     def vjp(g):
         t = g * gain.data
@@ -449,3 +476,81 @@ def softmax_cross_entropy(logits, targets, mask=None, reduction: str = "example_
         return (grad * g,)
 
     return _node(loss, (logits,), vjp, "softmax_cross_entropy")
+
+
+def swiglu(x, w_gate, w_up, w_down) -> Tensor:
+    """The gated feed-forward (silu(x @ w_gate.T) * (x @ w_up.T)) @ w_down.T as one node.
+
+    Weights are (f, d), (f, d) and (d, f). Forward and vjp run the arithmetic of the
+    composed ``linear``, ``silu`` and ``mul`` nodes, so both are bitwise theirs.
+    """
+    x, wg, wu, wd = (_coerce(t) for t in (x, w_gate, w_up, w_down))
+    d = x.shape[-1]
+    f = wg.shape[-2]
+    if any(t.ndim - t.pointed != 2 for t in (wg, wu, wd)) or not (
+        wg.shape[-2:] == wu.shape[-2:] == (f, d) and wd.shape[-2:] == (d, f)
+    ):
+        raise ShapeError(
+            f"swiglu weights {wg.shape}, {wu.shape}, {wd.shape} do not fit (f, d), (f, d), (d, f) for x {x.shape}"
+        )
+    gate = _linear(x.data, x.pointed, wg.data, wg.pointed)
+    up = _linear(x.data, x.pointed, wu.data, wu.pointed)
+    s = _sigmoid(gate)
+    act = gate * s
+    # gate and up share their non-point shape, so numpy aligns a pointed one with the other
+    hidden = act * up
+    data = _linear(hidden, x.pointed or wg.pointed or wu.pointed, wd.data, wd.pointed)
+
+    def vjp(g):
+        g_hidden = g @ wd.data
+        g_up = g_hidden * act
+        g_gate = (g_hidden * up) * (s * (1.0 + gate * (1.0 - s)))
+        gx = g_gate @ wg.data + g_up @ wu.data
+        return gx, _weight_grad(x.data, g_gate), _weight_grad(x.data, g_up), _weight_grad(hidden, g)
+
+    return _node(data, (x, wg, wu, wd), vjp, "swiglu")
+
+
+def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(..., T, n_heads * hd) -> (..., n_heads, T, hd), a view."""
+    return np.swapaxes(x.reshape(x.shape[:-1] + (n_heads, x.shape[-1] // n_heads)), -3, -2)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(..., n_heads, T, hd) -> (..., T, n_heads * hd)."""
+    h, t, hd = x.shape[-3:]
+    return np.swapaxes(x, -3, -2).reshape(x.shape[:-3] + (t, h * hd))
+
+
+def attention(q, k, v, n_heads: int, cos: np.ndarray, sin: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Multi-head attention of projected q, k, v (..., T, D) as one node, heads merged back.
+
+    Per head of width hd = D / n_heads: rotary mixing of q and k by the (T, hd/2) tables
+    cos/sin, scores q k^T * (1/sqrt(hd)) + mask (an additive (T, T) constant), the softmax
+    and its weighted sum of v. q, k and v share their non-point shape, so a pointed one
+    broadcasts against the others as ``_pair`` would align it. Forward and vjp run the
+    arithmetic of the composed head reshapes, ``rope_rotate``, ``matmul``, ``mul``, ``add``
+    and ``softmax`` nodes, so both are bitwise theirs.
+    """
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    shape = q.shape[q.pointed :]
+    if k.shape[k.pointed :] != shape or v.shape[v.pointed :] != shape or len(shape) < 2:
+        raise ShapeError(f"attention needs q, k, v of one shape (..., T, D), got {q.shape}, {k.shape}, {v.shape}")
+    if shape[-1] % n_heads != 0 or (shape[-1] // n_heads) % 2 != 0:
+        raise ShapeError(f"attention width {shape[-1]} does not split into {n_heads} heads of even width")
+    scale = 1.0 / math.sqrt(shape[-1] // n_heads)
+    qh = _rope(_split_heads(q.data, n_heads), cos, sin)
+    kh = _rope(_split_heads(k.data, n_heads), cos, sin)
+    vh = _split_heads(v.data, n_heads)
+    p = _softmax((qh @ np.swapaxes(kh, -1, -2)) * scale + mask)
+    data = _merge_heads(p @ vh)
+
+    def vjp(g):
+        g_ctx = _split_heads(g, n_heads)
+        g_p = g_ctx @ np.swapaxes(vh, -1, -2)
+        g_scores = (p * (g_p - np.sum(g_p * p, axis=-1, keepdims=True))) * scale
+        gq = _rope(g_scores @ kh, cos, -sin)
+        gk = _rope(np.swapaxes(np.swapaxes(qh, -1, -2) @ g_scores, -1, -2), cos, -sin)
+        return _merge_heads(gq), _merge_heads(gk), _merge_heads(np.swapaxes(p, -1, -2) @ g_ctx)
+
+    return _node(data, (q, k, v), vjp, "attention")

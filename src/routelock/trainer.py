@@ -19,12 +19,14 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BatchingError, DataError
+from .errors import BatchingError, ConfigError, DataError
 from .model import (
     DenseModel,
     ModelParams,
@@ -83,10 +85,20 @@ class TrainConfig:
     grad_clip: float | None = None  # global-norm clip; breaks the exact step identities
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        def check(name: str, kind, ok, what: str) -> None:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+        check("learning_rate", numbers.Real, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+        check("momentum", numbers.Real, lambda v: 0 <= v < 1, "a number in [0, 1)")
+        if self.grad_clip is not None:
+            check("grad_clip", numbers.Real, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+        check("epochs", numbers.Integral, lambda v: v >= 1, "an integer >= 1")
+        check("batch_size", numbers.Integral, lambda v: v >= 1, "an integer >= 1")
+        check("seed", numbers.Integral, lambda v: v >= 0, "an integer >= 0")
+        if not isinstance(self.shuffle, bool):
+            raise ConfigError(f"shuffle must be true or false, got {self.shuffle!r}")
         if self.optimizer not in ("sgd", "sgd_momentum"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.reduction not in ("example_mean", "token_sum"):

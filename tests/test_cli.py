@@ -465,6 +465,17 @@ def diverging_train(tmp_path):
             "--out", str(tmp_path / "o")]
 
 
+def train_with(**fields):
+    """train on a small dataset with CFG's "train" section updated by ``fields``."""
+    def build(tmp_path):
+        write_dataset(tmp_path / "data.jsonl")
+        cfg = {**CFG, "train": {**CFG["train"], **fields}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        return ["train", "--config", str(tmp_path / "cfg.json"), "--dataset", str(tmp_path / "data.jsonl"),
+                "--out", str(tmp_path / "o")]
+    return build
+
+
 def with_vocab(words, *argv):
     """A command on small.ple, given a vocabulary file ``other.vocab.txt``: the specials, then ``words``."""
     def build(tmp_path):
@@ -508,6 +519,12 @@ def filter_with(*flags, gold="0\n1\n"):
 LARGE = ["compute", "plus", "mod", "x", "y"]  # 11 tokens; "y" is id 10
 OPERATOR_ERRORS = {
     "train-diverges": (diverging_train, ["non-finite loss"]),
+    "train-grad-clip-negative": (train_with(grad_clip=-1.0), ["grad_clip", "-1.0"]),
+    "train-grad-clip-zero": (train_with(grad_clip=0), ["grad_clip", "got 0"]),
+    "train-momentum-not-a-number": (train_with(optimizer="sgd_momentum", momentum="a"), ["momentum", "'a'"]),
+    "train-epochs-zero": (train_with(epochs=0), ["epochs", "got 0"]),
+    "train-learning-rate-nan": (train_with(learning_rate=float("nan")), ["learning_rate", "nan"]),
+    "train-learning-rate-string": (train_with(learning_rate="0.1"), ["learning_rate", "'0.1'"]),
     "generate-vocab-larger": (with_vocab(LARGE, "generate", "--checkpoint", "{dir}/small.ple", "--prompt",
                                          "compute y", "--vocab", "{dir}/other.vocab.txt"),
                               ["other.vocab.txt", "small.ple", "11", "9"]),

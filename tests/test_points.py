@@ -5,12 +5,14 @@ loss must equal, bit for bit, a forward at that point alone. The batched
 oracles must equal their one-point-per-forward loops bit for bit.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
-from routelock.model import DenseModel, ExpertCallRecorder, ModelParams
+from routelock.model import DenseModel, ExpertCallRecorder, ModelParams, causal_mask, rope_tables
 from routelock.params import as_leaves, finite_diff_grad, sampled_cross_hessian_max
-from routelock.tensor import Tensor, no_grad
+from routelock.tensor import Tensor, attention, linear, no_grad, swiglu
 
 from test_acceptance import GRAD_CFG, full_loss_fn, grad_dataset
 
@@ -97,3 +99,37 @@ def test_cross_hessian_matches_per_point_stencil_bitwise():
             worst = max(worst, abs(entry))
         got = sampled_cross_hessian_max(loss_fn, pv, None, names_a, names_b, step=step, probes=probes, seed=seed)
         assert got == worst
+
+
+SEQ, WIDTH, HEADS = 5, 8, 2
+COS, SIN = rope_tables(0, SEQ, WIDTH // HEADS, 10000.0)
+
+
+def attend(q, k, v):
+    return attention(q, k, v, HEADS, COS, SIN, causal_mask(SEQ))
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize(
+    "op, shapes",
+    [
+        (linear, [(SEQ, 3), (4, 3)]),
+        (swiglu, [(SEQ, 3), (6, 3), (6, 3), (3, 6)]),
+        (attend, [(SEQ, WIDTH)] * 3),
+    ],
+    ids=["linear", "swiglu", "attention"],
+)
+def test_fused_op_points_match_per_point_bitwise(op, shapes, lead):
+    # every mix of pointed and unpointed operands, e.g. a pointed weight with an unpointed
+    # input, or a pointed q with an unpointed k and v, against one point at a time
+    rng = np.random.default_rng(41)
+    arrays = [rng.normal(size=(K,) + (lead if i == 0 or op is attend else ()) + s) for i, s in enumerate(shapes)]
+    with no_grad():
+        for pointed in itertools.product((False, True), repeat=len(arrays)):
+            if not any(pointed):
+                continue
+            out = op(*(Tensor(a, pointed=True) if p else Tensor(a[0]) for a, p in zip(arrays, pointed)))
+            assert out.pointed and out.shape[0] == K
+            for k in range(K):
+                ref = op(*(Tensor(a[k] if p else a[0]) for a, p in zip(arrays, pointed)))
+                assert out.data[k].tobytes() == ref.data.tobytes()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from routelock.errors import ShapeError
+from routelock.model import causal_mask, rope_tables
 from routelock.tensor import (
     RMS_EPS,
     Tensor,
@@ -13,8 +14,10 @@ from routelock.tensor import (
     _sigmoid,
     _softmax,
     add,
+    attention,
     backward,
     embedding,
+    linear,
     matmul,
     mean_all,
     mul,
@@ -26,7 +29,7 @@ from routelock.tensor import (
     softmax,
     softmax_cross_entropy,
     sum_all,
-    swap_last2,
+    swiglu,
     transpose,
 )
 
@@ -392,7 +395,7 @@ def test_pointed_tensor_raises_while_recording():
 def test_pointed_reshape_transpose_keep_point_axis_leading():
     with no_grad():
         p = Tensor(np.arange(24.0).reshape(2, 3, 4), pointed=True)
-        assert swap_last2(p).shape == (2, 4, 3) and swap_last2(p).pointed
+        assert transpose(p, (0, 2, 1)).shape == (2, 4, 3) and transpose(p, (0, 2, 1)).pointed
         with pytest.raises(ShapeError):
             transpose(p)
         with pytest.raises(ShapeError):
@@ -410,13 +413,13 @@ def test_pointed_ops_match_per_point_bitwise():
 
     def build(table, w, g):
         y = rms_norm(embedding(table, ids), g)
-        y = silu(rope_rotate(matmul(y, swap_last2(w)), cos, sin))
+        y = silu(rope_rotate(matmul(y, w), cos, sin))
         xent = softmax_cross_entropy(softmax(y), np.array([[0, 1, 2], [3, 3, 1]]), reduction="example_mean")
         return add(mul(xent, 0.5), add(mean_all(mul(y, y)), sum_all(y)))
 
     rng = np.random.default_rng(13)
     k = 3
-    arrays = [rng.normal(size=(k, 4, 5)), rng.normal(size=(k, 4, 5)), rng.normal(size=(k, 5))]
+    arrays = [rng.normal(size=(k, 4, 5)), rng.normal(size=(k, 5, 4)), rng.normal(size=(k, 5))]
     with no_grad():
         for pointed in itertools.product((False, True), repeat=3):
             out = build(*(Tensor(a, pointed=True) if p else Tensor(a[0]) for a, p in zip(arrays, pointed)))
@@ -425,3 +428,98 @@ def test_pointed_ops_match_per_point_bitwise():
             for i in range(k if any(pointed) else 1):
                 ref = build(*(Tensor(a[i] if p else a[0]) for a, p in zip(arrays, pointed)))
                 assert out.data.reshape(-1)[i].tobytes() == ref.data.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# fused nodes against the composed graphs they replace
+# ---------------------------------------------------------------------------
+
+
+def swapped(t, i, j):
+    """``t`` with axes i and j exchanged, as a transpose node."""
+    axes = list(range(t.ndim))
+    axes[i], axes[j] = axes[j], axes[i]
+    return transpose(t, tuple(axes))
+
+
+def composed_linear(x, w):
+    return matmul(x, swapped(w, -1, -2))
+
+
+def composed_swiglu(x, wg, wu, wd):
+    return composed_linear(mul(silu(composed_linear(x, wg)), composed_linear(x, wu)), wd)
+
+
+def composed_attention(q, k, v, n_heads, cos, sin, mask):
+    def heads(t):
+        lead, (seq, d) = t.shape[:-2], t.shape[-2:]
+        return swapped(reshape(t, lead + (seq, n_heads, d // n_heads)), -3, -2)
+
+    qh, kh, vh = rope_rotate(heads(q), cos, sin), rope_rotate(heads(k), cos, sin), heads(v)
+    scores = mul(matmul(qh, swapped(kh, -1, -2)), 1.0 / math.sqrt(q.shape[-1] // n_heads))
+    ctx = swapped(matmul(softmax(add(scores, mask)), vh), -3, -2)
+    return reshape(ctx, ctx.shape[:-2] + (q.shape[-1],))
+
+
+SEQ, WIDTH, HEADS = 4, 8, 2
+COS, SIN = rope_tables(0, SEQ, WIDTH // HEADS, 10000.0)
+
+
+def fused_cases(rng, lead):
+    """(name, fused op, composed op, input arrays) for inputs with leading shape ``lead``."""
+    def attn(fn):
+        return lambda q, k, v: fn(q, k, v, HEADS, COS, SIN, causal_mask(SEQ))
+
+    qkv = [rng.normal(size=lead + (SEQ, WIDTH)) for _ in range(3)]
+    return [
+        ("linear", linear, composed_linear, [rng.normal(size=lead + (5, 3)), rng.normal(size=(4, 3))]),
+        ("swiglu", swiglu, composed_swiglu,
+         [rng.normal(size=lead + (5, 3)), rng.normal(size=(6, 3)), rng.normal(size=(6, 3)), rng.normal(size=(3, 6))]),
+        ("attention", attn(attention), attn(composed_attention), qkv),
+    ]
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+def test_fused_ops_grad_vs_fd(lead):
+    rng = np.random.default_rng(31)
+    for _, fused, _, arrays in fused_cases(rng, lead):
+        check_grads(lambda *t: sum_all(mul(fused(*t), fused(*t))), *arrays)
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (3, 2)])
+def test_fused_ops_forward_and_grads_bitwise_equal_composed(lead):
+    rng = np.random.default_rng(32)
+    for name, fused, composed, arrays in fused_cases(rng, lead):
+        cot = None
+        grads = []
+        for op in (fused, composed):
+            tensors = [Tensor(a, requires_grad=True) for a in arrays]
+            out = op(*tensors)
+            cot = rng.normal(size=out.shape) if cot is None else cot
+            backward(sum_all(mul(out, cot)))
+            grads.append((out.data, [t.grad for t in tensors]))
+        (a, ga), (b, gb) = grads
+        assert a.tobytes() == b.tobytes(), name
+        for x, y in zip(ga, gb):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+def test_linear_rows_are_bitwise_the_row_alone():
+    # a stacked matmul: one flattened GEMM over all rows rounds differently at this shape
+    rng = np.random.default_rng(33)
+    x, w = rng.normal(size=(25, 10, 64)), rng.normal(size=(64, 64))
+    out = linear(Tensor(x), Tensor(w)).data
+    for i in range(len(x)):
+        assert out[i].tobytes() == linear(Tensor(x[i]), Tensor(w)).data.tobytes()
+
+
+def test_fused_ops_reject_mismatched_shapes():
+    with pytest.raises(ShapeError, match="linear"):
+        linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+    with pytest.raises(ShapeError, match="swiglu"):
+        swiglu(Tensor(np.ones((2, 3))), np.ones((4, 3)), np.ones((4, 3)), np.ones((4, 3)))
+    q = Tensor(np.ones((SEQ, WIDTH)))
+    with pytest.raises(ShapeError, match="attention"):
+        attention(q, q, Tensor(np.ones((SEQ + 1, WIDTH))), HEADS, COS, SIN, causal_mask(SEQ))
+    with pytest.raises(ShapeError, match="heads"):
+        attention(q, q, q, 3, COS, SIN, causal_mask(SEQ))

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from routelock.errors import BatchingError, DataError
-from routelock.params import ParamVector, value_and_grad
+from routelock.errors import BatchingError, ConfigError, DataError
+from routelock.model import ModelConfig, ModelParams
+from routelock.params import ParamVector, as_leaves, value_and_grad
+from routelock.synth import SynthTaskSpec, generate_synth_dataset
 from routelock.tokenizer import (
     CTRL_NOTHINK_ID,
     CTRL_THINK_ID,
@@ -15,10 +17,12 @@ from routelock.tokenizer import (
 from routelock.trainer import (
     ChatExample,
     TrainConfig,
+    batch_loss_fn,
     expert_gap,
     full_objective,
     full_objective_grad,
     load_dataset_jsonl,
+    make_batch,
     mode_loss,
     mode_loss_grad,
     mode_weights,
@@ -379,3 +383,38 @@ def test_loader_rejects_malformed_record_with_line(tmp_path, line, message):
 def test_loss_mask_covers_target_only():
     e = ChatExample.build([1, 8, CTRL_NOTHINK_ID], [10, 11, 2], Route.NO_THINK)
     assert e.loss_mask == (False, False, False, True, True, True)
+
+
+def test_demo_training_forward_has_at_most_25_tape_nodes():
+    data, vocab = generate_synth_dataset(SynthTaskSpec(modulus=10, n_problems=40, seed=7))
+    cfg = ModelConfig(vocab_size=len(vocab), d_model=64, n_layers=2, n_heads=4, d_ff=128, max_seq=32)
+    model = ModelParams.init_random(cfg, seed=7)
+    d0, _ = split_by_mode(data)
+    leaves = as_leaves(model.params, requires_grad=True)
+    loss = batch_loss_fn(model, Route.NO_THINK, "example_mean")(leaves, make_batch(d0[:25]))
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if node.op != "leaf" and id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    # embedding; per layer: rms_norm, q/k/v/o linear, attention, add, rms_norm, swiglu, add;
+    # final rms_norm, lm_head linear, cross-entropy
+    assert len(nodes) <= 25, sorted(n.op for n in nodes.values())
+
+
+@pytest.mark.parametrize(
+    "fields, word",
+    [
+        ({"learning_rate": True}, "learning_rate"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
+        ({"momentum": 1.0}, "momentum"),
+        ({"grad_clip": float("nan")}, "grad_clip"),
+        ({"batch_size": 2.0}, "batch_size"),
+        ({"seed": -1}, "seed"),
+        ({"shuffle": "no"}, "shuffle"),
+    ],
+)
+def test_train_config_names_the_bad_field(fields, word):
+    with pytest.raises(ConfigError, match=word):
+        TrainConfig(**{"learning_rate": 0.1, **fields})
