@@ -448,12 +448,17 @@ def cmd_eval(args) -> int:
     vocab = _load_vocab(args.checkpoint, model, args.vocab)
     lexicon = ReflectiveLexicon.load(args.lexicon) if args.lexicon else ReflectiveLexicon()
     records = _eval_records(args.dataset)
-
-    reports: dict[tuple[str, str], LeakageReport] = {}
+    prompts = {}
     for name in MODE_NAMES if args.mode == "both" else [args.mode]:
         mode = MODE_NAMES[name]
-        prompts = [(encode_prompt(text, vocab, mode), gold) for route, text, gold in records if route in (None, mode)]
-        rep = evaluate(model, prompts, mode, vocab, lexicon, max_new=args.max_new, seed=args.seed)
+        prompts[name] = [(encode_prompt(text, vocab, mode), gold) for route, text, gold in records
+                         if route in (None, mode)]
+        if not prompts[name]:
+            raise DataError(f"{args.dataset}: no prompts for mode {name}")
+
+    reports: dict[tuple[str, str], LeakageReport] = {}
+    for name, mode_prompts in prompts.items():
+        rep = evaluate(model, mode_prompts, MODE_NAMES[name], vocab, lexicon, max_new=args.max_new, seed=args.seed)
         reports[("model", name)] = rep
         print(
             f"mode {name}: accuracy {rep.accuracy:.4f}  mean length {rep.mean_length:.2f}  "

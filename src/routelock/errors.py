@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field check behind ``ConfigError``."""
 
 
 class ShapeError(ValueError):
@@ -31,3 +31,11 @@ class DegenerateInputError(ValueError):
 
 class SingularityError(ValueError):
     """Combined curvature matrix is numerically singular."""
+
+
+def check_field(config, name: str, kind, ok, what: str) -> None:
+    """Raise ConfigError naming field ``name`` of ``config`` unless its value is a ``kind``
+    (a bool is not a number) for which ``ok`` holds; ``what`` says what it must be."""
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")

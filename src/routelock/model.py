@@ -19,19 +19,22 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, check_field
 from .params import ParamVector, as_leaves
 from .tensor import (
     Tensor,
+    _merge_heads,
     _rms_scale,
-    _rope,
+    _rotate,
     _sigmoid,
     _softmax,
+    _split_heads,
     add,
     attention,
     embedding,
@@ -39,6 +42,7 @@ from .tensor import (
     matmul,  # noqa: F401  (kept bound here: perfbench's tracer tests read routelock.model.matmul)
     no_grad,
     rms_norm,
+    rotary_tables,
     swiglu,
 )
 from .tokenizer import EOS_ID, Route, resolve_route
@@ -59,14 +63,14 @@ class ModelConfig:
 
     def __post_init__(self):
         for field in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq"):
-            if getattr(self, field) < 1:
-                raise ConfigError(f"{field} must be >= 1")
+            check_field(self, field, numbers.Integral, lambda v: v >= 1, "an integer >= 1")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if (self.d_model // self.n_heads) % 2 != 0:
             raise ConfigError("head dimension must be even for rotary mixing")
-        if self.rope_base <= 0:
-            raise ConfigError("rope_base must be positive")
+        check_field(self, "rope_base", numbers.Real, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+        if not isinstance(self.final_norm, bool):
+            raise ConfigError(f"final_norm must be true or false, got {self.final_norm!r}")
 
     @property
     def head_dim(self) -> int:
@@ -264,6 +268,16 @@ def causal_mask(n: int) -> np.ndarray:
     return np.where(pos[None, :] > pos[:, None], MASK_NEG, 0.0)
 
 
+@functools.lru_cache(maxsize=8)
+def _position_tables(max_seq: int, head_dim: int, n_heads: int, base: float) -> tuple[np.ndarray, ...]:
+    """Read-only ``rotary_tables`` of n_heads heads and causal mask of max_seq positions, built
+    once; slices equal the per-chunk tables bitwise."""
+    tables = (*rotary_tables(*rope_tables(0, max_seq, head_dim, base), n_heads), causal_mask(max_seq))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def attn_sublayer(
     cfg: ModelConfig,
     leaves: Mapping[str, Tensor],
@@ -322,8 +336,8 @@ def decoder_logits(
     seq = ids.shape[-1]
     if seq > cfg.max_seq:
         raise CapacityError(f"sequence length {seq} exceeds max_seq {cfg.max_seq}")
-    cos, sin = rope_tables(0, seq, cfg.head_dim, cfg.rope_base)
-    mask = causal_mask(seq)
+    cos, sin, mask = _position_tables(cfg.max_seq, cfg.head_dim, cfg.n_heads, cfg.rope_base)
+    cos, sin, mask = cos[:seq], sin[:seq], mask[:seq, :seq]
     x = embedding(leaves["embed"], ids)
     for layer in range(cfg.n_layers):
         x = attn_sublayer(cfg, leaves, layer, x, cos, sin, mask)
@@ -356,22 +370,14 @@ def route_logit_gap(model: ModelParams, tokens) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8)
-def _position_tables(max_seq: int, head_dim: int, base: float) -> tuple[np.ndarray, ...]:
-    """Read-only rope tables and causal mask of max_seq positions; slices equal the per-chunk ones bitwise."""
-    tables = (*rope_tables(0, max_seq, head_dim, base), causal_mask(max_seq))
-    for t in tables:
-        t.flags.writeable = False
-    return tables
-
-
 class _KVCache:
-    """Keys and values of ``rows`` sequences as (layers, rows, heads, max_seq, head_dim); position tables."""
+    """Keys and values of ``rows`` sequences as (layers, rows, heads, max_seq, head_dim); position
+    tables, the rotary ones for q|k side by side (2 * n_heads heads)."""
 
     def __init__(self, cfg: ModelConfig, rows: int):
         shape = (cfg.n_layers, rows, cfg.n_heads, cfg.max_seq, cfg.head_dim)
         self.k, self.v = np.empty(shape), np.empty(shape)
-        self.cos, self.sin, self.mask = _position_tables(cfg.max_seq, cfg.head_dim, cfg.rope_base)
+        self.cos, self.sin, self.mask = _position_tables(cfg.max_seq, cfg.head_dim, 2 * cfg.n_heads, cfg.rope_base)
 
     def keep(self, rows: list[int], filled: int) -> None:
         """Move rows ``rows`` (their first ``filled`` positions) to the front, in that order."""
@@ -406,11 +412,11 @@ def _np_chunk(
     """
     cfg, pv = model.config, model.params
     rows, n = ids.shape
-    h_heads, hd = cfg.n_heads, cfg.head_dim
+    heads, hd = cfg.n_heads, cfg.head_dim
     cuts = [r for r in range(1, rows) if pos0[r] != pos0[r - 1]]
     runs = [(a, b, pos0[a]) for a, b in zip([0] + cuts, cuts + [rows])]
     if cuts:
-        at = np.add.outer(pos0, np.arange(n))[:, None]
+        at = np.add.outer(pos0, np.arange(n))  # (rows, n): per-row tables
         cos, sin = cache.cos[at], cache.sin[at]
     else:
         cos, sin = cache.cos[pos0[0] : pos0[0] + n], cache.sin[pos0[0] : pos0[0] + n]
@@ -423,11 +429,11 @@ def _np_chunk(
     x = pv["embed"][ids]
     for layer in range(cfg.n_layers):
         h = x / _rms_scale(x) * pv[f"layer{layer}.ln1"]
-        # q and k heads are rotated in one call: rope acts per element
+        # q and k are rotated in one call, as 2 * heads heads side by side: rotary mixing acts per element
         qk = np.concatenate((h @ pv[f"layer{layer}.wq"].T, h @ pv[f"layer{layer}.wk"].T), axis=-1)
-        qk = _rope(qk.reshape(rows, n, 2 * h_heads, hd).transpose(0, 2, 1, 3), cos, sin)
-        q, k = qk[:, :h_heads], qk[:, h_heads:]
-        v = (h @ pv[f"layer{layer}.wv"].T).reshape(rows, n, h_heads, hd).transpose(0, 2, 1, 3)
+        qk = _split_heads(_rotate(qk, cos, sin, 2 * heads), 2 * heads)
+        q, k = qk[:, :heads], qk[:, heads:]
+        v = _split_heads(h @ pv[f"layer{layer}.wv"].T, heads)
         ctx = []
         for a, b, p in runs:
             kc[layer, a:b, :, p : p + n], vc[layer, a:b, :, p : p + n] = k[a:b], v[a:b]
@@ -436,7 +442,7 @@ def _np_chunk(
                 scores = scores + mask
             ctx.append(_softmax(scores) @ vc[layer, a:b, :, : p + n])
         ctx = np.concatenate(ctx) if cuts else ctx[0]
-        x = x + ctx.transpose(0, 2, 1, 3).reshape(rows, n, cfg.d_model) @ pv[f"layer{layer}.wo"].T
+        x = x + _merge_heads(ctx) @ pv[f"layer{layer}.wo"].T
         h = x / _rms_scale(x) * pv[f"layer{layer}.ln2"]
         if len(groups) == 1:
             x = x + _swiglu_np(pv, layer, groups[0][0], h)

@@ -23,6 +23,7 @@ while recording raises.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -343,11 +344,31 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate the feature halves (x1, x2) of the trailing axis by the angles of cos/sin."""
-    half = x.shape[-1] // 2
-    x1, x2 = x[..., :half], x[..., half:]
-    return np.concatenate((x1 * cos - x2 * sin, x1 * sin + x2 * cos), axis=-1)
+def rotary_tables(cos: np.ndarray, sin: np.ndarray, n_heads: int) -> tuple[np.ndarray, np.ndarray]:
+    """One head's (..., T, hd/2) angle tables in the unsplit layout: [cos | cos] and [-sin | sin]
+    per head, tiled over ``n_heads`` heads to (..., T, n_heads * hd)."""
+    return (
+        np.tile(np.concatenate((cos, cos), axis=-1), n_heads),
+        np.tile(np.concatenate((-sin, sin), axis=-1), n_heads),
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _half_swap(width: int, n_heads: int) -> np.ndarray:
+    """Read-only feature index that swaps the two halves inside each of the ``n_heads`` heads of ``width``."""
+    hd = width // n_heads
+    i = np.arange(width)
+    swap = i - i % hd + (i + hd // 2) % hd
+    swap.flags.writeable = False
+    return swap
+
+
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, n_heads: int) -> np.ndarray:
+    """Rotary mixing of every head's feature halves (x1, x2) on the unsplit (..., T, n_heads * hd)
+    layout, by ``rotary_tables`` cos/sin: x * cos + x[..., swap] * sin, which is (x1 cos - x2 sin,
+    x2 cos + x1 sin) bitwise, as negation is exact and addition commutes. With -sin it is the
+    inverse rotation (by -angle), which, being orthogonal, is also the transpose."""
+    return x * cos + x.take(_half_swap(x.shape[-1], n_heads), axis=-1) * sin
 
 
 def silu(a) -> Tensor:
@@ -409,18 +430,19 @@ def embedding(table, ids) -> Tensor:
     return _node(data, (table,), vjp, "embedding")
 
 
-def rope_rotate(a, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Rotary position mixing on the trailing feature axis (half-split form).
+def rope_rotate(a, cos: np.ndarray, sin: np.ndarray, n_heads: int = 1) -> Tensor:
+    """Rotary position mixing on the trailing feature axis, split into ``n_heads`` heads.
 
-    ``a`` is (..., T, h) with h even; cos/sin are (T, h/2) position tables
-    treated as constants.
+    ``a`` is (..., T, n_heads * hd) with hd even; cos/sin are its (T, n_heads * hd)
+    ``rotary_tables``, treated as constants.
     """
     a = _coerce(a)
-    h = a.shape[-1]
-    if h % 2 != 0:
-        raise ShapeError(f"rotary features must be even, got {h}")
-    # the rotation by -angle is the inverse and, being orthogonal, the transpose
-    return _node(_rope(a.data, cos, sin), (a,), lambda g: (_rope(g, cos, -sin),), "rope_rotate")
+    width = a.shape[-1]
+    if width % n_heads != 0 or (width // n_heads) % 2 != 0 or cos.shape[-1] != width:
+        raise ShapeError(f"rotary width {width} does not split into {n_heads} heads of even width "
+                         f"matching tables of width {cos.shape[-1]}")
+    return _node(_rotate(a.data, cos, sin, n_heads), (a,), lambda g: (_rotate(g, cos, -sin, n_heads),),
+                 "rope_rotate")
 
 
 def softmax_cross_entropy(logits, targets, mask=None, reduction: str = "example_mean") -> Tensor:
@@ -513,24 +535,24 @@ def swiglu(x, w_gate, w_up, w_down) -> Tensor:
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     """(..., T, n_heads * hd) -> (..., n_heads, T, hd), a view."""
-    return np.swapaxes(x.reshape(x.shape[:-1] + (n_heads, x.shape[-1] // n_heads)), -3, -2)
+    return x.reshape(x.shape[:-1] + (n_heads, x.shape[-1] // n_heads)).swapaxes(-3, -2)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
     """(..., n_heads, T, hd) -> (..., T, n_heads * hd)."""
     h, t, hd = x.shape[-3:]
-    return np.swapaxes(x, -3, -2).reshape(x.shape[:-3] + (t, h * hd))
+    return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (t, h * hd))
 
 
 def attention(q, k, v, n_heads: int, cos: np.ndarray, sin: np.ndarray, mask: np.ndarray) -> Tensor:
     """Multi-head attention of projected q, k, v (..., T, D) as one node, heads merged back.
 
-    Per head of width hd = D / n_heads: rotary mixing of q and k by the (T, hd/2) tables
-    cos/sin, scores q k^T * (1/sqrt(hd)) + mask (an additive (T, T) constant), the softmax
-    and its weighted sum of v. q, k and v share their non-point shape, so a pointed one
-    broadcasts against the others as ``_pair`` would align it. Forward and vjp run the
-    arithmetic of the composed head reshapes, ``rope_rotate``, ``matmul``, ``mul``, ``add``
-    and ``softmax`` nodes, so both are bitwise theirs.
+    Rotary mixing of q and k by their (T, D) ``rotary_tables`` cos/sin, then per head of
+    width hd = D / n_heads: scores q k^T * (1/sqrt(hd)) + mask (an additive (T, T) constant),
+    the softmax and its weighted sum of v. q, k and v share their non-point shape, so a
+    pointed one broadcasts against the others as ``_pair`` would align it. Forward and vjp
+    run the arithmetic of the composed ``rope_rotate``, head reshapes, ``matmul``, ``mul``,
+    ``add`` and ``softmax`` nodes, so both are bitwise theirs.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     shape = q.shape[q.pointed :]
@@ -539,8 +561,8 @@ def attention(q, k, v, n_heads: int, cos: np.ndarray, sin: np.ndarray, mask: np.
     if shape[-1] % n_heads != 0 or (shape[-1] // n_heads) % 2 != 0:
         raise ShapeError(f"attention width {shape[-1]} does not split into {n_heads} heads of even width")
     scale = 1.0 / math.sqrt(shape[-1] // n_heads)
-    qh = _rope(_split_heads(q.data, n_heads), cos, sin)
-    kh = _rope(_split_heads(k.data, n_heads), cos, sin)
+    qh = _split_heads(_rotate(q.data, cos, sin, n_heads), n_heads)
+    kh = _split_heads(_rotate(k.data, cos, sin, n_heads), n_heads)
     vh = _split_heads(v.data, n_heads)
     p = _softmax((qh @ np.swapaxes(kh, -1, -2)) * scale + mask)
     data = _merge_heads(p @ vh)
@@ -549,8 +571,9 @@ def attention(q, k, v, n_heads: int, cos: np.ndarray, sin: np.ndarray, mask: np.
         g_ctx = _split_heads(g, n_heads)
         g_p = g_ctx @ np.swapaxes(vh, -1, -2)
         g_scores = (p * (g_p - np.sum(g_p * p, axis=-1, keepdims=True))) * scale
-        gq = _rope(g_scores @ kh, cos, -sin)
-        gk = _rope(np.swapaxes(np.swapaxes(qh, -1, -2) @ g_scores, -1, -2), cos, -sin)
-        return _merge_heads(gq), _merge_heads(gk), _merge_heads(np.swapaxes(p, -1, -2) @ g_ctx)
+        gq = _merge_heads(g_scores @ kh)
+        gk = _merge_heads(np.swapaxes(np.swapaxes(qh, -1, -2) @ g_scores, -1, -2))
+        gv = _merge_heads(np.swapaxes(p, -1, -2) @ g_ctx)
+        return _rotate(gq, cos, -sin, n_heads), _rotate(gk, cos, -sin, n_heads), gv
 
     return _node(data, (q, k, v), vjp, "attention")

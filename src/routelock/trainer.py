@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BatchingError, ConfigError, DataError
+from .errors import BatchingError, ConfigError, DataError, check_field
 from .model import (
     DenseModel,
     ModelParams,
@@ -85,18 +85,13 @@ class TrainConfig:
     grad_clip: float | None = None  # global-norm clip; breaks the exact step identities
 
     def __post_init__(self):
-        def check(name: str, kind, ok, what: str) -> None:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
-                raise ConfigError(f"{name} must be {what}, got {value!r}")
-
-        check("learning_rate", numbers.Real, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
-        check("momentum", numbers.Real, lambda v: 0 <= v < 1, "a number in [0, 1)")
+        check_field(self, "learning_rate", numbers.Real, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+        check_field(self, "momentum", numbers.Real, lambda v: 0 <= v < 1, "a number in [0, 1)")
         if self.grad_clip is not None:
-            check("grad_clip", numbers.Real, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
-        check("epochs", numbers.Integral, lambda v: v >= 1, "an integer >= 1")
-        check("batch_size", numbers.Integral, lambda v: v >= 1, "an integer >= 1")
-        check("seed", numbers.Integral, lambda v: v >= 0, "an integer >= 0")
+            check_field(self, "grad_clip", numbers.Real, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+        check_field(self, "epochs", numbers.Integral, lambda v: v >= 1, "an integer >= 1")
+        check_field(self, "batch_size", numbers.Integral, lambda v: v >= 1, "an integer >= 1")
+        check_field(self, "seed", numbers.Integral, lambda v: v >= 0, "an integer >= 0")
         if not isinstance(self.shuffle, bool):
             raise ConfigError(f"shuffle must be true or false, got {self.shuffle!r}")
         if self.optimizer not in ("sgd", "sgd_momentum"):

@@ -111,13 +111,28 @@ def test_checkpoint_with_trailing_bytes_rejected(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_offsets_must_be_contiguous(tmp_path):
-    path, blob = saved_blob(tmp_path)
-    hlen, header = header_of(blob)
-    header["segments"][1]["offset"] += 8
+def write_header(path, blob, header):
+    """Replace the header of checkpoint ``blob`` with ``header``, written to ``path``."""
+    hlen, _ = header_of(blob)
     text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + hlen :])
+
+
+def test_checkpoint_offsets_must_be_contiguous(tmp_path):
+    path, blob = saved_blob(tmp_path)
+    _, header = header_of(blob)
+    header["segments"][1]["offset"] += 8
+    write_header(path, blob, header)
     with pytest.raises(ValueError, match=r"m\.ple.*offset"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_header_config_fields_are_checked(tmp_path):
+    path, blob = saved_blob(tmp_path)
+    _, header = header_of(blob)
+    header["config"]["final_norm"] = "no"
+    write_header(path, blob, header)
+    with pytest.raises(ValueError, match=r"m\.ple.*malformed header.*final_norm"):
         load_checkpoint(path)
 
 

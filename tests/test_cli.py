@@ -465,11 +465,11 @@ def diverging_train(tmp_path):
             "--out", str(tmp_path / "o")]
 
 
-def train_with(**fields):
-    """train on a small dataset with CFG's "train" section updated by ``fields``."""
+def train_with(section="train", **fields):
+    """train on a small dataset with CFG's ``section`` ("train" or "model") updated by ``fields``."""
     def build(tmp_path):
         write_dataset(tmp_path / "data.jsonl")
-        cfg = {**CFG, "train": {**CFG["train"], **fields}}
+        cfg = {**CFG, section: {**CFG[section], **fields}}
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         return ["train", "--config", str(tmp_path / "cfg.json"), "--dataset", str(tmp_path / "data.jsonl"),
                 "--out", str(tmp_path / "o")]
@@ -495,12 +495,13 @@ def generate_with(*flags, config=None):
     return build
 
 
-def eval_with(mode):
-    """eval on small.ple over one record whose "mode" is ``mode``."""
+def eval_with(mode, *flags, records=1):
+    """eval on small.ple over ``records`` records whose "mode" is ``mode``."""
     def build(tmp_path):
-        (tmp_path / "eval.jsonl").write_text(json.dumps({"prompt": "compute", "answer": "1", "mode": mode}) + "\n")
+        record = json.dumps({"prompt": "compute", "answer": "1", "mode": mode}) + "\n"
+        (tmp_path / "eval.jsonl").write_text(record * records)
         return ["eval", "--checkpoint", str(tmp_path / "small.ple"), "--dataset", str(tmp_path / "eval.jsonl"),
-                "--seed", "5", "--max-new", "2", "--out", str(tmp_path / "ev")]
+                "--seed", "5", "--max-new", "2", "--out", str(tmp_path / "ev"), *flags]
     return build
 
 
@@ -525,6 +526,9 @@ OPERATOR_ERRORS = {
     "train-epochs-zero": (train_with(epochs=0), ["epochs", "got 0"]),
     "train-learning-rate-nan": (train_with(learning_rate=float("nan")), ["learning_rate", "nan"]),
     "train-learning-rate-string": (train_with(learning_rate="0.1"), ["learning_rate", "'0.1'"]),
+    "train-rope-base-nan": (train_with("model", rope_base=float("nan")), ["rope_base", "nan"]),
+    "train-rope-base-inf": (train_with("model", rope_base=float("inf")), ["rope_base", "inf"]),
+    "train-final-norm-string": (train_with("model", final_norm="no"), ["final_norm", "'no'"]),
     "generate-vocab-larger": (with_vocab(LARGE, "generate", "--checkpoint", "{dir}/small.ple", "--prompt",
                                          "compute y", "--vocab", "{dir}/other.vocab.txt"),
                               ["other.vocab.txt", "small.ple", "11", "9"]),
@@ -545,6 +549,9 @@ OPERATOR_ERRORS = {
                               ["other.vocab.txt", "invalid token"]),
     "eval-unknown-mode": (eval_with("thinking"), ["eval.jsonl:1", "mode", "'no_think', 'think'"]),
     "eval-mode-not-a-name": (eval_with(7), ["eval.jsonl:1", "mode", "'no_think', 'think'"]),
+    "eval-empty-file": (eval_with(None, records=0), ["eval.jsonl", "no prompts", "mode no_think"]),
+    "eval-mode-without-prompts": (eval_with("no_think", "--mode", "think"),
+                                  ["eval.jsonl", "no prompts", "mode think"]),
     "gradcheck-vocab-smaller": (with_vocab(["compute"], "gradcheck", "--seed", "2", "--probes", "8",
                                            "--checkpoint", "{dir}/other.ple", "--out", "{dir}/g"),
                                 ["other.vocab.txt", "other.ple", "7", "9"]),

@@ -20,7 +20,7 @@ from routelock.model import (
     segment_group,
 )
 from routelock.params import ParamVector, as_leaves
-from routelock.tensor import Tensor, _sigmoid
+from routelock.tensor import Tensor, _sigmoid, rotary_tables
 from routelock.tokenizer import CTRL_NOTHINK_ID, CTRL_THINK_ID, EOS_ID, Route
 
 from conftest import TINY_CFG, tiny_dense, tiny_model
@@ -36,6 +36,10 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         # head_dim 1 is odd, unusable for rotary mixing
         ModelConfig(vocab_size=10, d_model=2, n_layers=1, n_heads=2, d_ff=8, max_seq=8)
+    bad = [("rope_base", v) for v in (float("nan"), float("inf"), 0.0, -1.0, True, "10000")]
+    for field, value in bad + [("final_norm", "no"), ("final_norm", 1), ("d_ff", 8.0)]:
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig(**{**dict(vocab_size=10, d_model=8, n_layers=1, n_heads=2, d_ff=8, max_seq=8), field: value})
 
 
 def test_clone_experts_bitwise_equal(tiny):
@@ -198,12 +202,21 @@ def test_multi_row_prefill_rows_match_forward_bitwise(d_model):
 
 def test_position_table_slices_match_per_chunk_tables_bitwise():
     cfg = TINY_CFG
-    cos, sin, mask = _position_tables(cfg.max_seq, cfg.head_dim, cfg.rope_base)
-    for p in range(cfg.max_seq):
-        for n in (1, cfg.max_seq - p):
-            c, s = rope_tables(p, n, cfg.head_dim, cfg.rope_base)
-            assert np.array_equal(cos[p : p + n], c) and np.array_equal(sin[p : p + n], s)
-        assert np.array_equal(mask[: p + 1, : p + 1], causal_mask(p + 1))
+    # the tape's tables, and the decoder's for q|k side by side
+    for heads in (cfg.n_heads, 2 * cfg.n_heads):
+        cos, sin, mask = _position_tables(cfg.max_seq, cfg.head_dim, heads, cfg.rope_base)
+        assert cos.shape == sin.shape == (cfg.max_seq, heads * cfg.head_dim)
+        for p in range(cfg.max_seq):
+            for n in (1, cfg.max_seq - p):
+                c, s = rotary_tables(*rope_tables(p, n, cfg.head_dim, cfg.rope_base), heads)
+                assert np.array_equal(cos[p : p + n], c) and np.array_equal(sin[p : p + n], s)
+            assert np.array_equal(mask[: p + 1, : p + 1], causal_mask(p + 1))
+        # ragged rows gather per-row tables, each bitwise that row's own
+        pos0, n = [0, 3, 7], 4
+        at = np.add.outer(pos0, np.arange(n))
+        for r, p in enumerate(pos0):
+            c, s = rotary_tables(*rope_tables(p, n, cfg.head_dim, cfg.rope_base), heads)
+            assert np.array_equal(cos[at][r], c) and np.array_equal(sin[at][r], s)
 
 
 # --- generation -------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from routelock.model import DenseModel, ExpertCallRecorder, ModelParams, causal_mask, rope_tables
 from routelock.params import as_leaves, finite_diff_grad, sampled_cross_hessian_max
-from routelock.tensor import Tensor, attention, linear, no_grad, swiglu
+from routelock.tensor import Tensor, attention, linear, no_grad, rotary_tables, swiglu
 
 from test_acceptance import GRAD_CFG, full_loss_fn, grad_dataset
 
@@ -102,7 +102,7 @@ def test_cross_hessian_matches_per_point_stencil_bitwise():
 
 
 SEQ, WIDTH, HEADS = 5, 8, 2
-COS, SIN = rope_tables(0, SEQ, WIDTH // HEADS, 10000.0)
+COS, SIN = rotary_tables(*rope_tables(0, SEQ, WIDTH // HEADS, 10000.0), HEADS)
 
 
 def attend(q, k, v):

@@ -10,7 +10,7 @@ from routelock.tensor import (
     RMS_EPS,
     Tensor,
     _rms_scale,
-    _rope,
+    _rotate,
     _sigmoid,
     _softmax,
     add,
@@ -25,6 +25,7 @@ from routelock.tensor import (
     reshape,
     rms_norm,
     rope_rotate,
+    rotary_tables,
     silu,
     softmax,
     softmax_cross_entropy,
@@ -139,8 +140,11 @@ def test_rope_grad_vs_fd():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(2, 5, 4))
     ang = np.outer(np.arange(5), [1.0, 0.1])
-    cos, sin = np.cos(ang), np.sin(ang)
+    cos, sin = rotary_tables(np.cos(ang), np.sin(ang), 1)
     check_grads(lambda t: sum_all(mul(rope_rotate(t, cos, sin), rope_rotate(t, cos, sin))), x)
+    # two heads of width 2, each rotated by its own copy of one angle per position
+    cos, sin = rotary_tables(np.cos(ang[:, :1]), np.sin(ang[:, :1]), 2)
+    check_grads(lambda t: sum_all(mul(rope_rotate(t, cos, sin, 2), rope_rotate(t, cos, sin, 2))), x)
 
 
 def test_embedding_grad_rows():
@@ -213,7 +217,7 @@ def test_cross_entropy_grad_vs_fd():
 def test_gradient_oracle_many_seeds():
     # composite expression mixing every differentiable op, 20 seeds
     ang = np.outer(np.arange(3), [1.0, 0.37])
-    cos, sin = np.cos(ang), np.sin(ang)
+    cos, sin = rotary_tables(np.cos(ang), np.sin(ang), 1)
 
     def build(x, w, g):
         y = rms_norm(x, g)
@@ -305,10 +309,15 @@ def assert_bitwise_where_not_nan(a, b):
     assert a[~nan].tobytes() == b[~nan].tobytes()
 
 
-def explicit_rope_vjp(g, cos, sin):
-    half = g.shape[-1] // 2
-    g1, g2 = g[..., :half], g[..., half:]
-    return np.concatenate((g1 * cos + g2 * sin, -g1 * sin + g2 * cos), axis=-1)
+def explicit_rope(x, cos, sin, n_heads, inverse=False):
+    """The half-split rotation (x1 cos - x2 sin, x1 sin + x2 cos) of each head's feature halves
+    by one head's (..., T, hd/2) tables, or by -angle: (x1 cos + x2 sin, -x1 sin + x2 cos)."""
+    halves = x.reshape(x.shape[:-1] + (n_heads, 2, -1))
+    x1, x2 = halves[..., 0, :], halves[..., 1, :]
+    c, s = cos[..., None, :], sin[..., None, :]  # shared by every head
+    if inverse:
+        return np.stack((x1 * c + x2 * s, -x1 * s + x2 * c), axis=-2).reshape(x.shape)
+    return np.stack((x1 * c - x2 * s, x1 * s + x2 * c), axis=-2).reshape(x.shape)
 
 
 def explicit_softmax(x):
@@ -327,17 +336,33 @@ def explicit_cross_entropy_vjp(logits, targets, coeff, g):
     return grad * g
 
 
+# (input shape, heads, leading shape of the angle tables)
+ROPE_CASES = {
+    "one head": ((5, 4), 1, (5,)),
+    "one head, batched": ((2, 3, 6, 8), 1, (6,)),
+    "one position": ((3, 1, 2), 1, (1,)),
+    "pointed oracle": ((64, 2, 9, 8), 2, (9,)),  # K points x B examples x T x D at the C1 config
+    "demo training": ((25, 20, 64), 4, (20,)),
+    "decode step": ((1, 1, 128), 8, (1,)),  # one row's q|k side by side (2 x 4 heads), one new position
+    "ragged rows": ((3, 5, 32), 4, (3, 5)),  # per-row tables, as ragged decode chunks gather them
+}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_rope_vjp_kernel_matches_explicit_formula_bitwise():
+    # the unsplit kernel x * C + x[..., swap] * S against the half-split formula, forward and inverse
     rng = np.random.default_rng(21)
-    for shape in ((5, 4), (2, 3, 6, 8), (3, 1, 2)):
-        t, half = shape[-2], shape[-1] // 2
+    for shape, heads, lead in ROPE_CASES.values():
+        half = shape[-1] // heads // 2
         for draw in (rng.normal, lambda size: special_draws(rng, size)):
-            g, cos, sin = draw(size=shape), draw(size=(t, half)), draw(size=(t, half))
-            ref = explicit_rope_vjp(g, cos, sin)
-            assert_bitwise_where_not_nan(_rope(g, cos, -sin), ref)
-            a = Tensor(draw(size=shape), requires_grad=True)
-            assert_bitwise_where_not_nan(rope_rotate(a, cos, sin)._vjp(g)[0], ref)
+            x, g, cos, sin = draw(size=shape), draw(size=shape), draw(size=lead + (half,)), draw(size=lead + (half,))
+            c, s = rotary_tables(cos, sin, heads)
+            fwd, inv = explicit_rope(x, cos, sin, heads), explicit_rope(g, cos, sin, heads, inverse=True)
+            assert_bitwise_where_not_nan(_rotate(x, c, s, heads), fwd)
+            assert_bitwise_where_not_nan(_rotate(g, c, -s, heads), inv)
+            a = rope_rotate(Tensor(x, requires_grad=True), c, s, heads)
+            assert_bitwise_where_not_nan(a.data, fwd)
+            assert_bitwise_where_not_nan(a._vjp(g)[0], inv)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -408,7 +433,7 @@ def test_pointed_reshape_transpose_keep_point_axis_leading():
 def test_pointed_ops_match_per_point_bitwise():
     # every mix of pointed and unpointed operands, against one point at a time
     ang = np.outer(np.arange(3), [1.0, 0.37])
-    cos, sin = np.cos(ang), np.sin(ang)
+    cos, sin = rotary_tables(np.cos(ang), np.sin(ang), 1)
     ids = np.array([[1, 0, 3], [2, 2, 0]])
 
     def build(table, w, g):
@@ -455,14 +480,14 @@ def composed_attention(q, k, v, n_heads, cos, sin, mask):
         lead, (seq, d) = t.shape[:-2], t.shape[-2:]
         return swapped(reshape(t, lead + (seq, n_heads, d // n_heads)), -3, -2)
 
-    qh, kh, vh = rope_rotate(heads(q), cos, sin), rope_rotate(heads(k), cos, sin), heads(v)
+    qh, kh, vh = heads(rope_rotate(q, cos, sin, n_heads)), heads(rope_rotate(k, cos, sin, n_heads)), heads(v)
     scores = mul(matmul(qh, swapped(kh, -1, -2)), 1.0 / math.sqrt(q.shape[-1] // n_heads))
     ctx = swapped(matmul(softmax(add(scores, mask)), vh), -3, -2)
     return reshape(ctx, ctx.shape[:-2] + (q.shape[-1],))
 
 
 SEQ, WIDTH, HEADS = 4, 8, 2
-COS, SIN = rope_tables(0, SEQ, WIDTH // HEADS, 10000.0)
+COS, SIN = rotary_tables(*rope_tables(0, SEQ, WIDTH // HEADS, 10000.0), HEADS)
 
 
 def fused_cases(rng, lead):
