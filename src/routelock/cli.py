@@ -455,6 +455,9 @@ def cmd_eval(args) -> int:
                          if route in (None, mode)]
         if not prompts[name]:
             raise DataError(f"{args.dataset}: no prompts for mode {name}")
+        if all(len(ids) > model.config.max_seq for ids, _ in prompts[name]):
+            raise DataError(f"{args.dataset}: every mode {name} prompt exceeds the checkpoint's max_seq "
+                            f"{model.config.max_seq}")
 
     reports: dict[tuple[str, str], LeakageReport] = {}
     for name, mode_prompts in prompts.items():

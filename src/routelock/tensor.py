@@ -389,14 +389,13 @@ def rms_norm(a, gain) -> Tensor:
         raise ShapeError(f"rms_norm gain shape {gain.shape} does not match last dim of {a.shape}")
     d = a.shape[-1]
     s = _rms_scale(a.data)
-    normed = a.data / s
-    data = normed * _lift(gain.data, gain.pointed, a.ndim - a.pointed)
+    data = a.data / s * _lift(gain.data, gain.pointed, a.ndim - a.pointed)
 
     def vjp(g):
         t = g * gain.data
         dot = np.sum(t * a.data, axis=-1, keepdims=True)
         da = t / s - a.data * (dot / (d * s**3))
-        dgain = (g * normed).reshape(-1, d).sum(axis=0)
+        dgain = (g * (a.data / s)).reshape(-1, d).sum(axis=0)  # the forward's normed x, recomputed
         return da, dgain
 
     return _node(data, (a, gain), vjp, "rms_norm")
@@ -504,7 +503,9 @@ def swiglu(x, w_gate, w_up, w_down) -> Tensor:
     """The gated feed-forward (silu(x @ w_gate.T) * (x @ w_up.T)) @ w_down.T as one node.
 
     Weights are (f, d), (f, d) and (d, f). Forward and vjp run the arithmetic of the
-    composed ``linear``, ``silu`` and ``mul`` nodes, so both are bitwise theirs.
+    composed ``linear``, ``silu`` and ``mul`` nodes, so both are bitwise theirs. The vjp
+    keeps gate, up and the sigmoid s, and recomputes silu(gate) = gate * s and the hidden
+    product from them by the forward's own expressions, so it holds two fewer (..., f) arrays.
     """
     x, wg, wu, wd = (_coerce(t) for t in (x, w_gate, w_up, w_down))
     d = x.shape[-1]
@@ -518,17 +519,19 @@ def swiglu(x, w_gate, w_up, w_down) -> Tensor:
     gate = _linear(x.data, x.pointed, wg.data, wg.pointed)
     up = _linear(x.data, x.pointed, wu.data, wu.pointed)
     s = _sigmoid(gate)
-    act = gate * s
-    # gate and up share their non-point shape, so numpy aligns a pointed one with the other
-    hidden = act * up
+    # silu(gate) * up; gate and up share their non-point shape, so numpy aligns a pointed one with the other
+    hidden = gate * s * up
     data = _linear(hidden, x.pointed or wg.pointed or wu.pointed, wd.data, wd.pointed)
 
     def vjp(g):
+        # the hidden product's weight gradient comes first, so that the recomputed product is
+        # not held while the two stacked (..., d, f) weight gradients are formed
+        g_down = _weight_grad(gate * s * up, g)
         g_hidden = g @ wd.data
-        g_up = g_hidden * act
+        g_up = g_hidden * (gate * s)
         g_gate = (g_hidden * up) * (s * (1.0 + gate * (1.0 - s)))
         gx = g_gate @ wg.data + g_up @ wu.data
-        return gx, _weight_grad(x.data, g_gate), _weight_grad(x.data, g_up), _weight_grad(hidden, g)
+        return gx, _weight_grad(x.data, g_gate), _weight_grad(x.data, g_up), g_down
 
     return _node(data, (x, wg, wu, wd), vjp, "swiglu")
 
@@ -552,7 +555,9 @@ def attention(q, k, v, n_heads: int, cos: np.ndarray, sin: np.ndarray, mask: np.
     the softmax and its weighted sum of v. q, k and v share their non-point shape, so a
     pointed one broadcasts against the others as ``_pair`` would align it. Forward and vjp
     run the arithmetic of the composed ``rope_rotate``, head reshapes, ``matmul``, ``mul``,
-    ``add`` and ``softmax`` nodes, so both are bitwise theirs.
+    ``add`` and ``softmax`` nodes, so both are bitwise theirs. The vjp keeps the attention
+    weights and recomputes the rotated q and k heads from q and k, as the forward made them,
+    each only for the one product that needs it.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     shape = q.shape[q.pointed :]
@@ -561,18 +566,20 @@ def attention(q, k, v, n_heads: int, cos: np.ndarray, sin: np.ndarray, mask: np.
     if shape[-1] % n_heads != 0 or (shape[-1] // n_heads) % 2 != 0:
         raise ShapeError(f"attention width {shape[-1]} does not split into {n_heads} heads of even width")
     scale = 1.0 / math.sqrt(shape[-1] // n_heads)
-    qh = _split_heads(_rotate(q.data, cos, sin, n_heads), n_heads)
-    kh = _split_heads(_rotate(k.data, cos, sin, n_heads), n_heads)
+
+    def rotated_heads(t: Tensor) -> np.ndarray:
+        return _split_heads(_rotate(t.data, cos, sin, n_heads), n_heads)
+
     vh = _split_heads(v.data, n_heads)
-    p = _softmax((qh @ np.swapaxes(kh, -1, -2)) * scale + mask)
+    p = _softmax((rotated_heads(q) @ np.swapaxes(rotated_heads(k), -1, -2)) * scale + mask)
     data = _merge_heads(p @ vh)
 
     def vjp(g):
         g_ctx = _split_heads(g, n_heads)
         g_p = g_ctx @ np.swapaxes(vh, -1, -2)
         g_scores = (p * (g_p - np.sum(g_p * p, axis=-1, keepdims=True))) * scale
-        gq = _merge_heads(g_scores @ kh)
-        gk = _merge_heads(np.swapaxes(np.swapaxes(qh, -1, -2) @ g_scores, -1, -2))
+        gq = _merge_heads(g_scores @ rotated_heads(k))
+        gk = _merge_heads(np.swapaxes(np.swapaxes(rotated_heads(q), -1, -2) @ g_scores, -1, -2))
         gv = _merge_heads(np.swapaxes(p, -1, -2) @ g_ctx)
         return _rotate(gq, cos, -sin, n_heads), _rotate(gk, cos, -sin, n_heads), gv
 

@@ -476,6 +476,17 @@ def train_with(section="train", **fields):
     return build
 
 
+def train_on_line_2(line):
+    """train on a small dataset whose second line is ``line``."""
+    def build(tmp_path):
+        records = write_dataset(tmp_path / "data.jsonl")
+        (tmp_path / "data.jsonl").write_text(json.dumps(records[0]) + "\n" + line + "\n")
+        (tmp_path / "cfg.json").write_text(json.dumps(CFG))
+        return ["train", "--config", str(tmp_path / "cfg.json"), "--dataset", str(tmp_path / "data.jsonl"),
+                "--out", str(tmp_path / "o")]
+    return build
+
+
 def with_vocab(words, *argv):
     """A command on small.ple, given a vocabulary file ``other.vocab.txt``: the specials, then ``words``."""
     def build(tmp_path):
@@ -495,10 +506,10 @@ def generate_with(*flags, config=None):
     return build
 
 
-def eval_with(mode, *flags, records=1):
-    """eval on small.ple over ``records`` records whose "mode" is ``mode``."""
+def eval_with(mode, *flags, records=1, prompt="compute"):
+    """eval on small.ple over ``records`` records of ``prompt`` whose "mode" is ``mode``."""
     def build(tmp_path):
-        record = json.dumps({"prompt": "compute", "answer": "1", "mode": mode}) + "\n"
+        record = json.dumps({"prompt": prompt, "answer": "1", "mode": mode}) + "\n"
         (tmp_path / "eval.jsonl").write_text(record * records)
         return ["eval", "--checkpoint", str(tmp_path / "small.ple"), "--dataset", str(tmp_path / "eval.jsonl"),
                 "--seed", "5", "--max-new", "2", "--out", str(tmp_path / "ev"), *flags]
@@ -529,6 +540,9 @@ OPERATOR_ERRORS = {
     "train-rope-base-nan": (train_with("model", rope_base=float("nan")), ["rope_base", "nan"]),
     "train-rope-base-inf": (train_with("model", rope_base=float("inf")), ["rope_base", "inf"]),
     "train-final-norm-string": (train_with("model", final_norm="no"), ["final_norm", "'no'"]),
+    "train-record-a-json-array": (train_on_line_2('["compute", "answer: 1"]'), ["data.jsonl:2", "JSON object"]),
+    "train-record-without-target": (train_on_line_2('{"prompt": "compute 1", "mode": "think"}'),
+                                    ["data.jsonl:2", "'target'"]),
     "generate-vocab-larger": (with_vocab(LARGE, "generate", "--checkpoint", "{dir}/small.ple", "--prompt",
                                          "compute y", "--vocab", "{dir}/other.vocab.txt"),
                               ["other.vocab.txt", "small.ple", "11", "9"]),
@@ -552,6 +566,9 @@ OPERATOR_ERRORS = {
     "eval-empty-file": (eval_with(None, records=0), ["eval.jsonl", "no prompts", "mode no_think"]),
     "eval-mode-without-prompts": (eval_with("no_think", "--mode", "think"),
                                   ["eval.jsonl", "no prompts", "mode think"]),
+    # BOS, 18 words and the mode's control token: 20 tokens on a max_seq 16 checkpoint
+    "eval-every-prompt-too-long": (eval_with(None, prompt=" ".join(["compute"] * 18)),
+                                   ["eval.jsonl", "mode no_think", "max_seq 16"]),
     "gradcheck-vocab-smaller": (with_vocab(["compute"], "gradcheck", "--seed", "2", "--probes", "8",
                                            "--checkpoint", "{dir}/other.ple", "--out", "{dir}/g"),
                                 ["other.vocab.txt", "other.ple", "7", "9"]),

@@ -490,16 +490,29 @@ SEQ, WIDTH, HEADS = 4, 8, 2
 COS, SIN = rotary_tables(*rope_tables(0, SEQ, WIDTH // HEADS, 10000.0), HEADS)
 
 
-def fused_cases(rng, lead):
-    """(name, fused op, composed op, input arrays) for inputs with leading shape ``lead``."""
-    def attn(fn):
-        return lambda q, k, v: fn(q, k, v, HEADS, COS, SIN, causal_mask(SEQ))
+def fused_cases(rng, lead, width=None):
+    """(name, fused op, composed op, input arrays) for inputs with leading shape ``lead``.
 
-    qkv = [rng.normal(size=lead + (SEQ, WIDTH)) for _ in range(3)]
+    Without ``width`` every op gets small trailing axes; with it, ``lead`` is a (batch, positions)
+    shape over ``width`` features, as in the demo model: 4 heads, d_ff twice the width.
+    """
+    if width is None:
+        seq, d, f, heads, cos, sin = SEQ, 3, (4, 6), HEADS, COS, SIN
+        x_shape, qkv_shape = lead + (5, d), lead + (SEQ, WIDTH)
+    else:
+        seq, d, f, heads = lead[-1], width, (width, 2 * width), 4
+        cos, sin = rotary_tables(*rope_tables(0, seq, width // heads, 10000.0), heads)
+        x_shape = qkv_shape = lead + (width,)
+
+    def attn(fn):
+        return lambda q, k, v: fn(q, k, v, heads, cos, sin, causal_mask(seq))
+
+    qkv = [rng.normal(size=qkv_shape) for _ in range(3)]
     return [
-        ("linear", linear, composed_linear, [rng.normal(size=lead + (5, 3)), rng.normal(size=(4, 3))]),
+        ("linear", linear, composed_linear, [rng.normal(size=x_shape), rng.normal(size=(f[0], d))]),
         ("swiglu", swiglu, composed_swiglu,
-         [rng.normal(size=lead + (5, 3)), rng.normal(size=(6, 3)), rng.normal(size=(6, 3)), rng.normal(size=(3, 6))]),
+         [rng.normal(size=x_shape), rng.normal(size=(f[1], d)), rng.normal(size=(f[1], d)),
+          rng.normal(size=(d, f[1]))]),
         ("attention", attn(attention), attn(composed_attention), qkv),
     ]
 
@@ -511,10 +524,12 @@ def test_fused_ops_grad_vs_fd(lead):
         check_grads(lambda *t: sum_all(mul(fused(*t), fused(*t))), *arrays)
 
 
-@pytest.mark.parametrize("lead", [(), (2,), (3, 2)])
-def test_fused_ops_forward_and_grads_bitwise_equal_composed(lead):
+# "demo" is a demo training batch: 25 sequences of 21 positions over width 64
+@pytest.mark.parametrize("lead, width", [((), None), ((2,), None), ((3, 2), None), ((25, 21), 64)],
+                         ids=["lead0", "lead1", "lead2", "demo"])
+def test_fused_ops_forward_and_grads_bitwise_equal_composed(lead, width):
     rng = np.random.default_rng(32)
-    for name, fused, composed, arrays in fused_cases(rng, lead):
+    for name, fused, composed, arrays in fused_cases(rng, lead, width):
         cot = None
         grads = []
         for op in (fused, composed):

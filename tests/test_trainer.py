@@ -385,22 +385,52 @@ def test_loss_mask_covers_target_only():
     assert e.loss_mask == (False, False, False, True, True, True)
 
 
-def test_demo_training_forward_has_at_most_25_tape_nodes():
+def demo_training_tape(route: Route) -> tuple[dict, tuple[int, ...]]:
+    """The non-leaf nodes of a demo-size training forward's tape, walked from the loss of its
+    first batch of 25 ``route`` examples, and that batch's (B, T) input shape."""
     data, vocab = generate_synth_dataset(SynthTaskSpec(modulus=10, n_problems=40, seed=7))
     cfg = ModelConfig(vocab_size=len(vocab), d_model=64, n_layers=2, n_heads=4, d_ff=128, max_seq=32)
     model = ModelParams.init_random(cfg, seed=7)
-    d0, _ = split_by_mode(data)
+    examples = split_by_mode(data)[int(route)]
     leaves = as_leaves(model.params, requires_grad=True)
-    loss = batch_loss_fn(model, Route.NO_THINK, "example_mean")(leaves, make_batch(d0[:25]))
+    batch = make_batch(examples[:25])
+    loss = batch_loss_fn(model, route, "example_mean")(leaves, batch)
     nodes, stack = {}, [loss]
     while stack:
         node = stack.pop()
         if node.op != "leaf" and id(node) not in nodes:
             nodes[id(node)] = node
             stack.extend(node._parents)
+    return nodes, batch["inputs"].shape
+
+
+def test_demo_training_forward_has_at_most_25_tape_nodes():
+    nodes, _ = demo_training_tape(Route.NO_THINK)
     # embedding; per layer: rms_norm, q/k/v/o linear, attention, add, rms_norm, swiglu, add;
     # final rms_norm, lm_head linear, cross-entropy
     assert len(nodes) <= 25, sorted(n.op for n in nodes.values())
+
+
+def test_demo_training_tape_holds_at_most_11_mib():
+    # each vjp keeps only what it cannot cheaply recompute (9.6 MiB); also keeping silu(gate), the
+    # hidden product, the normed x and the rotated q/k heads would hold 13.9 MiB
+    nodes, shape = demo_training_tape(Route.THINK)
+    assert shape == (25, 21)
+    buffers: dict[int, int] = {}
+
+    def hold(value):
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            buffers[id(value)] = value.nbytes
+        elif callable(value):  # a closure's helper closure holds arrays too
+            for cell in getattr(value, "__closure__", None) or ():
+                hold(cell.cell_contents)
+
+    for node in nodes.values():
+        hold(node.data)
+        hold(node._vjp)
+    assert sum(buffers.values()) <= 11 * 2**20, sum(buffers.values()) / 2**20
 
 
 @pytest.mark.parametrize(
