@@ -17,7 +17,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, fields as dataclass_fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -100,13 +100,10 @@ def _section(config: dict, section: str) -> dict:
 
 
 def _from_config(cls, section: str, fields: dict):
-    """``cls(**fields)``; a missing, unknown or ill-typed field is a ConfigError."""
-    for f in dataclass_fields(cls):
-        if f.type in (int, "int") and f.name in fields and type(fields[f.name]) is not int:
-            raise ConfigError(f"config section \"{section}\": {f.name} must be an integer, got {fields[f.name]!r}")
+    """``cls(**fields)``; a missing, unknown or invalid field is a ConfigError naming ``section``."""
     try:
         return cls(**fields)
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"config section \"{section}\": {exc}") from exc
 
 
@@ -221,20 +218,13 @@ def cmd_generate(args) -> int:
     model = load_checkpoint(args.checkpoint)
     vocab = _load_vocab(args.checkpoint, model, args.vocab)
     prompt_ids = encode_prompt(args.prompt, vocab)
-    sampler = "temperature" if args.temp is not None else "greedy"
-    completion, route = generate(
-        model,
-        prompt_ids,
-        max_new=args.max_new,
-        sampler=sampler,
-        temperature=args.temp if args.temp is not None else 1.0,
-        seed=args.seed,
-    )
+    completion, route = generate(model, prompt_ids, max_new=args.max_new, temperature=args.temp, seed=args.seed)
     if UNK_ID in prompt_ids:
         unknown = [tok for tok in args.prompt.split() if tok not in vocab]
         print(f"warning: unknown tokens mapped to <unk>: {unknown}", file=sys.stderr)
     print(
-        f"resolved: checkpoint={args.checkpoint} sampler={sampler} max_new={args.max_new} seed={args.seed}",
+        f"resolved: checkpoint={args.checkpoint} sampler={'greedy' if args.temp is None else 'temperature'} "
+        f"max_new={args.max_new} seed={args.seed}",
         file=sys.stderr,
     )
     print(decode(completion, vocab))
@@ -438,7 +428,10 @@ def _load_baseline(path) -> dict[tuple[str, str], LeakageReport]:
         for field, value in asdict(rep).items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise DataError(f"{path}: report {key!r}: {field} must be a number, got {value!r}")
-        base[("baseline", key.split("/")[-1])] = rep
+        mode = key.split("/")[-1]
+        if mode not in MODE_NAMES:
+            raise DataError(f"{path}: report {key!r} names mode {mode!r}, not one of {', '.join(MODE_NAMES)}")
+        base[("baseline", mode)] = rep
     return base
 
 
@@ -477,7 +470,7 @@ def cmd_eval(args) -> int:
         + "\n"
     )
     if base:
-        csv_delta, table = leakage_delta_table({**reports, **base}, next(iter(base)))
+        csv_delta, table = leakage_delta_table({**reports, **base}, "baseline")
         (out / "leakage_delta.csv").write_text(csv_delta)
         print(table)
     _write_config(args)

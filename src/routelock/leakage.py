@@ -109,11 +109,11 @@ def evaluate(
     vocab: Vocabulary,
     lexicon: ReflectiveLexicon | None = None,
     max_new: int = 32,
-    sampler: str = "greedy",
-    temperature: float = 1.0,
+    temperature: float | None = None,
     seed: int | None = None,
 ) -> LeakageReport:
-    """Generate per prompt and score the completions with ``score_completions``.
+    """Generate per prompt (greedy for ``temperature`` None) and score the completions with
+    ``score_completions``.
 
     Prompts are decoded ``EVAL_BATCH`` at a time by ``generate_batch``. Prompts
     longer than the model's capacity are skipped with a warning on stderr and
@@ -128,7 +128,7 @@ def evaluate(
     scored = []
     for a in range(0, len(kept), EVAL_BATCH):
         batch = kept[a : a + EVAL_BATCH]
-        rows = generate_batch(model, [p for p, _ in batch], max_new, sampler, temperature, seed)
+        rows = generate_batch(model, [p for p, _ in batch], max_new, temperature, seed)
         scored += [(completion, gold) for (completion, _), (_, gold) in zip(rows, batch)]
     return score_completions(scored, mode, vocab, lexicon, n_skipped=len(prompts_with_gold) - len(kept))
 
@@ -194,26 +194,27 @@ def reports_to_csv(reports: dict[tuple[str, str], LeakageReport]) -> str:
     return _csv_text(REPORT_COLUMNS, (_report_cells(key, rep) for key, rep in reports.items()))
 
 
-def leakage_delta_table(
-    reports: dict[tuple[str, str], LeakageReport], baseline: tuple[str, str]
-) -> tuple[str, str]:
-    """Per-metric deltas against a designated baseline report.
+def leakage_delta_table(reports: dict[tuple[str, str], LeakageReport], baseline: str) -> tuple[str, str]:
+    """Per-metric deltas of each report against model ``baseline``'s report of the same mode.
 
-    Returns (csv_text, aligned_text). Raises if the baseline key is missing.
+    Returns (csv_text, aligned_text); a row whose mode has no baseline report gets empty
+    delta cells. Raises if no report belongs to ``baseline``.
     """
-    if baseline not in reports:
+    base = {mode_name: rep for (model_name, mode_name), rep in reports.items() if model_name == baseline}
+    if not base:
         raise ValueError(f"baseline {baseline!r} not among reports")
-    base = reports[baseline]
     rows = []
     lines = [
         f"{'model':<16}{'mode':<10}{'acc':>8}{'len':>9}{'refl':>8}{'d_acc':>9}{'d_len':>9}{'d_refl':>9}"
     ]
     for (model_name, mode_name), rep in reports.items():
-        deltas = [getattr(rep, m) - getattr(base, m) for m in METRICS]
-        rows.append(_report_cells((model_name, mode_name), rep) + [f"{d:+.6g}" for d in deltas])
-        da, dl, dr = deltas
+        cells, text = [""] * len(METRICS), ""
+        if mode_name in base:
+            da, dl, dr = deltas = [getattr(rep, m) - getattr(base[mode_name], m) for m in METRICS]
+            cells, text = [f"{d:+.6g}" for d in deltas], f"{da:>+9.3f}{dl:>+9.2f}{dr:>+9.2f}"
+        rows.append(_report_cells((model_name, mode_name), rep) + cells)
         lines.append(
             f"{model_name:<16}{mode_name:<10}{rep.accuracy:>8.3f}{rep.mean_length:>9.2f}"
-            f"{rep.refl_per_answer:>8.2f}{da:>+9.3f}{dl:>+9.2f}{dr:>+9.2f}"
+            f"{rep.refl_per_answer:>8.2f}{text}"
         )
     return _csv_text(REPORT_COLUMNS + tuple(f"d_{m}" for m in METRICS), rows), "\n".join(lines)

@@ -18,6 +18,7 @@ Expert segments form the beta0/beta1 partitions; everything else is alpha.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -221,8 +222,8 @@ class ExpertCallRecorder:
     """Context manager logging (layer, route, positions) per expert application.
 
     A forward over K parameter points logs the positions of all K points. A
-    batched generation chunk logs (layer, route, rows x n) once per route
-    group, so totals per route equal the sums over one-prompt calls.
+    batched generation chunk runs one expert and logs (layer, route, rows x n)
+    once, so totals per route equal the sums over one-prompt calls.
     """
 
     def __init__(self):
@@ -278,21 +279,6 @@ def _position_tables(max_seq: int, head_dim: int, n_heads: int, base: float) -> 
     return tables
 
 
-def attn_sublayer(
-    cfg: ModelConfig,
-    leaves: Mapping[str, Tensor],
-    layer: int,
-    x: Tensor,
-    cos: np.ndarray,
-    sin: np.ndarray,
-    mask: np.ndarray,
-) -> Tensor:
-    h = rms_norm(x, leaves[f"layer{layer}.ln1"])
-    q, k, v = (linear(h, leaves[f"layer{layer}.{w}"]) for w in ("wq", "wk", "wv"))
-    ctx = attention(q, k, v, cfg.n_heads, cos, sin, mask)
-    return add(x, linear(ctx, leaves[f"layer{layer}.wo"]))
-
-
 def _positions(h: Tensor, points: int) -> int:
     """Positions an expert runs on, counted for each of ``points`` parameter points.
 
@@ -340,7 +326,9 @@ def decoder_logits(
     cos, sin, mask = cos[:seq], sin[:seq], mask[:seq, :seq]
     x = embedding(leaves["embed"], ids)
     for layer in range(cfg.n_layers):
-        x = attn_sublayer(cfg, leaves, layer, x, cos, sin, mask)
+        h = rms_norm(x, leaves[f"layer{layer}.ln1"])
+        q, k, v = (linear(h, leaves[f"layer{layer}.{w}"]) for w in ("wq", "wk", "wv"))
+        x = add(x, linear(attention(q, k, v, cfg.n_heads, cos, sin, mask), leaves[f"layer{layer}.wo"]))
         x = add(x, mlp_apply(layer, rms_norm(x, leaves[f"layer{layer}.ln2"])))
     if cfg.final_norm:
         x = rms_norm(x, leaves["final_norm"])
@@ -397,13 +385,13 @@ def _swiglu_np(pv: ParamVector, layer: int, expert: int | None, h: np.ndarray) -
 def _np_chunk(
     model: ModelParams | DenseModel,
     ids: np.ndarray,
-    experts: Sequence[int | None],
+    expert: int | None,
     cache: _KVCache,
     pos0: Sequence[int],
     row0: int = 0,
 ) -> np.ndarray:
-    """Logits (R, n, V) for ids (R, n): ``decoder_logits`` on plain arrays, row r at positions
-    pos0[r] .. pos0[r]+n-1 (a prefix from 0, or one token) in cache row row0+r, on MLP experts[r].
+    """Logits (R, n, V) for ids (R, n): ``decoder_logits`` on plain arrays with MLP ``expert``, row r
+    at positions pos0[r] .. pos0[r]+n-1 (a prefix from 0, or one token) in cache row row0+r.
 
     Every op acts per element, reduces a row's own last axis, or is a stacked matmul (one
     BLAS call per row), so each row is bitwise a one-row call, and the tape. Rows at equal
@@ -420,10 +408,6 @@ def _np_chunk(
         cos, sin = cache.cos[at], cache.sin[at]
     else:
         cos, sin = cache.cos[pos0[0] : pos0[0] + n], cache.sin[pos0[0] : pos0[0] + n]
-    if len(set(experts)) == 1:
-        groups = [(experts[0], slice(None))]
-    else:
-        groups = [(e, np.flatnonzero(np.asarray(experts) == e)) for e in sorted(set(experts))]
     kc, vc = cache.k[:, row0 : row0 + rows], cache.v[:, row0 : row0 + rows]
     mask = cache.mask[:n, :n] if n > 1 else None
     x = pv["embed"][ids]
@@ -443,36 +427,28 @@ def _np_chunk(
             ctx.append(_softmax(scores) @ vc[layer, a:b, :, : p + n])
         ctx = np.concatenate(ctx) if cuts else ctx[0]
         x = x + _merge_heads(ctx) @ pv[f"layer{layer}.wo"].T
-        h = x / _rms_scale(x) * pv[f"layer{layer}.ln2"]
-        if len(groups) == 1:
-            x = x + _swiglu_np(pv, layer, groups[0][0], h)
-        else:
-            y = np.empty_like(x)
-            for e, sel in groups:
-                y[sel] = _swiglu_np(pv, layer, e, h[sel])
-            x = x + y
+        x = x + _swiglu_np(pv, layer, expert, x / _rms_scale(x) * pv[f"layer{layer}.ln2"])
     if cfg.final_norm:
         x = x / _rms_scale(x) * pv["final_norm"]
     return x @ pv["lm_head"].T
 
 
 def _feed(model, rows: list[list[int]], experts: list, cache: _KVCache, fed: list[int]) -> np.ndarray:
-    """Last-position logits (R, V) of rows sorted by length whose first fed[r] tokens are
-    in the cache: one chunk per run of rows with equal unfed lengths."""
+    """Last-position logits (R, V) of rows sorted by (expert, length) whose first fed[r] tokens
+    are in the cache: one chunk per run of rows with equal expert and unfed length."""
     out, a = [], 0
-    while a < len(rows):
-        n, b = len(rows[a]) - fed[a], a + 1
-        while b < len(rows) and len(rows[b]) - fed[b] == n:
-            b += 1
+    for (expert, n), run in itertools.groupby(range(len(rows)), lambda r: (experts[r], len(rows[r]) - fed[r])):
+        b = a + len(list(run))
         ids = np.asarray([t for row in rows[a:b] for t in row[-n:]], np.int64).reshape(b - a, n)
-        out.append(_np_chunk(model, ids, experts[a:b], cache, fed[a:b], a)[:, -1])
+        out.append(_np_chunk(model, ids, expert, cache, fed[a:b], a)[:, -1])
         a = b
     return out[0] if len(out) == 1 else np.concatenate(out)
 
 
-def _sample(logits: np.ndarray, sampler: str, temperature: float, rngs) -> list[int]:
-    """One token per row of logits (R, V); temperature sampling draws row r from ``rngs[r]``."""
-    if sampler == "greedy":
+def _sample(logits: np.ndarray, temperature: float | None, rngs) -> list[int]:
+    """One token per row of logits (R, V): the argmax for ``temperature`` None, else a draw
+    from row r's softmax of logits / temperature with ``rngs[r]``."""
+    if temperature is None:
         return logits.argmax(axis=-1).tolist()
     return [int(rng.choice(row.size, p=_softmax(row / temperature))) for row, rng in zip(logits, rngs)]
 
@@ -491,35 +467,34 @@ def generate_batch(
     model: ModelParams | DenseModel,
     prompts: Sequence[Sequence[int]],
     max_new: int,
-    sampler: str = "greedy",
-    temperature: float = 1.0,
+    temperature: float | None = None,
     seed: int | None = None,
     use_cache: bool = True,
 ) -> list[tuple[list[int], Route]]:
     """One (completion, route) per prompt, each bitwise what ``generate`` gives it alone.
 
-    Rows run in order of prompt length, each on the route its own prompt locks, and leave
-    the batch at EOS (not returned), after ``max_new`` tokens or at max_seq. Each row samples
-    from its own ``default_rng(seed)``; without the cache, live rows recompute from position 0.
+    Rows run in order of (expert, prompt length), each on the route its own prompt locks, and
+    leave the batch at EOS (not returned), after ``max_new`` tokens or at max_seq. Decoding is
+    greedy for ``temperature`` None; otherwise each row samples from its own
+    ``default_rng(seed)``. Without the cache, live rows recompute from position 0.
     """
     cfg = model.config
     seqs = [check_prompt(cfg, p) for p in prompts]
     if max_new < 0:
         raise ValueError("max_new must be >= 0")
-    if sampler not in ("greedy", "temperature"):
-        raise ValueError(f"unknown sampler {sampler!r}")
-    if sampler == "temperature" and seed is None:
+    if temperature is not None and seed is None:
         raise ValueError("temperature sampling requires a seed")
-    if not temperature > 0:
+    if temperature is not None and not temperature > 0:
         raise ValueError(f"temperature must be > 0, got {temperature!r}")
     routes = [resolve_route(p) for p in seqs]
+    experts = [model.expert_index(r) for r in routes]
     starts = [len(p) for p in seqs]
-    # live rows by length: tokens (aliasing seqs), expert, rng, prompt length, tokens in the cache
-    order = sorted(range(len(seqs)), key=starts.__getitem__) if max_new else []
+    # live rows by (expert, length): tokens (aliasing seqs), expert, rng, prompt length, tokens in the cache
+    order = sorted(range(len(seqs)), key=lambda i: (experts[i], starts[i])) if max_new else []
     live = [
         [seqs[i] for i in order],
-        [model.expert_index(routes[i]) for i in order],
-        [np.random.default_rng(seed) if sampler == "temperature" else None for _ in order],
+        [experts[i] for i in order],
+        [None if temperature is None else np.random.default_rng(seed) for _ in order],
         [starts[i] for i in order],
         [0] * len(order),
     ]
@@ -527,7 +502,7 @@ def generate_batch(
     while live[0]:
         rows, experts, rngs, start, fed = live
         keep = []
-        for j, t in enumerate(_sample(_feed(model, rows, experts, cache, fed), sampler, temperature, rngs)):
+        for j, t in enumerate(_sample(_feed(model, rows, experts, cache, fed), temperature, rngs)):
             fed[j] = len(rows[j]) if use_cache else 0
             if t != EOS_ID:
                 rows[j].append(t)
@@ -535,7 +510,7 @@ def generate_batch(
                     keep.append(j)
         if len(keep) < len(rows):
             if use_cache and keep:
-                cache.keep(keep, fed[keep[-1]])
+                cache.keep(keep, max(fed[j] for j in keep))
             live = [[col[j] for j in keep] for col in live]
     return [(seq[n:], route) for seq, n, route in zip(seqs, starts, routes)]
 
@@ -544,11 +519,10 @@ def generate(
     model: ModelParams | DenseModel,
     prompt_ids: Sequence[int],
     max_new: int,
-    sampler: str = "greedy",
-    temperature: float = 1.0,
+    temperature: float | None = None,
     seed: int | None = None,
     use_cache: bool = True,
 ) -> tuple[list[int], Route]:
     """Autoregressive decoding with the route resolved once and locked: the
     one-row ``generate_batch``. Returns (completion ids, route used)."""
-    return generate_batch(model, [prompt_ids], max_new, sampler, temperature, seed, use_cache)[0]
+    return generate_batch(model, [prompt_ids], max_new, temperature, seed, use_cache)[0]

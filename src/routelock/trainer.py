@@ -1,12 +1,13 @@
 """Routing-conditioned supervised fine-tuning.
 
 Batches are mode-pure (the decoder takes a single route per forward
-pass) and the schedule strictly alternates no-think/think batches while
-both pools have work left, which makes the paired-step divergence
-identity well defined: under plain SGD the expert gap beta1 - beta0
-equals minus the learning rate times the cumulative difference of the
-per-step mode gradients, exactly. Momentum is available for convergence
-speed but breaks that identity, so the log only asserts it for plain SGD.
+pass) and the schedule alternates no-think/think batches while both
+pools have work left. Each step moves only its mode's expert, which makes
+the divergence identity exact: under plain SGD the expert gap
+beta1 - beta0 equals minus the learning rate times the sum, over every
+step so far, of the think steps' expert gradients minus the no-think
+steps' ones. Momentum is available for convergence speed but breaks that
+identity, so the log only sums it for plain SGD.
 
 Loss is per-token mean within an example and example-mean within a
 batch by default; ``token_sum`` is exposed for the length-asymmetry
@@ -241,18 +242,18 @@ class StepRecord:
 
 @dataclass
 class TrajectoryLog:
-    """Per-step training records plus the running sum of paired gradient differences.
+    """Per-step training records plus the running sum of signed expert gradients.
 
     ``cum_grad_diff`` maps expert-local segment suffixes (e.g.
-    ``layer0.w_gate``) to the running sum of (think - no-think) batch
-    gradients over completed alternating pairs. Under plain SGD,
-    beta1 - beta0 equals -learning_rate times that sum.
+    ``layer0.w_gate``) to the running sum of the active expert's batch
+    gradient, added on think steps and subtracted on no-think steps, over
+    every plain-SGD step. Trained from a clone (gap 0) under plain SGD,
+    beta1 - beta0 equals -learning_rate times that sum after every step.
     """
 
     learning_rate: float
     records: list[StepRecord] = field(default_factory=list)
     cum_grad_diff: dict[str, np.ndarray] = field(default_factory=dict)
-    paired_steps: int = 0
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -309,7 +310,8 @@ def train(
     no-think/think batches; leftover batches of the larger pool follow.
     Each step logs the norm of the active expert's gradient (of every
     gradient for the dense model, which has no experts); under plain SGD
-    a routed model also sums the paired think - no-think expert gradients.
+    a routed model also adds the step's expert gradient to the log's sum,
+    with sign + on think steps and - on no-think steps.
     """
     validate_dataset(dataset)
     if not dataset:
@@ -319,7 +321,6 @@ def train(
     velocity = params.zeros_like() if cfg.optimizer == "sgd_momentum" else None
     pools = split_by_mode(dataset)
     rngs = [np.random.default_rng([cfg.seed, m]) for m in (0, 1)]
-    pending_g0: dict[str, np.ndarray] | None = None
     for epoch in range(cfg.epochs):
         chunks = []
         for pool, rng in zip(pools, rngs):
@@ -336,15 +337,9 @@ def train(
             expert = model.expert_index(route)
             active = dict(grads.items()) if expert is None else _expert_slice(grads, expert)
             if cfg.optimizer == "sgd" and expert is not None:
-                if route is Route.NO_THINK:
-                    pending_g0 = active
-                elif pending_g0 is not None:
-                    for suffix, g1 in active.items():
-                        diff = g1 - pending_g0[suffix]
-                        total = log.cum_grad_diff.get(suffix)
-                        log.cum_grad_diff[suffix] = diff if total is None else total + diff
-                    log.paired_steps += 1
-                    pending_g0 = None
+                sign = 1.0 if route is Route.THINK else -1.0
+                for suffix, g in active.items():
+                    log.cum_grad_diff[suffix] = log.cum_grad_diff.get(suffix, 0.0) + sign * g
 
             if cfg.update_segments == "experts_only":
                 grads = ParamVector(

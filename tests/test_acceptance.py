@@ -183,12 +183,12 @@ def test_c06_specialization_trajectory():
     ]
     cfg = TrainConfig(learning_rate=0.05, epochs=10, batch_size=1, seed=5)
     trained, log = train(model, d0 + d1, cfg)
-    assert log.paired_steps == 50
+    assert [r.mode for r in log.records] == [0, 1] * 50
     gap = expert_gap(trained.params)
     predicted = log.predicted_expert_gap()
     worst = max(float(np.max(np.abs(gap[s] - predicted[s]))) for s in gap)
     assert worst <= 1e-10
-    report("C6 specialization-trajectory", f"50 paired steps, max coord error {worst:.2e} <= 1e-10")
+    report("C6 specialization-trajectory", f"100 alternating steps, max coord error {worst:.2e} <= 1e-10")
 
 
 def test_c07_quadratic_closed_forms():

@@ -350,6 +350,24 @@ def test_eval_baseline_rows_do_not_replace_current_rows(trained, capsys):
         assert float(rows[("baseline", mode)][3]) == 99.0
 
 
+def test_eval_baseline_deltas_compare_like_modes(tmp_path):
+    small_checkpoint(tmp_path / "small.ple")
+    (tmp_path / "eval.jsonl").write_text(json.dumps({"prompt": "compute", "answer": "1"}) + "\n")
+    base = {f"model/{m}": {"mode": i, "accuracy": 0.0, "mean_length": length, "refl_per_answer": 0.0}
+            for i, (m, length) in enumerate((("no_think", 1.0), ("think", 50.0)))}
+    (tmp_path / "base.json").write_text(json.dumps(base))
+    rc = main(["eval", "--checkpoint", str(tmp_path / "small.ple"), "--dataset", str(tmp_path / "eval.jsonl"),
+               "--seed", "5", "--max-new", "4", "--out", str(tmp_path / "ev"),
+               "--baseline", str(tmp_path / "base.json")])
+    assert rc == 0
+    current = json.loads((tmp_path / "ev" / "leakage_report.json").read_text())
+    rows = {(r[0], r[1]): r for r in (line.split(",") for line in
+                                      (tmp_path / "ev" / "leakage_delta.csv").read_text().splitlines()[1:])}
+    for mode, base_length in (("no_think", 1.0), ("think", 50.0)):
+        length = current[f"model/{mode}"]["mean_length"]
+        assert float(rows[("model", mode)][6]) == pytest.approx(length - base_length, abs=1e-4)
+
+
 def test_gradcheck_checkpoint_uses_checkpoint_vocabulary(tmp_path):
     vocab = Vocabulary(["compute", "plus", "mod"])
     cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_layers=2, n_heads=2, d_ff=12, max_seq=32)
@@ -426,6 +444,8 @@ def test_generate_truncated_checkpoint_is_one_error_line(tmp_path, capsys):
                           "colour": "red"}}, "colour"),
         ({"model/think": {"mode": 1, "accuracy": "high", "mean_length": 2.0, "refl_per_answer": 0.0}},
          "accuracy"),
+        ({"model/thinking": {"mode": 1, "accuracy": 0.5, "mean_length": 2.0, "refl_per_answer": 0.0}},
+         "'thinking'"),
     ],
 )
 def test_eval_bad_baseline_is_one_error_line(tmp_path, capsys, baseline, word):
@@ -487,12 +507,26 @@ def train_on_line_2(line):
     return build
 
 
-def with_vocab(words, *argv):
-    """A command on small.ple, given a vocabulary file ``other.vocab.txt``: the specials, then ``words``."""
+def with_file(name, text, *argv):
+    """A command given a file ``{dir}/name`` holding ``text`` and a one-record ``{dir}/eval.jsonl``."""
     def build(tmp_path):
-        (tmp_path / "other.vocab.txt").write_text("".join(t + "\n" for t in (*SPECIAL_TOKENS, *words)))
+        (tmp_path / name).write_text(text)
         (tmp_path / "eval.jsonl").write_text(json.dumps({"prompt": "compute", "answer": "1"}) + "\n")
         return [a.replace("{dir}", str(tmp_path)) for a in argv]
+    return build
+
+
+def with_vocab(words, *argv):
+    """A command on small.ple, given a vocabulary file ``other.vocab.txt``: the specials, then ``words``."""
+    return with_file("other.vocab.txt", "".join(t + "\n" for t in (*SPECIAL_TOKENS, *words)), *argv)
+
+
+def generate_on_edited_checkpoint(edit):
+    """generate from small.ple after replacing its bytes ``b`` with ``edit(b)``."""
+    def build(tmp_path):
+        ckpt = tmp_path / "small.ple"
+        ckpt.write_bytes(edit(ckpt.read_bytes()))
+        return ["generate", "--checkpoint", str(ckpt), "--prompt", "compute"]
     return build
 
 
@@ -506,20 +540,21 @@ def generate_with(*flags, config=None):
     return build
 
 
-def eval_with(mode, *flags, records=1, prompt="compute"):
-    """eval on small.ple over ``records`` records of ``prompt`` whose "mode" is ``mode``."""
+def eval_with(mode, *flags, records=1, prompt="compute", record=None):
+    """eval on small.ple over ``records`` records of ``prompt`` whose "mode" is ``mode``, or of ``record``."""
     def build(tmp_path):
-        record = json.dumps({"prompt": prompt, "answer": "1", "mode": mode}) + "\n"
-        (tmp_path / "eval.jsonl").write_text(record * records)
+        line = json.dumps(record or {"prompt": prompt, "answer": "1", "mode": mode}) + "\n"
+        (tmp_path / "eval.jsonl").write_text(line * records)
         return ["eval", "--checkpoint", str(tmp_path / "small.ple"), "--dataset", str(tmp_path / "eval.jsonl"),
                 "--seed", "5", "--max-new", "2", "--out", str(tmp_path / "ev"), *flags]
     return build
 
 
-def filter_with(*flags, gold="0\n1\n"):
-    """filter on two candidates against ``gold``; ``{dir}/empty.txt`` is an empty file."""
+def filter_with(*flags, gold="0\n1\n", first="answer: 0"):
+    """filter on two candidates, the first responding ``first``, against ``gold``; ``{dir}/empty.txt``
+    is an empty file."""
     def build(tmp_path):
-        rows = [{"prompt": "p0", "response": "answer: 0"}, {"prompt": "p1", "response": "answer: 1"}]
+        rows = [{"prompt": "p0", "response": first}, {"prompt": "p1", "response": "answer: 1"}]
         (tmp_path / "cand.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
         (tmp_path / "gold.txt").write_text(gold)
         (tmp_path / "empty.txt").write_text("\n")
@@ -569,6 +604,23 @@ OPERATOR_ERRORS = {
     # BOS, 18 words and the mode's control token: 20 tokens on a max_seq 16 checkpoint
     "eval-every-prompt-too-long": (eval_with(None, prompt=" ".join(["compute"] * 18)),
                                    ["eval.jsonl", "mode no_think", "max_seq 16"]),
+    "eval-record-without-answer": (eval_with(None, record={"prompt": "compute"}), ["eval.jsonl:1", '"answer"']),
+    "eval-prompt-not-a-string": (eval_with(None, record={"prompt": 3, "answer": "1"}),
+                                 ["eval.jsonl:1", "'prompt'", "string"]),
+    "eval-baseline-invalid-json": (with_file("base.json", "{", "eval", "--checkpoint", "{dir}/small.ple",
+                                             "--dataset", "{dir}/eval.jsonl", "--seed", "5", "--out", "{dir}/ev",
+                                             "--baseline", "{dir}/base.json"),
+                                   ["base.json", "invalid JSON"]),
+    "generate-config-invalid-json": (with_file("cfg.json", "{", "generate", "--checkpoint", "{dir}/small.ple",
+                                               "--prompt", "compute", "--config", "{dir}/cfg.json"),
+                                     ["cfg.json", "invalid JSON"]),
+    # the format version is the little-endian uint32 after the 4-byte magic
+    "generate-checkpoint-version-2": (
+        generate_on_edited_checkpoint(lambda b: b[:4] + (2).to_bytes(4, "little") + b[8:]),
+        ["small.ple", "format version 2"]),
+    "generate-checkpoint-renamed-segment": (
+        generate_on_edited_checkpoint(lambda b: b.replace(b'"lm_head"', b'"lm_hexd"')), ["small.ple", "manifest"]),
+    "generate-max-new-negative": (generate_with("--max-new", "-1"), ["max_new", ">= 0"]),
     "gradcheck-vocab-smaller": (with_vocab(["compute"], "gradcheck", "--seed", "2", "--probes", "8",
                                            "--checkpoint", "{dir}/other.ple", "--out", "{dir}/g"),
                                 ["other.vocab.txt", "other.ple", "7", "9"]),
@@ -582,6 +634,7 @@ OPERATOR_ERRORS = {
     "filter-max-len-zero": (filter_with("--max-len", "0"), ["max_len"]),
     "filter-fewer-gold-lines": (filter_with(gold="0\n"), ["gold.txt", "2 candidates", "1 gold"]),
     "filter-empty-lexicon": (filter_with("--lexicon", "{dir}/empty.txt"), ["empty.txt", "nonempty"]),
+    "filter-response-not-a-string": (filter_with(first=0), ["cand.jsonl:1", '"response"', "string"]),
 }
 
 

@@ -186,7 +186,7 @@ def test_evaluate_propagates_non_capacity_errors(synth_model, synth_small):
     spec, _, vocab = synth_small
     prompts = eval_prompts(spec, 2, 21, Route.NO_THINK, vocab)
     with pytest.raises(ValueError, match="temperature sampling requires a seed"):
-        evaluate(synth_model, prompts, Route.NO_THINK, vocab, max_new=4, sampler="temperature")
+        evaluate(synth_model, prompts, Route.NO_THINK, vocab, max_new=4, temperature=1.0)
 
 
 def test_filter_max_len_validation():
@@ -275,7 +275,7 @@ def rep(mode, acc, length, refl):
 
 def test_delta_table_self_baseline_zero():
     reports = {("base", "no_think"): rep(0, 0.6, 703.0, 0.0)}
-    csv_text, table = leakage_delta_table(reports, ("base", "no_think"))
+    csv_text, table = leakage_delta_table(reports, "base")
     assert "+0" in csv_text
     row = csv_text.splitlines()[1].split(",")
     assert float(row[-1]) == 0.0 and float(row[-2]) == 0.0 and float(row[-3]) == 0.0
@@ -286,7 +286,7 @@ def test_delta_table_reference_values():
         ("instruct", "no_think"): rep(0, 0.0667, 703.0, 0.0),
         ("hybrid", "no_think"): rep(0, 0.24, 958.0, 0.61),
     }
-    csv_text, table = leakage_delta_table(reports, ("instruct", "no_think"))
+    csv_text, table = leakage_delta_table(reports, "instruct")
     hybrid_row = csv_text.splitlines()[2].split(",")
     assert float(hybrid_row[-1]) == pytest.approx(0.61)
     assert float(hybrid_row[-2]) == pytest.approx(255.0)
@@ -294,7 +294,14 @@ def test_delta_table_reference_values():
 
 def test_delta_table_missing_baseline():
     with pytest.raises(ValueError):
-        leakage_delta_table({("m", "think"): rep(1, 1.0, 1.0, 0.0)}, ("nope", "think"))
+        leakage_delta_table({("m", "think"): rep(1, 1.0, 1.0, 0.0)}, "nope")
+
+
+def test_delta_table_row_without_baseline_mode_has_empty_deltas():
+    reports = {("model", "think"): rep(1, 0.5, 9.0, 1.0), ("base", "no_think"): rep(0, 0.5, 3.0, 0.0)}
+    csv_text, table = leakage_delta_table(reports, "base")
+    assert csv_text.splitlines()[1].split(",")[-3:] == ["", "", ""]
+    assert table.splitlines()[1].rstrip().endswith("1.00")
 
 
 def test_reports_csv_columns():

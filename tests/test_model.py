@@ -181,23 +181,23 @@ def test_graph_forward_matches_numpy_prefill_bitwise(d_model):
     model = tiny_model(seed=0, cfg=cfg)
     a = forward(model, TOKENS, Route.NO_THINK).data
     expert = model.expert_index(Route.NO_THINK)
-    b = _np_chunk(model, np.asarray([TOKENS], np.int64), [expert], _KVCache(cfg, 1), [0])[0]
+    b = _np_chunk(model, np.asarray([TOKENS], np.int64), expert, _KVCache(cfg, 1), [0])[0]
     assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("d_model", [8, 12, 16])
 def test_multi_row_prefill_rows_match_forward_bitwise(d_model):
-    # rows of one chunk run on different experts and share attention calls;
-    # each row's logits are still those of the tape forward on that row alone
+    # rows of one chunk run on one expert and share attention calls; each
+    # row's logits are still those of the tape forward on that row alone
     cfg = ModelConfig(vocab_size=24, d_model=d_model, n_layers=2, n_heads=2, d_ff=12, max_seq=24)
     model = perturbed_beta1(tiny_model(seed=0, cfg=cfg), scale=0.5)
     rows = [TOKENS, [1, 9, 8, 7, 6, 5, CTRL_THINK_ID], [1, 10, 12, 14, 16, 18, 20], TOKENS]
-    routes = [Route.NO_THINK, Route.THINK, Route.THINK, Route.THINK]
-    experts = [model.expert_index(r) for r in routes]
-    out = _np_chunk(model, np.asarray(rows, np.int64), experts, _KVCache(cfg, len(rows)), [0] * len(rows))
-    for row, route, logits in zip(rows, routes, out):
-        assert np.array_equal(logits, forward(model, row, route).data)
-    assert not np.array_equal(out[0], out[3])
+    ids, out = np.asarray(rows, np.int64), {}
+    for route in Route:
+        out[route] = _np_chunk(model, ids, model.expert_index(route), _KVCache(cfg, len(rows)), [0] * len(rows))
+        for row, logits in zip(rows, out[route]):
+            assert np.array_equal(logits, forward(model, row, route).data)
+    assert not np.array_equal(out[Route.NO_THINK][0], out[Route.THINK][3])
 
 
 def test_position_table_slices_match_per_chunk_tables_bitwise():
@@ -287,9 +287,9 @@ def test_generate_per_token_expert_calls(tiny):
 
 def test_temperature_sampling_needs_seed(tiny):
     with pytest.raises(ValueError):
-        generate(tiny, TOKENS, max_new=2, sampler="temperature")
-    a, _ = generate(tiny, TOKENS, max_new=5, sampler="temperature", temperature=1.3, seed=9)
-    b, _ = generate(tiny, TOKENS, max_new=5, sampler="temperature", temperature=1.3, seed=9)
+        generate(tiny, TOKENS, max_new=2, temperature=1.0)
+    a, _ = generate(tiny, TOKENS, max_new=5, temperature=1.3, seed=9)
+    b, _ = generate(tiny, TOKENS, max_new=5, temperature=1.3, seed=9)
     assert a == b
 
 
@@ -359,10 +359,24 @@ def test_mixed_route_batch_rows_equal_pure_batches():
         assert generate_batch(model, pure, max_new=8) == [row for row in rows if row[1] is route]
 
 
+def test_generate_batch_row_moving_up_keeps_its_whole_cache():
+    # rows sort by (expert, length): when the short no-think row leaves, the long no-think
+    # row moves up with all its cached positions, though the think row sorted last is shorter
+    model = split_model()
+    prompts = [
+        [1, 22, CTRL_NOTHINK_ID],
+        [1, 19, 23, 17, 18, 21, 23, 15, 16, CTRL_THINK_ID],
+        [1, 14, 21, 11, 20, 8, 21, 12, 17, 8, 12, 7, 15, 23, CTRL_NOTHINK_ID],
+    ]
+    rows = generate_batch(model, prompts, max_new=8)
+    assert rows == [generate(model, p, max_new=8) for p in prompts]
+    assert [len(c) for c, _ in rows] == [2, 8, 4]
+
+
 def test_generate_batch_temperature_rows_equal_generate():
     model = split_model()
     prompts = shuffled(RAGGED, seed=2)
-    kw = dict(max_new=8, sampler="temperature", temperature=1.3, seed=9)
+    kw = dict(max_new=8, temperature=1.3, seed=9)
     assert generate_batch(model, prompts, **kw) == [generate(model, p, **kw) for p in prompts]
 
 

@@ -164,7 +164,7 @@ def test_single_paired_step_identity(tiny):
     data = tiny_dataset()
     cfg = TrainConfig(learning_rate=0.07, epochs=1, batch_size=4, seed=0, shuffle=False)
     trained, log = train(tiny, data, cfg)
-    assert log.paired_steps == 1
+    assert [r.mode for r in log.records] == [0, 1]
     gap = expert_gap(trained.params)
     predicted = log.predicted_expert_gap()
     for suffix, actual in gap.items():
@@ -175,11 +175,31 @@ def test_trajectory_identity_many_paired_steps(tiny):
     data = tiny_dataset()
     cfg = TrainConfig(learning_rate=0.05, epochs=10, batch_size=1, seed=1)
     trained, log = train(tiny, data, cfg)
-    assert log.paired_steps == 20
+    assert [r.mode for r in log.records] == [0, 1] * 20
     gap = expert_gap(trained.params)
     predicted = log.predicted_expert_gap()
     for suffix, actual in gap.items():
         assert np.max(np.abs(actual - predicted[suffix])) <= 1e-10
+
+
+def random_examples(rng, mode, n):
+    ctrl = CTRL_THINK_ID if mode is Route.THINK else CTRL_NOTHINK_ID
+    return [ex([1, int(rng.integers(6, 24)), ctrl], [int(rng.integers(6, 24)), 2], mode) for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "n_no_think, n_think", [(3, 24), (12, 0), (6, 6)], ids=["think-heavy", "no-think-only", "equal"]
+)
+def test_divergence_identity_holds_after_every_step(n_no_think, n_think):
+    # unpaired steps move one expert too: the sum takes every step, so from a clone
+    # gap = -lr * sum holds at the end and, in norm, on every logged row
+    rng = np.random.default_rng(11)
+    data = random_examples(rng, Route.NO_THINK, n_no_think) + random_examples(rng, Route.THINK, n_think)
+    cfg = TrainConfig(learning_rate=0.02, epochs=2, batch_size=3, seed=4)
+    trained, log = train(tiny_model(seed=2), data, cfg)
+    gap, predicted = expert_gap(trained.params), log.predicted_expert_gap()
+    assert max(float(np.max(np.abs(gap[s] - predicted[s]))) for s in gap) <= 1e-10
+    assert all(abs(r.expert_gap_norm - cfg.learning_rate * r.cum_grad_diff_norm) <= 1e-10 for r in log.records)
 
 
 def test_training_only_mode0_leaves_beta1_bitwise(tiny):
@@ -242,7 +262,7 @@ def test_dense_training_logs_full_gradients_and_no_pairs():
     cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=2, seed=0, shuffle=False)
     trained, log = train(dense, data, cfg)
     assert trained.params.names == dense.params.names
-    assert log.paired_steps == 0 and log.cum_grad_diff == {}
+    assert log.cum_grad_diff == {}
     assert [r.mode for r in log.records] == [0, 1, 0, 1] * 2
     assert all(r.expert_gap_norm == 0.0 and r.cum_grad_diff_norm == 0.0 for r in log.records)
     # no experts: the logged norm is the whole first batch's gradient norm
@@ -315,7 +335,7 @@ def test_trajectory_identity_holds_under_token_sum(tiny):
     data = tiny_dataset()
     cfg = TrainConfig(learning_rate=0.01, epochs=4, batch_size=1, seed=3, reduction="token_sum")
     trained, log = train(tiny, data, cfg)
-    assert log.paired_steps == 8
+    assert [r.mode for r in log.records] == [0, 1] * 8
     gap = expert_gap(trained.params)
     predicted = log.predicted_expert_gap()
     for suffix, actual in gap.items():
