@@ -2,9 +2,9 @@
 
 Subcommands: train, generate, theory, eval, filter, gradcheck. One JSON
 config document drives a run; command-line flags override config fields
-(flag > config > built-in default). ``train``, ``theory``, ``eval`` and
-``gradcheck`` need a seed, as does temperature sampling in ``generate``;
-greedy ``generate`` and ``filter`` take none. ``main`` resolves a command's
+(flag > config > built-in default). ``train``, ``theory`` and ``gradcheck``
+need a seed, as does temperature sampling in ``generate``; greedy
+``generate``, ``eval`` and ``filter`` take none. ``main`` resolves a command's
 inputs before the command runs; each command checks its inputs, computes,
 and only then writes, so a command that fails writes nothing. Every command
 with an output directory echoes its resolved inputs there, so greedy-path
@@ -32,7 +32,7 @@ from .leakage import (
     leakage_delta_table,
     reports_to_csv,
 )
-from .model import DenseModel, ModelConfig, ModelParams, generate
+from .model import ModelConfig, ModelParams, generate
 from .params import central_differences, max_relative_error, value_and_grad
 from .theory import (
     conflict_gap,
@@ -125,7 +125,7 @@ CONFIG_INPUTS = {
     "train": {"seed": REQUIRED, "out": "runs/train", "dataset": REQUIRED, "checkpoint": None},
     "generate": {"seed": None, "checkpoint": REQUIRED},
     "theory": {"seed": REQUIRED, "out": "runs/theory"},
-    "eval": {"seed": REQUIRED, "out": "runs/eval", "lexicon": None},
+    "eval": {"out": "runs/eval", "lexicon": None},
     "filter": {"out": "runs/filter", "lexicon": None},
     "gradcheck": {"seed": REQUIRED, "out": "runs/gradcheck"},
 }
@@ -175,16 +175,29 @@ def _write_config(args, **derived) -> None:
 
 
 def cmd_train(args) -> int:
+    ckpt_path = Path(args.checkpoint or Path(args.out, "model.ple"))
+    vocab_path = ckpt_path.with_suffix(".vocab.txt")
+    # each written path's nearest existing self-or-parent is a directory, or a file it writes over
+    for path, is_dir in ((Path(args.out), True), (ckpt_path, False), (vocab_path, False)):
+        found = next(p for p in (path, *path.parents) if p.exists())
+        if found.is_dir() != (is_dir or found != path):
+            raise ConfigError(f"cannot write {path}: {found} is {'' if found.is_dir() else 'not '}a directory")
     records = list(read_jsonl(args.dataset))
+    if not records:
+        raise DataError(f"{args.dataset}: the dataset holds no records")
     vocab = Vocabulary.from_texts(
         text for where, record in records for text in record_fields(record, where)[1:]
     )
     defaults = dict(vocab_size=len(vocab), d_model=64, n_layers=2, n_heads=4, d_ff=128, max_seq=64)
     cfg = _from_config(ModelConfig, "model", {**defaults, **_section(args.config, "model")})
+    # a config may repeat the vocabulary's size, as train_config.json does, but not contradict it
+    if cfg.vocab_size != len(vocab):
+        raise ConfigError(f"config section \"model\": vocab_size {cfg.vocab_size} differs from the "
+                          f"{len(vocab)} tokens of {args.dataset}'s vocabulary")
     train_cfg = _from_config(TrainConfig, "train", {**_section(args.config, "train"), "seed": args.seed})
     dataset = [example_from_record(record, vocab, where)[0] for where, record in records]
 
-    model = ModelParams.clone_from_dense(DenseModel.init_random(cfg, seed=args.seed))
+    model = ModelParams.init_random(cfg, args.seed)
 
     def on_epoch(epoch: int, l0: float, l1: float) -> None:
         print(f"epoch {epoch}: no_think loss {l0:.6f}  think loss {l1:.6f}")
@@ -194,10 +207,8 @@ def cmd_train(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         trained, log = train(model, dataset, train_cfg, epoch_callback=on_epoch)
 
-    ckpt_path = Path(args.checkpoint or Path(args.out, "model.ple"))
     ckpt_path.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(trained, ckpt_path)
-    vocab_path = ckpt_path.with_suffix(".vocab.txt")
     vocab.save(vocab_path)
     log_path = _out_dir(args) / "trajectory.csv"
     log.to_csv(log_path)
@@ -328,7 +339,7 @@ def _audit_setup(seed: int, probes: int | None, checkpoint=None):
     else:
         data, vocab = generate_synth_dataset(SynthTaskSpec(modulus=5, n_problems=6, seed=seed))
         cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_layers=2, n_heads=2, d_ff=12, max_seq=24)
-        model = ModelParams.clone_from_dense(DenseModel.init_random(cfg, seed))
+        model = ModelParams.init_random(cfg, seed)
     return (model, *split_by_mode(data), seed, probes)
 
 
@@ -454,7 +465,7 @@ def cmd_eval(args) -> int:
 
     reports: dict[tuple[str, str], LeakageReport] = {}
     for name, mode_prompts in prompts.items():
-        rep = evaluate(model, mode_prompts, MODE_NAMES[name], vocab, lexicon, max_new=args.max_new, seed=args.seed)
+        rep = evaluate(model, mode_prompts, MODE_NAMES[name], vocab, lexicon, max_new=args.max_new)
         reports[("model", name)] = rep
         print(
             f"mode {name}: accuracy {rep.accuracy:.4f}  mean length {rep.mean_length:.2f}  "
@@ -557,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_theory)
 
     p = sub.add_parser("eval", help="leakage report for a checkpoint on an eval set")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab")
     p.add_argument("--dataset", required=True, help="JSONL with prompt/answer records")

@@ -125,17 +125,17 @@ def segment_group(name: str) -> str:
     return "alpha"
 
 
-def _init_params(cfg: ModelConfig, layout, seed: int, init_scale: float) -> ParamVector:
+def _init_params(cfg: ModelConfig, layout, seed: int) -> ParamVector:
     rng = np.random.default_rng(seed)
     segments = []
     for name, shape in layout:
         if name.endswith((".ln1", ".ln2")) or name == "final_norm":
             arr = np.ones(shape)
         elif name == "embed":
-            arr = rng.normal(0.0, init_scale, shape)
+            arr = rng.normal(0.0, 1.0, shape)
         else:
             fan_in = shape[-1]
-            arr = rng.normal(0.0, init_scale / math.sqrt(fan_in), shape)
+            arr = rng.normal(0.0, 1.0 / math.sqrt(fan_in), shape)
         segments.append((name, arr))
     return ParamVector(segments)
 
@@ -148,8 +148,8 @@ class DenseModel:
     params: ParamVector
 
     @classmethod
-    def init_random(cls, cfg: ModelConfig, seed: int, init_scale: float = 1.0) -> "DenseModel":
-        return cls(cfg, _init_params(cfg, dense_layout(cfg), seed, init_scale))
+    def init_random(cls, cfg: ModelConfig, seed: int) -> "DenseModel":
+        return cls(cfg, _init_params(cfg, dense_layout(cfg), seed))
 
     def with_params(self, pv: ParamVector) -> "DenseModel":
         return replace(self, params=pv)
@@ -184,8 +184,8 @@ class ModelParams:
         return cls(cfg, ParamVector(segments))
 
     @classmethod
-    def init_random(cls, cfg: ModelConfig, seed: int, init_scale: float = 1.0) -> "ModelParams":
-        return cls.clone_from_dense(DenseModel.init_random(cfg, seed, init_scale))
+    def init_random(cls, cfg: ModelConfig, seed: int) -> "ModelParams":
+        return cls.clone_from_dense(DenseModel.init_random(cfg, seed))
 
     def with_params(self, pv: ParamVector) -> "ModelParams":
         return replace(self, params=pv)

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, SingularityError
-from .model import ModelParams, _swiglu_at, decoder_logits, forward, mlp_dispatch, mlp_prefix
+from .model import ModelParams, _swiglu_at, decoder_logits, forward, mlp_dispatch, mlp_prefix, segment_group
 from .params import ParamVector, as_leaves, sampled_cross_hessian_max
 from .tensor import Tensor, add, no_grad
 from .trainer import ChatExample, two_mode_loss_fn
@@ -27,6 +27,8 @@ from .trainer import ChatExample, two_mode_loss_fn
 SYM_TOL = 1e-12
 PSD_TOL = -1e-10
 MIN_EIG = 1e-10
+HESSIAN_STEP = 1e-3  # finite-difference step of the cross-Hessian probes
+FD_STEP = 1e-3  # central-difference step of the linearization's derivative
 
 
 @dataclass(frozen=True)
@@ -184,15 +186,13 @@ def fixed_backbone_dominance(m0: QuadraticMode, m1: QuadraticMode) -> tuple[floa
     return split_value, dense_value, split_value <= dense_value + 1e-12
 
 
-def random_quadratic_pair(
-    dim: int, seed: int, equal_curvature: bool = False, ridge: float = 1e-6
-) -> tuple[QuadraticMode, QuadraticMode]:
+def random_quadratic_pair(dim: int, seed: int, equal_curvature: bool = False) -> tuple[QuadraticMode, QuadraticMode]:
     """Well-conditioned random PSD instances for the closed-form checks."""
     rng = np.random.default_rng(seed)
 
     def psd() -> np.ndarray:
         A = rng.normal(size=(dim + 4, dim))
-        H = A.T @ A + ridge * np.eye(dim)
+        H = A.T @ A + 1e-6 * np.eye(dim)
         return (H + H.T) / 2.0
 
     H0 = psd()
@@ -223,7 +223,6 @@ def hessian_block_audit(
     batch0: Sequence[ChatExample],
     batch1: Sequence[ChatExample],
     probes: int = 64,
-    step: float = 1e-3,
     seed: int = 0,
 ) -> HessianAuditReport:
     """Sampled second cross-partials of the full objective by parameter block.
@@ -235,10 +234,9 @@ def hessian_block_audit(
     """
     loss_fn = two_mode_loss_fn(model, list(batch0) + list(batch1))
     groups = model.groups()
-    kw = dict(step=step, probes=probes)
 
     def probe(a, b, s):
-        return sampled_cross_hessian_max(loss_fn, model.params, None, a, b, seed=s, **kw)
+        return sampled_cross_hessian_max(loss_fn, model.params, None, a, b, step=HESSIAN_STEP, probes=probes, seed=s)
 
     return HessianAuditReport(
         cross_beta0_beta1=probe(groups["beta0"], groups["beta1"], seed),
@@ -246,7 +244,7 @@ def hessian_block_audit(
         alpha_beta1=probe(groups["alpha"], groups["beta1"], seed + 2),
         beta0_beta0=probe(groups["beta0"], groups["beta0"], seed + 3),
         probes=probes,
-        step=step,
+        step=HESSIAN_STEP,
     )
 
 
@@ -290,24 +288,23 @@ def linearization_residual(
     tokens,
     direction: dict[str, np.ndarray],
     epsilons: Sequence[float],
-    layer: int | None = None,
-    fd_step: float = 1e-3,
 ) -> list[LinearizationRow]:
     """Exact route logit gap vs its one-term downstream linearization.
 
-    For each eps the think expert at ``layer`` moves to beta0 + eps*dir.
-    The prediction takes f1 - f0, the two experts' outputs on that layer's
-    route-0 MLP input, through the route-0 forward's derivative in that
-    layer's MLP output: central differences of ``decoder_logits`` with the
-    output shifted by +-fd_step along it. The relative residual must
-    shrink superlinearly as eps halves; when the downstream map is affine
-    the two agree to rounding.
+    ``direction`` must move expert segments of exactly one layer (else
+    ValueError); for each eps they move to beta + eps*dir. The prediction takes
+    f1 - f0, the two experts' outputs on that layer's route-0 MLP input,
+    through the route-0 forward's derivative in that layer's MLP output:
+    central differences of ``decoder_logits`` with the output shifted by
+    +-FD_STEP along it. The relative residual must shrink superlinearly as
+    eps halves; when the downstream map is affine the two agree to rounding.
     """
     cfg = model.config
-    if layer is None:
-        layer = cfg.n_layers - 1
-    if not 0 <= layer < cfg.n_layers:
-        raise ValueError(f"layer {layer} outside 0..{cfg.n_layers - 1}")
+    layers = {name.split(".")[0] for name, _ in model.params.items()
+              if name in direction and segment_group(name) != "alpha"}
+    if len(layers) != 1:
+        raise ValueError(f"direction must move the expert segments of exactly one layer, got {sorted(layers)}")
+    layer = int(layers.pop().removeprefix("layer"))
     rows = []
     for eps in epsilons:
         pert = perturbed_model(model, direction, eps)
@@ -315,22 +312,20 @@ def linearization_residual(
         route0 = mlp_dispatch(pert, leaves, 0)
         seen: list[Tensor] = []
 
-        def capture(at: int, h: Tensor) -> Tensor:
-            if at == layer:
-                seen.append(h)
-            return route0(at, h)
-
-        def shifted(delta: np.ndarray) -> np.ndarray:
-            """Route-0 logits with ``delta`` added to layer ``layer``'s MLP output."""
+        def run(delta: np.ndarray | None = None) -> np.ndarray:
+            """Route-0 logits with ``delta`` added to layer ``layer``'s MLP output; ``seen`` gets its input."""
 
             def apply(at: int, h: Tensor) -> Tensor:
                 out = route0(at, h)
-                return add(out, delta) if at == layer else out
+                if at != layer:
+                    return out
+                seen.append(h)
+                return out if delta is None else add(out, delta)
 
             return decoder_logits(cfg, leaves, tokens, apply).data
 
         with no_grad():
-            gap = forward(pert, tokens, 1).data - decoder_logits(cfg, leaves, tokens, capture).data
+            gap = forward(pert, tokens, 1).data - run()
             f0, f1 = (_swiglu_at(leaves, mlp_prefix(layer, r), seen[0]).data for r in (0, 1))
             df = f1 - f0
             scale = float(np.sqrt(np.sum(df * df)))
@@ -338,7 +333,7 @@ def linearization_residual(
                 rows.append(LinearizationRow(eps, 0.0, 0.0, 0.0, 0.0))
                 continue
             unit = df / scale
-            pred = (shifted(fd_step * unit) - shifted(-fd_step * unit)) * (scale / (2.0 * fd_step))
+            pred = (run(FD_STEP * unit) - run(-FD_STEP * unit)) * (scale / (2.0 * FD_STEP))
         gap_n = float(np.sqrt(np.sum(gap * gap)))
         res = float(np.sqrt(np.sum((gap - pred) ** 2)))
         rows.append(

@@ -104,8 +104,8 @@ def decode(ids: Sequence[int], vocab: Vocabulary) -> str:
     return " ".join(out)
 
 
-def resolve_route(prompt_ids: Sequence[int], default: Route = Route.NO_THINK) -> Route:
-    """Route selected by the last control token in the prompt; default if none.
+def resolve_route(prompt_ids: Sequence[int]) -> Route:
+    """Route selected by the last control token in the prompt; NO_THINK if none.
 
     Depends only on the subsequence of control-token ids, so inserting or
     removing other tokens never changes the result.
@@ -115,7 +115,7 @@ def resolve_route(prompt_ids: Sequence[int], default: Route = Route.NO_THINK) ->
             return Route.THINK
         if i == CTRL_NOTHINK_ID:
             return Route.NO_THINK
-    return default
+    return Route.NO_THINK
 
 
 def control_token_id(route: Route) -> int:

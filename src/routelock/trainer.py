@@ -95,12 +95,9 @@ class TrainConfig:
         check_field(self, "seed", numbers.Integral, lambda v: v >= 0, "an integer >= 0")
         if not isinstance(self.shuffle, bool):
             raise ConfigError(f"shuffle must be true or false, got {self.shuffle!r}")
-        if self.optimizer not in ("sgd", "sgd_momentum"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.reduction not in ("example_mean", "token_sum"):
-            raise ValueError(f"unknown reduction {self.reduction!r}")
-        if self.update_segments not in ("all", "experts_only"):
-            raise ValueError(f"unknown update_segments {self.update_segments!r}")
+        for name, choices in (("optimizer", ("sgd", "sgd_momentum")), ("reduction", ("example_mean", "token_sum")),
+                              ("update_segments", ("all", "experts_only"))):
+            check_field(self, name, str, lambda v: v in choices, "one of " + ", ".join(map(repr, choices)))
 
 
 def make_batch(examples: Sequence[ChatExample]) -> dict:

@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,7 +214,7 @@ def test_eval_both_modes(trained, capsys):
             fh.write(json.dumps({"prompt": r["prompt"], "answer": r["answer"]}) + "\n")
     edir = tmp_path / "ev"
     rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(eval_path), "--mode", "both",
-               "--seed", "5", "--out", str(edir), "--max-new", "8"])
+               "--out", str(edir), "--max-new", "8"])
     assert rc == 0
     csv_lines = (edir / "leakage_report.csv").read_text().splitlines()
     assert csv_lines[0] == "model,mode,accuracy,mean_length,refl_per_answer"
@@ -223,7 +222,7 @@ def test_eval_both_modes(trained, capsys):
     # greedy rerun reproduces the report bitwise
     first = (edir / "leakage_report.csv").read_bytes()
     rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(eval_path), "--mode", "both",
-               "--seed", "5", "--out", str(edir), "--max-new", "8"])
+               "--out", str(edir), "--max-new", "8"])
     assert rc == 0
     assert (edir / "leakage_report.csv").read_bytes() == first
 
@@ -336,7 +335,7 @@ def test_eval_baseline_rows_do_not_replace_current_rows(trained, capsys):
     base_path = tmp_path / "base.json"
     base_path.write_text(json.dumps(base))
     edir = tmp_path / "ev"
-    rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(eval_path), "--seed", "5",
+    rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(eval_path),
                "--out", str(edir), "--max-new", "8", "--baseline", str(base_path)])
     assert rc == 0
     current = json.loads((edir / "leakage_report.json").read_text())
@@ -357,7 +356,7 @@ def test_eval_baseline_deltas_compare_like_modes(tmp_path):
             for i, (m, length) in enumerate((("no_think", 1.0), ("think", 50.0)))}
     (tmp_path / "base.json").write_text(json.dumps(base))
     rc = main(["eval", "--checkpoint", str(tmp_path / "small.ple"), "--dataset", str(tmp_path / "eval.jsonl"),
-               "--seed", "5", "--max-new", "4", "--out", str(tmp_path / "ev"),
+               "--max-new", "4", "--out", str(tmp_path / "ev"),
                "--baseline", str(tmp_path / "base.json")])
     assert rc == 0
     current = json.loads((tmp_path / "ev" / "leakage_report.json").read_text())
@@ -455,7 +454,7 @@ def test_eval_bad_baseline_is_one_error_line(tmp_path, capsys, baseline, word):
     data.write_text(json.dumps({"prompt": "compute", "answer": "1"}) + "\n")
     base_path = tmp_path / "base.json"
     base_path.write_text(json.dumps(baseline))
-    rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(data), "--seed", "5",
+    rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(data),
                "--out", str(tmp_path / "ev"), "--max-new", "2", "--baseline", str(base_path)])
     assert rc == 1
     line = one_error_line(capsys)
@@ -507,6 +506,19 @@ def train_on_line_2(line):
     return build
 
 
+def train_over(existing, *flags):
+    """train with CFG and ``flags`` ({dir} expanded) where ``{dir}/existing`` already exists: a
+    directory when its name ends in "/", else a file."""
+    def build(tmp_path):
+        write_dataset(tmp_path / "data.jsonl")
+        (tmp_path / "cfg.json").write_text(json.dumps(CFG))
+        path = tmp_path / existing
+        path.mkdir() if existing.endswith("/") else path.write_text("")
+        return ["train", "--config", str(tmp_path / "cfg.json"), "--dataset", str(tmp_path / "data.jsonl"),
+                *(f.replace("{dir}", str(tmp_path)) for f in flags)]
+    return build
+
+
 def with_file(name, text, *argv):
     """A command given a file ``{dir}/name`` holding ``text`` and a one-record ``{dir}/eval.jsonl``."""
     def build(tmp_path):
@@ -546,7 +558,7 @@ def eval_with(mode, *flags, records=1, prompt="compute", record=None):
         line = json.dumps(record or {"prompt": prompt, "answer": "1", "mode": mode}) + "\n"
         (tmp_path / "eval.jsonl").write_text(line * records)
         return ["eval", "--checkpoint", str(tmp_path / "small.ple"), "--dataset", str(tmp_path / "eval.jsonl"),
-                "--seed", "5", "--max-new", "2", "--out", str(tmp_path / "ev"), *flags]
+                "--max-new", "2", "--out", str(tmp_path / "ev"), *flags]
     return build
 
 
@@ -575,6 +587,26 @@ OPERATOR_ERRORS = {
     "train-rope-base-nan": (train_with("model", rope_base=float("nan")), ["rope_base", "nan"]),
     "train-rope-base-inf": (train_with("model", rope_base=float("inf")), ["rope_base", "inf"]),
     "train-final-norm-string": (train_with("model", final_norm="no"), ["final_norm", "'no'"]),
+    "train-optimizer-unknown": (train_with(optimizer="adam"),
+                                ['section "train"', "optimizer", "'adam'", "'sgd', 'sgd_momentum'"]),
+    "train-reduction-unknown": (train_with(reduction="mean"),
+                                ['section "train"', "reduction", "'mean'", "'example_mean', 'token_sum'"]),
+    "train-update-segments-unknown": (train_with(update_segments=["all"]),
+                                      ['section "train"', "update_segments", "['all']", "'all', 'experts_only'"]),
+    # the dataset's vocabulary has 22 tokens
+    "train-vocab-size-3": (train_with("model", vocab_size=3), ['section "model"', "vocab_size 3", "22 tokens"]),
+    "train-vocab-size-7": (train_with("model", vocab_size=7), ['section "model"', "vocab_size 7", "22 tokens"]),
+    "train-vocab-size-100": (train_with("model", vocab_size=100),
+                             ['section "model"', "vocab_size 100", "22 tokens"]),
+    "train-empty-dataset": (with_file("data.jsonl", "", "train", "--seed", "7", "--dataset", "{dir}/data.jsonl",
+                                      "--out", "{dir}/o"), ["data.jsonl", "no records"]),
+    "train-out-is-a-file": (train_over("outfile", "--out", "{dir}/outfile", "--checkpoint", "{dir}/elsewhere.ple"),
+                            ["outfile", "not a directory"]),
+    "train-out-under-a-file": (train_over("afile", "--out", "{dir}/afile/sub", "--checkpoint", "{dir}/elsewhere.ple"),
+                               ["afile/sub", "afile is not a directory"]),
+    "train-vocabulary-path-is-a-directory": (
+        train_over("elsewhere.vocab.txt/", "--out", "{dir}/o", "--checkpoint", "{dir}/elsewhere.ple"),
+        ["elsewhere.vocab.txt", "is a directory"]),
     "train-record-a-json-array": (train_on_line_2('["compute", "answer: 1"]'), ["data.jsonl:2", "JSON object"]),
     "train-record-without-target": (train_on_line_2('{"prompt": "compute 1", "mode": "think"}'),
                                     ["data.jsonl:2", "'target'"]),
@@ -585,7 +617,7 @@ OPERATOR_ERRORS = {
                                           "compute", "--vocab", "{dir}/other.vocab.txt"),
                                ["other.vocab.txt", "small.ple", "6", "9"]),
     "eval-vocab-larger": (with_vocab(LARGE, "eval", "--checkpoint", "{dir}/small.ple", "--dataset",
-                                     "{dir}/eval.jsonl", "--seed", "5", "--out", "{dir}/ev",
+                                     "{dir}/eval.jsonl", "--out", "{dir}/ev",
                                      "--vocab", "{dir}/other.vocab.txt"),
                           ["other.vocab.txt", "small.ple"]),
     "generate-vocab-duplicate-token": (with_vocab(["compute", "plus", "compute"], "generate", "--checkpoint",
@@ -593,7 +625,7 @@ OPERATOR_ERRORS = {
                                                   "--vocab", "{dir}/other.vocab.txt"),
                                        ["other.vocab.txt", "duplicate"]),
     "eval-vocab-empty-line": (with_vocab(["compute", "", "plus"], "eval", "--checkpoint", "{dir}/small.ple",
-                                         "--dataset", "{dir}/eval.jsonl", "--seed", "5", "--out", "{dir}/ev",
+                                         "--dataset", "{dir}/eval.jsonl", "--out", "{dir}/ev",
                                          "--vocab", "{dir}/other.vocab.txt"),
                               ["other.vocab.txt", "invalid token"]),
     "eval-unknown-mode": (eval_with("thinking"), ["eval.jsonl:1", "mode", "'no_think', 'think'"]),
@@ -608,7 +640,7 @@ OPERATOR_ERRORS = {
     "eval-prompt-not-a-string": (eval_with(None, record={"prompt": 3, "answer": "1"}),
                                  ["eval.jsonl:1", "'prompt'", "string"]),
     "eval-baseline-invalid-json": (with_file("base.json", "{", "eval", "--checkpoint", "{dir}/small.ple",
-                                             "--dataset", "{dir}/eval.jsonl", "--seed", "5", "--out", "{dir}/ev",
+                                             "--dataset", "{dir}/eval.jsonl", "--out", "{dir}/ev",
                                              "--baseline", "{dir}/base.json"),
                                    ["base.json", "invalid JSON"]),
     "generate-config-invalid-json": (with_file("cfg.json", "{", "generate", "--checkpoint", "{dir}/small.ple",
@@ -645,11 +677,12 @@ def test_operator_error_is_one_error_line(tmp_path, capsys, row):
     small_checkpoint(tmp_path / "small.ple")
     small_checkpoint(tmp_path / "other.ple")  # its own vocabulary is replaced by with_vocab's file
     argv = build(tmp_path)
+    before = set(tmp_path.rglob("*"))
     rc = main(argv)
     line = one_error_line(capsys)
     assert rc == 1 and all(word in line for word in words), line
-    # a failed command leaves nothing behind at its --out path
-    assert "--out" not in argv or not Path(argv[argv.index("--out") + 1]).exists()
+    # a failed command writes nothing: not at its --out path, nor a checkpoint or its vocabulary
+    assert set(tmp_path.rglob("*")) == before
 
 
 def test_eval_config_records_lexicon_vocab_and_baseline(tmp_path):
@@ -662,7 +695,7 @@ def test_eval_config_records_lexicon_vocab_and_baseline(tmp_path):
     inputs = {"lexicon": str(tmp_path / "lex.txt"), "vocab": str(tmp_path / "small.vocab.txt"),
               "baseline": str(tmp_path / "base.json")}
     rc = main(["eval", "--checkpoint", str(tmp_path / "small.ple"), "--dataset", str(tmp_path / "eval.jsonl"),
-               "--seed", "5", "--max-new", "2", "--out", str(tmp_path / "ev"),
+               "--max-new", "2", "--out", str(tmp_path / "ev"),
                *(arg for name, path in inputs.items() for arg in (f"--{name}", path))])
     assert rc == 0
     resolved = json.loads((tmp_path / "ev" / "eval_config.json").read_text())
@@ -720,10 +753,31 @@ def test_train_eval_and_synth_prompts_share_one_encoding_and_eval_reads_once(tmp
     monkeypatch.setattr(cli, "evaluate", evaluate_spy)
     monkeypatch.setattr(cli, "read_jsonl", read_spy)
     rc = main(["eval", "--checkpoint", str(tmp_path / "m.ple"), "--dataset", str(tmp_path / "eval.jsonl"),
-               "--mode", "both", "--seed", "5", "--max-new", "2", "--out", str(tmp_path / "ev")])
+               "--mode", "both", "--max-new", "2", "--out", str(tmp_path / "ev")])
     assert rc == 0
     assert len(reads) == 1
     assert [list(ids) for ids in train] == [ids for ids, _ in seen[mode]] == [ids for ids, _ in synth]
+
+
+def test_eval_takes_no_seed(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["eval", "--help"])
+    assert "--seed" not in capsys.readouterr().out
+    small_checkpoint(tmp_path / "small.ple")
+    argv = eval_with(None)(tmp_path)
+    with pytest.raises(SystemExit):
+        main([*argv, "--seed", "5"])
+    assert main(argv) == 0
+    assert "seed" not in json.loads((tmp_path / "ev" / "eval_config.json").read_text())
+
+
+def test_train_config_echo_reruns_bitwise(trained):
+    tmp_path, out, ckpt = trained
+    again = tmp_path / "again"
+    rc = main(["train", "--config", str(out / "train_config.json"), "--out", str(again),
+               "--checkpoint", str(again / "model.ple")])
+    assert rc == 0
+    assert (again / "model.ple").read_bytes() == ckpt.read_bytes()
 
 
 def test_filter_takes_no_seed(tmp_path, capsys):

@@ -227,6 +227,28 @@ def test_linearization_residual_shrinks_superlinearly(synth_model, synth_small):
         assert rels[i + 1] / rels[i] <= 0.6
 
 
+def test_linearization_follows_the_direction_layer(synth_model, synth_small):
+    # a first-layer direction on the two-layer model: its gap passes through the second layer
+    _, data, _ = synth_small
+    direction = random_expert_direction(synth_model, 0, seed=4)
+    rows = linearization_residual(synth_model, list(data[0].tokens), direction, [1e-1, 5e-2, 2.5e-2, 1.25e-2])
+    assert all(r.gap_norm > 0 for r in rows)
+    rels = [r.rel_residual for r in rows]
+    assert all(b / a <= 0.6 for a, b in zip(rels, rels[1:]))
+
+
+@pytest.mark.parametrize(
+    "names",
+    [[], ["embed"], ["layer5.expert1.w_up"], ["layer0.expert1.w_up", "layer1.expert1.w_up"]],
+    ids=["empty", "backbone", "no-such-layer", "two-layers"],
+)
+def test_linearization_direction_must_move_one_layers_experts(synth_model, names):
+    shapes = {n: a.shape for n, a in synth_model.params.items()}
+    direction = {n: np.ones(shapes.get(n, (1,))) for n in names}
+    with pytest.raises(ValueError, match="exactly one layer"):
+        linearization_residual(synth_model, [1, 7, 9, 4], direction, [1e-1])
+
+
 def test_linearization_affine_downstream_exact():
     # one layer, no trailing normalization: after the routed MLP the map to
     # logits is a single matmul, so the linearization is exact
