@@ -194,7 +194,12 @@ def cmd_train(args) -> int:
     if cfg.vocab_size != len(vocab):
         raise ConfigError(f"config section \"model\": vocab_size {cfg.vocab_size} differs from the "
                           f"{len(vocab)} tokens of {args.dataset}'s vocabulary")
-    train_cfg = _from_config(TrainConfig, "train", {**_section(args.config, "train"), "seed": args.seed})
+    train_fields = _section(args.config, "train")
+    # likewise train.seed may repeat the run's seed, as train_config.json does, but not contradict it
+    if train_fields.get("seed", args.seed) != args.seed:
+        raise ConfigError(f"config section \"train\": seed {train_fields['seed']!r} differs from the run's "
+                          f"seed {args.seed}")
+    train_cfg = _from_config(TrainConfig, "train", {**train_fields, "seed": args.seed})
     dataset = [example_from_record(record, vocab, where)[0] for where, record in records]
 
     model = ModelParams.init_random(cfg, args.seed)

@@ -18,7 +18,6 @@ Expert segments form the beta0/beta1 partitions; everything else is alpha.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -354,13 +353,14 @@ def route_logit_gap(model: ModelParams, tokens) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# generation (plain numpy, batched by route and position, with an optional KV cache)
+# generation (plain numpy, one rectangle per (expert, prompt length) group, with an optional KV cache)
 # ---------------------------------------------------------------------------
 
 
 class _KVCache:
-    """Keys and values of ``rows`` sequences as (layers, rows, heads, max_seq, head_dim); position
-    tables, the rotary ones for q|k side by side (2 * n_heads heads)."""
+    """Keys and values of one group's ``rows`` sequences, all filled to the same position, as
+    (layers, rows, heads, max_seq, head_dim); position tables, the rotary ones for q|k side by
+    side (2 * n_heads heads)."""
 
     def __init__(self, cfg: ModelConfig, rows: int):
         shape = (cfg.n_layers, rows, cfg.n_heads, cfg.max_seq, cfg.head_dim)
@@ -383,66 +383,35 @@ def _swiglu_np(pv: ParamVector, layer: int, expert: int | None, h: np.ndarray) -
 
 
 def _np_chunk(
-    model: ModelParams | DenseModel,
-    ids: np.ndarray,
-    expert: int | None,
-    cache: _KVCache,
-    pos0: Sequence[int],
-    row0: int = 0,
+    model: ModelParams | DenseModel, ids: np.ndarray, expert: int | None, cache: _KVCache, pos0: int
 ) -> np.ndarray:
-    """Logits (R, n, V) for ids (R, n): ``decoder_logits`` on plain arrays with MLP ``expert``, row r
-    at positions pos0[r] .. pos0[r]+n-1 (a prefix from 0, or one token) in cache row row0+r.
+    """Logits (R, n, V) for ids (R, n): ``decoder_logits`` on plain arrays with MLP ``expert``, every
+    row at positions pos0 .. pos0+n-1 (a prefix from 0, or one token) in the first R cache rows.
 
     Every op acts per element, reduces a row's own last axis, or is a stacked matmul (one
-    BLAS call per row), so each row is bitwise a one-row call, and the tape. Rows at equal
-    positions (contiguous: ``pos0`` is nondecreasing) share attention calls; ragged rows are
-    not padded into one, as a longer softmax or ``weights @ V`` sum regroups its pairwise sum.
+    BLAS call per row), so each row is bitwise a one-row call, and the tape.
     """
     cfg, pv = model.config, model.params
-    rows, n = ids.shape
-    heads, hd = cfg.n_heads, cfg.head_dim
-    cuts = [r for r in range(1, rows) if pos0[r] != pos0[r - 1]]
-    runs = [(a, b, pos0[a]) for a, b in zip([0] + cuts, cuts + [rows])]
-    if cuts:
-        at = np.add.outer(pos0, np.arange(n))  # (rows, n): per-row tables
-        cos, sin = cache.cos[at], cache.sin[at]
-    else:
-        cos, sin = cache.cos[pos0[0] : pos0[0] + n], cache.sin[pos0[0] : pos0[0] + n]
-    kc, vc = cache.k[:, row0 : row0 + rows], cache.v[:, row0 : row0 + rows]
-    mask = cache.mask[:n, :n] if n > 1 else None
+    heads, end = cfg.n_heads, pos0 + ids.shape[1]
+    cos, sin = cache.cos[pos0:end], cache.sin[pos0:end]
+    kc, vc = cache.k[:, : len(ids)], cache.v[:, : len(ids)]
+    mask = cache.mask[pos0:end, :end] if end - pos0 > 1 else None
     x = pv["embed"][ids]
     for layer in range(cfg.n_layers):
         h = x / _rms_scale(x) * pv[f"layer{layer}.ln1"]
         # q and k are rotated in one call, as 2 * heads heads side by side: rotary mixing acts per element
         qk = np.concatenate((h @ pv[f"layer{layer}.wq"].T, h @ pv[f"layer{layer}.wk"].T), axis=-1)
         qk = _split_heads(_rotate(qk, cos, sin, 2 * heads), 2 * heads)
-        q, k = qk[:, :heads], qk[:, heads:]
-        v = _split_heads(h @ pv[f"layer{layer}.wv"].T, heads)
-        ctx = []
-        for a, b, p in runs:
-            kc[layer, a:b, :, p : p + n], vc[layer, a:b, :, p : p + n] = k[a:b], v[a:b]
-            scores = (q[a:b] @ np.swapaxes(kc[layer, a:b, :, : p + n], -1, -2)) * (1.0 / math.sqrt(hd))
-            if mask is not None:
-                scores = scores + mask
-            ctx.append(_softmax(scores) @ vc[layer, a:b, :, : p + n])
-        ctx = np.concatenate(ctx) if cuts else ctx[0]
-        x = x + _merge_heads(ctx) @ pv[f"layer{layer}.wo"].T
+        kc[layer, :, :, pos0:end] = qk[:, heads:]
+        vc[layer, :, :, pos0:end] = _split_heads(h @ pv[f"layer{layer}.wv"].T, heads)
+        scores = (qk[:, :heads] @ np.swapaxes(kc[layer, :, :, :end], -1, -2)) * (1.0 / math.sqrt(cfg.head_dim))
+        if mask is not None:
+            scores = scores + mask
+        x = x + _merge_heads(_softmax(scores) @ vc[layer, :, :, :end]) @ pv[f"layer{layer}.wo"].T
         x = x + _swiglu_np(pv, layer, expert, x / _rms_scale(x) * pv[f"layer{layer}.ln2"])
     if cfg.final_norm:
         x = x / _rms_scale(x) * pv["final_norm"]
     return x @ pv["lm_head"].T
-
-
-def _feed(model, rows: list[list[int]], experts: list, cache: _KVCache, fed: list[int]) -> np.ndarray:
-    """Last-position logits (R, V) of rows sorted by (expert, length) whose first fed[r] tokens
-    are in the cache: one chunk per run of rows with equal expert and unfed length."""
-    out, a = [], 0
-    for (expert, n), run in itertools.groupby(range(len(rows)), lambda r: (experts[r], len(rows[r]) - fed[r])):
-        b = a + len(list(run))
-        ids = np.asarray([t for row in rows[a:b] for t in row[-n:]], np.int64).reshape(b - a, n)
-        out.append(_np_chunk(model, ids, expert, cache, fed[a:b], a)[:, -1])
-        a = b
-    return out[0] if len(out) == 1 else np.concatenate(out)
 
 
 def _sample(logits: np.ndarray, temperature: float | None, rngs) -> list[int]:
@@ -473,10 +442,10 @@ def generate_batch(
 ) -> list[tuple[list[int], Route]]:
     """One (completion, route) per prompt, each bitwise what ``generate`` gives it alone.
 
-    Rows run in order of (expert, prompt length), each on the route its own prompt locks, and
-    leave the batch at EOS (not returned), after ``max_new`` tokens or at max_seq. Decoding is
-    greedy for ``temperature`` None; otherwise each row samples from its own
-    ``default_rng(seed)``. Without the cache, live rows recompute from position 0.
+    Prompts of one (expert, length) group decode together as one rectangle, each row on the
+    route its own prompt locks, and leave it at EOS (not returned), after ``max_new`` tokens or
+    at max_seq. Decoding is greedy for ``temperature`` None; otherwise each row samples from its
+    own ``default_rng(seed)``. Without the cache, live rows recompute from position 0.
     """
     cfg = model.config
     seqs = [check_prompt(cfg, p) for p in prompts]
@@ -487,31 +456,27 @@ def generate_batch(
     if temperature is not None and not temperature > 0:
         raise ValueError(f"temperature must be > 0, got {temperature!r}")
     routes = [resolve_route(p) for p in seqs]
-    experts = [model.expert_index(r) for r in routes]
     starts = [len(p) for p in seqs]
-    # live rows by (expert, length): tokens (aliasing seqs), expert, rng, prompt length, tokens in the cache
-    order = sorted(range(len(seqs)), key=lambda i: (experts[i], starts[i])) if max_new else []
-    live = [
-        [seqs[i] for i in order],
-        [experts[i] for i in order],
-        [None if temperature is None else np.random.default_rng(seed) for _ in order],
-        [starts[i] for i in order],
-        [0] * len(order),
-    ]
-    cache = _KVCache(cfg, len(order))
-    while live[0]:
-        rows, experts, rngs, start, fed = live
-        keep = []
-        for j, t in enumerate(_sample(_feed(model, rows, experts, cache, fed), temperature, rngs)):
-            fed[j] = len(rows[j]) if use_cache else 0
-            if t != EOS_ID:
-                rows[j].append(t)
-                if len(rows[j]) - start[j] < max_new and len(rows[j]) < cfg.max_seq:
-                    keep.append(j)
-        if len(keep) < len(rows):
-            if use_cache and keep:
-                cache.keep(keep, max(fed[j] for j in keep))
-            live = [[col[j] for j in keep] for col in live]
+    groups: dict[tuple[int | None, int], list[list[int]]] = {}
+    for seq, route in zip(seqs, routes):
+        groups.setdefault((model.expert_index(route), len(seq)), []).append(seq)
+    for (expert, start), rows in groups.items() if max_new else ():
+        # live rows (aliasing seqs) all hold n tokens, the first fed of them in the cache
+        rngs = [None if temperature is None else np.random.default_rng(seed) for _ in rows]
+        cache, n, fed = _KVCache(cfg, len(rows)), start, 0
+        while rows:
+            ids = np.asarray([row[fed:] for row in rows], np.int64)
+            tokens = _sample(_np_chunk(model, ids, expert, cache, fed)[:, -1], temperature, rngs)
+            keep = [j for j, t in enumerate(tokens) if t != EOS_ID]
+            for j in keep:
+                rows[j].append(tokens[j])
+            n += 1
+            if n - start == max_new or n >= cfg.max_seq:
+                break
+            fed = n - 1 if use_cache else 0
+            if len(keep) < len(rows):
+                cache.keep(keep, fed)
+                rows, rngs = [rows[j] for j in keep], [rngs[j] for j in keep]
     return [(seq[n:], route) for seq, n, route in zip(seqs, starts, routes)]
 
 

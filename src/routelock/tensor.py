@@ -198,13 +198,9 @@ def find_nonfinite(root: Tensor) -> str | None:
         if not np.all(np.isfinite(node.data)):
             bad.append(node)
         stack.extend(node._parents)
-    if not bad:
-        return None
-    # prefer the deepest offender: one with no non-finite parent
-    for node in bad:
-        if not any(not np.all(np.isfinite(p.data)) for p in node._parents):
-            return node.op
-    return bad[-1].op
+    # the deepest offender: one with no non-finite parent. Every visited node's parents are
+    # visited and the graph is acyclic, so when any node is non-finite, one of them has none.
+    return next((n.op for n in bad if all(np.all(np.isfinite(p.data)) for p in n._parents)), None)
 
 
 # ---------------------------------------------------------------------------

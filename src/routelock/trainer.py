@@ -55,21 +55,30 @@ from .tokenizer import (
 
 @dataclass(frozen=True)
 class ChatExample:
-    """One supervised example: prompt ids ending in a control token, target ids, mode."""
+    """One supervised example: prompt ids ending in a control token, target ids, and the mode
+    the prompt routes to; a prompt that routes to the other mode raises DataError."""
 
     prompt_ids: tuple[int, ...]
     target_ids: tuple[int, ...]
     mode: Route
-    loss_mask: tuple[bool, ...]
+
+    def __post_init__(self):
+        route = resolve_route(self.prompt_ids)
+        if route is not self.mode:
+            raise DataError(f"prompt routes to {int(route)} but is tagged mode {int(self.mode)}")
 
     @classmethod
     def build(cls, prompt_ids: Sequence[int], target_ids: Sequence[int], mode: Route) -> "ChatExample":
-        mask = (False,) * len(prompt_ids) + (True,) * len(target_ids)
-        return cls(tuple(prompt_ids), tuple(target_ids), Route(mode), mask)
+        return cls(tuple(prompt_ids), tuple(target_ids), Route(mode))
 
     @property
     def tokens(self) -> tuple[int, ...]:
         return self.prompt_ids + self.target_ids
+
+    @property
+    def loss_mask(self) -> tuple[bool, ...]:
+        """True on the target's positions: the prompt and its control token carry no loss."""
+        return (False,) * len(self.prompt_ids) + (True,) * len(self.target_ids)
 
 
 @dataclass(frozen=True)
@@ -283,17 +292,6 @@ def expert_gap(params: ParamVector) -> dict[str, np.ndarray]:
     return {k: b1 - beta0[k] for k, b1 in _expert_slice(params, 1).items()}
 
 
-def validate_dataset(dataset: Sequence[ChatExample]) -> None:
-    for i, ex in enumerate(dataset):
-        if resolve_route(ex.prompt_ids) is not ex.mode:
-            raise DataError(
-                f"example {i}: prompt routes to {int(resolve_route(ex.prompt_ids))} "
-                f"but is tagged mode {int(ex.mode)}"
-            )
-        if len(ex.loss_mask) != len(ex.tokens):
-            raise DataError(f"example {i}: loss mask length mismatch")
-
-
 def train(
     model: ModelParams | DenseModel,
     dataset: Sequence[ChatExample],
@@ -310,7 +308,6 @@ def train(
     a routed model also adds the step's expert gradient to the log's sum,
     with sign + on think steps and - on no-think steps.
     """
-    validate_dataset(dataset)
     if not dataset:
         raise ValueError("dataset is empty")
     params = model.params.copy()

@@ -598,6 +598,8 @@ OPERATOR_ERRORS = {
     "train-vocab-size-7": (train_with("model", vocab_size=7), ['section "model"', "vocab_size 7", "22 tokens"]),
     "train-vocab-size-100": (train_with("model", vocab_size=100),
                              ['section "model"', "vocab_size 100", "22 tokens"]),
+    # CFG's run seed is 7
+    "train-seed-contradicts-run-seed": (train_with(seed=5), ['section "train"', "seed 5", "seed 7"]),
     "train-empty-dataset": (with_file("data.jsonl", "", "train", "--seed", "7", "--dataset", "{dir}/data.jsonl",
                                       "--out", "{dir}/o"), ["data.jsonl", "no records"]),
     "train-out-is-a-file": (train_over("outfile", "--out", "{dir}/outfile", "--checkpoint", "{dir}/elsewhere.ple"),

@@ -1,0 +1,66 @@
+"""Library input checks: each bad call raises its own error with a message naming the fault."""
+
+import numpy as np
+import pytest
+
+from routelock.errors import ShapeError
+from routelock.params import ParamVector, central_differences
+from routelock.synth import SynthTaskSpec
+from routelock.tensor import embedding, softmax_cross_entropy
+from routelock.theory import GradientPair, QuadraticMode, equal_curvature_gap
+from routelock.tokenizer import CTRL_THINK_ID, Route
+from routelock.trainer import ChatExample, TrainConfig, token_level_route_variant, train
+
+from conftest import tiny_model
+
+LOGITS = np.zeros((2, 4))
+NOT_PSD = np.diag([1.0, -1.0])
+PV = ParamVector([("w", np.zeros(3))])
+THINK_EXAMPLE = ChatExample.build([1, 8, CTRL_THINK_ID], [10, 2], Route.THINK)  # 4 input positions
+
+INPUT_CHECKS = {
+    "expert-index-none": (lambda: tiny_model().expert_index(None), ValueError, "route is required"),
+    "expert-index-route-2": (lambda: tiny_model().expert_index(2), ValueError, "route must be 0 or 1, got 2"),
+    "train-empty-dataset": (lambda: train(tiny_model(), [], TrainConfig(learning_rate=0.1)), ValueError,
+                            "dataset is empty"),
+    "token-routes-wrong-length": (lambda: token_level_route_variant(tiny_model(), THINK_EXAMPLE, [1, 1]),
+                                  ValueError, r"token_routes must have length 4, got \(2,\)"),
+    "synth-modulus-1": (lambda: SynthTaskSpec(modulus=1), ValueError, "modulus must be >= 2"),
+    "synth-no-problems": (lambda: SynthTaskSpec(n_problems=0), ValueError, "n_problems must be >= 1"),
+    "embedding-id-past-table": (lambda: embedding(np.zeros((3, 2)), [0, 3]), IndexError,
+                                "token id out of range for table with 3 rows"),
+    "embedding-id-negative": (lambda: embedding(np.zeros((3, 2)), [-1]), IndexError,
+                              "token id out of range for table with 3 rows"),
+    "cross-entropy-targets-shape": (lambda: softmax_cross_entropy(LOGITS, [0]), ShapeError,
+                                    r"targets shape \(1,\) does not match logits \(2, 4\)"),
+    "cross-entropy-mask-shape": (lambda: softmax_cross_entropy(LOGITS, [0, 1], mask=[1]), ShapeError,
+                                 r"mask shape \(1,\) does not match targets \(2,\)"),
+    "cross-entropy-all-masked": (lambda: softmax_cross_entropy(LOGITS, [0, 1], mask=[0, 0]), ValueError,
+                                 "an example has no unmasked positions"),
+    "cross-entropy-unknown-reduction": (lambda: softmax_cross_entropy(LOGITS, [0, 1], reduction="mean"),
+                                        ValueError, "unknown reduction 'mean'"),
+    "from-flat-size": (lambda: PV.from_flat(np.zeros(4)), ValueError, "flat vector has 4 entries, expected 3"),
+    "central-differences-step-0": (lambda: central_differences(None, PV, None, [0], step=0.0), ValueError,
+                                   "step must be positive"),
+    "quadratic-not-square": (lambda: QuadraticMode(np.zeros((2, 3)), np.zeros(2), 0.5), ValueError,
+                             r"H must be square, got shape \(2, 3\)"),
+    "quadratic-not-symmetric": (lambda: QuadraticMode(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2), 0.5),
+                                ValueError, "H is not symmetric"),
+    "quadratic-not-psd": (lambda: QuadraticMode(NOT_PSD, np.zeros(2), 0.5), ValueError,
+                          "H has a negative eigenvalue beyond tolerance"),
+    "quadratic-pi-above-1": (lambda: QuadraticMode(np.eye(2), np.zeros(2), 1.5), ValueError,
+                             r"pi must lie in \[0, 1\]"),
+    "gradient-pair-shapes": (lambda: GradientPair(np.zeros(2), np.zeros(3), 0.5, 0.5), ValueError,
+                             "gradient shapes differ"),
+    "gradient-pair-weights": (lambda: GradientPair(np.zeros(2), np.zeros(2), 0.5, 0.6), ValueError,
+                              "pi0 \\+ pi1 must equal 1"),
+    "equal-curvature-not-psd": (lambda: equal_curvature_gap(NOT_PSD, np.zeros(2), np.ones(2), 0.5), ValueError,
+                                "H has a negative eigenvalue beyond tolerance"),
+}
+
+
+@pytest.mark.parametrize("row", list(INPUT_CHECKS))
+def test_input_check_raises_named_error(row):
+    call, error, message = INPUT_CHECKS[row]
+    with pytest.raises(error, match=message):
+        call()

@@ -181,7 +181,7 @@ def test_graph_forward_matches_numpy_prefill_bitwise(d_model):
     model = tiny_model(seed=0, cfg=cfg)
     a = forward(model, TOKENS, Route.NO_THINK).data
     expert = model.expert_index(Route.NO_THINK)
-    b = _np_chunk(model, np.asarray([TOKENS], np.int64), expert, _KVCache(cfg, 1), [0])[0]
+    b = _np_chunk(model, np.asarray([TOKENS], np.int64), expert, _KVCache(cfg, 1), 0)[0]
     assert np.array_equal(a, b)
 
 
@@ -194,7 +194,7 @@ def test_multi_row_prefill_rows_match_forward_bitwise(d_model):
     rows = [TOKENS, [1, 9, 8, 7, 6, 5, CTRL_THINK_ID], [1, 10, 12, 14, 16, 18, 20], TOKENS]
     ids, out = np.asarray(rows, np.int64), {}
     for route in Route:
-        out[route] = _np_chunk(model, ids, model.expert_index(route), _KVCache(cfg, len(rows)), [0] * len(rows))
+        out[route] = _np_chunk(model, ids, model.expert_index(route), _KVCache(cfg, len(rows)), 0)
         for row, logits in zip(rows, out[route]):
             assert np.array_equal(logits, forward(model, row, route).data)
     assert not np.array_equal(out[Route.NO_THINK][0], out[Route.THINK][3])
