@@ -49,15 +49,14 @@ from .tokenizer import Route, UNK_ID, Vocabulary, decode, encode_prompt
 from .trainer import (
     MODE_NAMES,
     TrainConfig,
-    batch_loss_fn,
     example_from_record,
-    make_batch,
     mode_loss_grad,
     read_jsonl,
     record_fields,
     record_mode,
     split_by_mode,
     train,
+    two_mode_loss_fn,
 )
 from .synth import SynthTaskSpec, generate_synth_dataset
 
@@ -285,12 +284,11 @@ def _interference(m0, m1, seed, i):
 
 def _grad_vs_fd(model, d0, d1, seed, probes):
     """Reverse mode against central differences on ``probes`` sampled coordinates."""
-    batch = make_batch(d0[:4])
-    loss_fn = batch_loss_fn(model, Route.NO_THINK, "example_mean")
-    _, grads = value_and_grad(loss_fn, model.params, batch)
+    loss_fn = two_mode_loss_fn(model, d0[:4])
+    _, grads = value_and_grad(loss_fn, model.params, None)
     size = model.params.size
     coords = np.random.default_rng(seed).choice(size, size=min(probes, size), replace=False)
-    fd = central_differences(loss_fn, model.params, batch, coords, step=1e-5)
+    fd = central_differences(loss_fn, model.params, None, coords, step=1e-5)
     return max_relative_error(grads.flatten()[coords], fd), 1e-5, None
 
 

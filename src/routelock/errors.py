@@ -17,10 +17,6 @@ class CapacityError(ValueError):
     """Token sequence exceeds the model's maximum length."""
 
 
-class BatchingError(ValueError):
-    """A batch mixes examples from both modes."""
-
-
 class DataError(ValueError):
     """A dataset record violates an invariant (message names the index)."""
 

@@ -18,6 +18,7 @@ prompt and control tokens contribute no loss.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -27,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BatchingError, ConfigError, DataError, check_field
+from .errors import ConfigError, DataError, check_field
 from .model import (
     DenseModel,
     ModelParams,
@@ -126,13 +127,6 @@ def make_batch(examples: Sequence[ChatExample]) -> dict:
     }
 
 
-def _single_mode(examples: Sequence[ChatExample]) -> Route:
-    modes = {ex.mode for ex in examples}
-    if len(modes) != 1:
-        raise BatchingError(f"batch mixes modes {sorted(int(m) for m in modes)}")
-    return modes.pop()
-
-
 def batch_loss_fn(model: ModelParams | DenseModel, route: Route | None, reduction: str):
     """Loss closure over parameter leaves, for value_and_grad."""
     cfg = model.config
@@ -142,30 +136,6 @@ def batch_loss_fn(model: ModelParams | DenseModel, route: Route | None, reductio
         return softmax_cross_entropy(logits, batch["labels"], batch["label_mask"], reduction=reduction)
 
     return loss_fn
-
-
-def mode_loss(
-    model: ModelParams | DenseModel,
-    examples: Sequence[ChatExample],
-    reduction: str = "example_mean",
-) -> float:
-    """Mean causal LM loss of a mode-pure batch, using that mode's route."""
-    route = _single_mode(examples)
-    batch = make_batch(examples)
-    with no_grad():
-        leaves = as_leaves(model.params)
-        loss = batch_loss_fn(model, route, reduction)(leaves, batch)
-    return float(loss.data)
-
-
-def mode_loss_grad(
-    model: ModelParams | DenseModel,
-    examples: Sequence[ChatExample],
-    reduction: str = "example_mean",
-) -> tuple[float, ParamVector]:
-    route = _single_mode(examples)
-    batch = make_batch(examples)
-    return value_and_grad(batch_loss_fn(model, route, reduction), model.params, batch)
 
 
 def split_by_mode(dataset: Sequence[ChatExample]) -> tuple[list[ChatExample], list[ChatExample]]:
@@ -192,32 +162,26 @@ def two_mode_loss_fn(
     mode m's examples as one batch; a mode with no examples has no term.
     The closure ignores its batch argument.
     """
-    pi0, pi1 = mode_weights(dataset)
-    d0, d1 = split_by_mode(dataset)
     terms = [(batch_loss_fn(model, Route(r), reduction), make_batch(part), pi)
-             for r, (part, pi) in enumerate(((d0, pi0), (d1, pi1))) if part]
+             for r, (part, pi) in enumerate(zip(split_by_mode(dataset), mode_weights(dataset))) if part]
 
     def loss_fn(leaves: Mapping[str, Tensor], _batch) -> Tensor:
-        total = None
-        for mode_fn, batch, pi in terms:
-            term = mul(mode_fn(leaves, batch), pi)
-            total = term if total is None else add(total, term)
-        return total
+        return functools.reduce(add, (mul(mode_fn(leaves, batch), pi) for mode_fn, batch, pi in terms))
 
     return loss_fn
 
 
-def full_objective(
+def mode_loss(
     model: ModelParams | DenseModel,
     dataset: Sequence[ChatExample],
     reduction: str = "example_mean",
 ) -> float:
-    """Value of the two-mode objective."""
+    """Value of the two-mode objective; on one mode's examples, that mode's batch loss."""
     with no_grad():
         return float(two_mode_loss_fn(model, dataset, reduction)(as_leaves(model.params), None).data)
 
 
-def full_objective_grad(
+def mode_loss_grad(
     model: ModelParams | DenseModel,
     dataset: Sequence[ChatExample],
     reduction: str = "example_mean",
@@ -457,10 +421,11 @@ def example_from_record(
     prompt = encode_prompt(prompt_text, vocab)
     if not any(t in (CTRL_THINK_ID, CTRL_NOTHINK_ID) for t in prompt):
         prompt.append(control_token_id(mode))
-    if resolve_route(prompt) is not mode:
-        raise DataError(f"{where}: prompt control tokens route to the other mode")
     target = encode(target_text, vocab) + [EOS_ID]
-    return ChatExample.build(prompt, target, mode), record.get("answer")
+    try:
+        return ChatExample.build(prompt, target, mode), record.get("answer")
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from exc
 
 
 def load_dataset_jsonl(path, vocab: Vocabulary) -> tuple[list[ChatExample], list[str | None]]:

@@ -82,7 +82,9 @@ def test_train_rejects_conflicting_mode_naming_line(tmp_path, capsys):
     cfg_path.write_text(json.dumps(CFG))
     rc = main(["train", "--config", str(cfg_path), "--dataset", str(data), "--out", str(tmp_path / "o")])
     assert rc != 0
-    assert ":4" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert ":4" in err
+    assert "routes to 1 but is tagged mode 0" in err
 
 
 def test_train_rerun_identical_trajectory(tmp_path):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from routelock.errors import ShapeError
-from routelock.params import ParamVector, central_differences
+from routelock.params import ParamVector, central_differences, value_and_grad
 from routelock.synth import SynthTaskSpec
-from routelock.tensor import embedding, softmax_cross_entropy
+from routelock.tensor import Tensor, backward, embedding, matmul, rope_rotate, softmax_cross_entropy
 from routelock.theory import GradientPair, QuadraticMode, equal_curvature_gap
 from routelock.tokenizer import CTRL_THINK_ID, Route
 from routelock.trainer import ChatExample, TrainConfig, token_level_route_variant, train
@@ -42,6 +42,18 @@ INPUT_CHECKS = {
     "from-flat-size": (lambda: PV.from_flat(np.zeros(4)), ValueError, "flat vector has 4 entries, expected 3"),
     "central-differences-step-0": (lambda: central_differences(None, PV, None, [0], step=0.0), ValueError,
                                    "step must be positive"),
+    "segment-slice-unknown-name": (lambda: PV.segment_slice("v"), KeyError, "'v'"),
+    "value-and-grad-non-scalar-loss": (lambda: value_and_grad(lambda leaves, _: leaves["w"], PV, None), ValueError,
+                                       r"loss_fn must return a scalar, got shape \(3,\)"),
+    "central-differences-loss-not-one-per-point": (
+        lambda: central_differences(lambda leaves, _: leaves["w"], PV, None, [0]), ValueError,
+        r"loss_fn must return one scalar per point, got shape \(2, 3\)"),
+    "backward-non-scalar-root": (lambda: backward(Tensor(np.zeros(2))), ShapeError,
+                                 r"backward needs a scalar root, got shape \(2,\)"),
+    "matmul-vector": (lambda: matmul(np.zeros(3), np.zeros((3, 2))), ShapeError,
+                      r"matmul needs matrices, got shapes \(3,\) and \(3, 2\)"),
+    "rope-rotate-odd-width": (lambda: rope_rotate(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3))), ShapeError,
+                              "rotary width 3 does not split into 1 heads of even width matching tables of width 3"),
     "quadratic-not-square": (lambda: QuadraticMode(np.zeros((2, 3)), np.zeros(2), 0.5), ValueError,
                              r"H must be square, got shape \(2, 3\)"),
     "quadratic-not-symmetric": (lambda: QuadraticMode(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2), 0.5),

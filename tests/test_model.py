@@ -211,12 +211,6 @@ def test_position_table_slices_match_per_chunk_tables_bitwise():
                 c, s = rotary_tables(*rope_tables(p, n, cfg.head_dim, cfg.rope_base), heads)
                 assert np.array_equal(cos[p : p + n], c) and np.array_equal(sin[p : p + n], s)
             assert np.array_equal(mask[: p + 1, : p + 1], causal_mask(p + 1))
-        # ragged rows gather per-row tables, each bitwise that row's own
-        pos0, n = [0, 3, 7], 4
-        at = np.add.outer(pos0, np.arange(n))
-        for r, p in enumerate(pos0):
-            c, s = rotary_tables(*rope_tables(p, n, cfg.head_dim, cfg.rope_base), heads)
-            assert np.array_equal(cos[at][r], c) and np.array_equal(sin[at][r], s)
 
 
 # --- generation -------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from routelock.errors import DegenerateInputError, SingularityError
 from routelock.model import DenseModel, ModelConfig, ModelParams
 from routelock.theory import (
     GradientPair,
+    InterferenceReport,
     QuadraticMode,
     conflict_gap,
     dense_optimum,
@@ -182,6 +185,14 @@ def test_interference_aligned_gradients_descend():
     rep = verify_interference_on_quadratic(m0, m1, np.array([3.0, -2.0]), eta=1e-3)
     assert rep.predicate is False
     assert rep.dense_change < 0
+
+
+def test_interference_sign_too_close_to_call():
+    # a first-order change inside the second-order bound decides nothing, whatever the exact sign
+    close = InterferenceReport(eta=1e-3, first_order=1e-9, second_order_bound=1e-8, dense_change=-1e-8,
+                               split_change=0.0, split_second_order=0.0, predicate=False)
+    assert close.sign_consistent
+    assert not dataclasses.replace(close, second_order_bound=1e-10).sign_consistent
 
 
 def test_split_step_never_increases_l0_beyond_bound():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from routelock.errors import BatchingError, ConfigError, DataError
+from routelock.errors import ConfigError, DataError
 from routelock.model import ModelConfig, ModelParams
 from routelock.params import ParamVector, as_leaves, value_and_grad
 from routelock.synth import SynthTaskSpec, generate_synth_dataset
@@ -19,8 +19,6 @@ from routelock.trainer import (
     TrainConfig,
     batch_loss_fn,
     expert_gap,
-    full_objective,
-    full_objective_grad,
     load_dataset_jsonl,
     make_batch,
     mode_loss,
@@ -62,11 +60,6 @@ def test_mode_loss_uniform_logits(tiny):
     assert abs(loss - math.log(TINY_CFG.vocab_size)) < 1e-12
 
 
-def test_mode_loss_rejects_mixed_modes(tiny):
-    with pytest.raises(BatchingError):
-        mode_loss(tiny, tiny_dataset())
-
-
 def test_inactive_expert_gradient_bitwise_zero(tiny):
     data = tiny_dataset()
     for mode_examples, inactive in (((data[:2]), ".expert1."), ((data[2:]), ".expert0.")):
@@ -82,28 +75,33 @@ def test_gradient_decomposition(tiny):
     d0, d1 = split_by_mode(data)
     _, g0 = mode_loss_grad(tiny, d0)
     _, g1 = mode_loss_grad(tiny, d1)
-    _, gfull = full_objective_grad(tiny, data)
+    _, gfull = mode_loss_grad(tiny, data)
     for name in gfull.names:
         combined = pi0 * g0[name] + pi1 * g1[name]
         assert np.max(np.abs(gfull[name] - combined)) <= 1e-12
 
 
 def test_full_objective_single_mode_equals_mode_loss(tiny):
-    d0, _ = split_by_mode(tiny_dataset())
-    assert full_objective(tiny, d0) == pytest.approx(mode_loss(tiny, d0), abs=1e-15)
+    # on one mode's examples pi is 1.0, so the objective is that mode's batch loss, bitwise
+    for part, route in zip(split_by_mode(tiny_dataset()), (Route.NO_THINK, Route.THINK)):
+        for reduction in ("example_mean", "token_sum"):
+            loss, grads = mode_loss_grad(tiny, part, reduction)
+            ref_loss, ref_grads = value_and_grad(batch_loss_fn(tiny, route, reduction), tiny.params, make_batch(part))
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            assert grads.flatten().tobytes() == ref_grads.flatten().tobytes()
 
 
 def test_full_objective_balanced_split_is_mean(tiny):
     data = tiny_dataset()
     d0, d1 = split_by_mode(data)
     expected = 0.5 * (mode_loss(tiny, d0) + mode_loss(tiny, d1))
-    assert abs(full_objective(tiny, data) - expected) < 1e-15
+    assert abs(mode_loss(tiny, data) - expected) < 1e-15
 
 
 def test_full_objective_matches_per_example_average(tiny):
     data = tiny_dataset()
     naive = sum(mode_loss(tiny, [e]) for e in data) / len(data)
-    assert abs(full_objective(tiny, data) - naive) <= 1e-12
+    assert abs(mode_loss(tiny, data) - naive) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -130,13 +128,13 @@ def test_full_objective_equals_weighted_mode_loss_sum_bitwise(seed):
                 total += pi0 * mode_loss(model, d0, reduction)
             if d1:
                 total += pi1 * mode_loss(model, d1, reduction)
-            value = full_objective(model, data, reduction)
+            value = mode_loss(model, data, reduction)
             assert np.float64(value).tobytes() == np.float64(total).tobytes()
 
 
 def test_full_objective_empty_dataset(tiny):
     with pytest.raises(ValueError):
-        full_objective(tiny, [])
+        mode_loss(tiny, [])
 
 
 def test_sgd_step_zero_gradient_bitwise_noop(tiny):
