@@ -10,7 +10,7 @@ over pointed leaves (see ``tensor``).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -132,6 +132,9 @@ def _loss_at(loss_fn: LossFn, params: ParamVector, batch, coords: np.ndarray, de
     perturbs nothing the loss reads) is the loss at every point of the chunk.
     """
     bounds = np.cumsum([0] + [a.size for _, a in params.items()])
+    outside = coords[(coords < 0) | (coords >= bounds[-1])]
+    if outside.size:
+        raise ValueError(f"coordinate {outside[0]} is outside a parameter vector of size {bounds[-1]}")
     names = params.names
     base = as_leaves(params)
     values = np.empty(len(coords))
@@ -186,35 +189,37 @@ def sampled_cross_hessian_max(
     loss_fn: LossFn,
     params: ParamVector,
     batch,
-    names_a: Iterable[str],
-    names_b: Iterable[str],
+    blocks: Sequence[tuple[Sequence[str], Sequence[str], int]],
     step: float = 1e-3,
     probes: int = 64,
-    seed: int = 0,
-) -> float:
-    """Max |second cross-partial| over randomly sampled coordinate pairs.
+) -> list[float]:
+    """Max |second cross-partial| over sampled coordinate pairs, for each block in one pass.
 
-    When both name sets coincide, half the draws are forced onto the
-    diagonal (i == j) so the probe sees pure second derivatives too.
-    Each entry is the nested central difference on the four points
-    (p + di e_i) + dj e_j with di, dj = +-step; the stencil is also correct
-    when i == j, where it reduces to the (2 step) pure second difference.
+    Block ``(names_a, names_b, seed)`` draws ``probes`` pairs from its own
+    ``default_rng(seed)``; when both name sets coincide, half the draws are
+    forced onto the diagonal (i == j) so the probe sees pure second
+    derivatives too. Each entry is the nested central difference on the four
+    points (p + di e_i) + dj e_j with di, dj = +-step; the stencil is also
+    correct when i == j, where it reduces to the (2 step) pure second difference.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
-    idx_a = _flat_indices(params, names_a)
-    idx_b = _flat_indices(params, names_b)
-    same_block = set(names_a) == set(names_b)
-    rng = np.random.default_rng(seed)
     pairs = []
-    for k in range(probes):
-        i = int(rng.choice(idx_a))
-        j = i if (same_block and k % 2 == 0) else int(rng.choice(idx_b))
-        pairs.append((i, j))
-    stencil = np.tile([[step, step], [step, -step], [-step, step], [-step, -step]], (probes, 1))
-    at = _loss_at(loss_fn, params, batch, np.repeat(pairs, 4, axis=0), stencil).reshape(probes, 4)
-    entries = (at[:, 0] - at[:, 1] - at[:, 2] + at[:, 3]) / (4.0 * step * step)
-    return max([0.0] + np.abs(entries).tolist())
+    for b, (names_a, names_b, seed) in enumerate(blocks):
+        if not names_a or not names_b:
+            raise ValueError(f"Hessian block {b} ({list(names_a)} x {list(names_b)}) has an empty name list")
+        idx_a = _flat_indices(params, names_a)
+        idx_b = _flat_indices(params, names_b)
+        same_block = set(names_a) == set(names_b)
+        rng = np.random.default_rng(seed)
+        for k in range(probes):
+            i = int(rng.choice(idx_a))
+            j = i if (same_block and k % 2 == 0) else int(rng.choice(idx_b))
+            pairs.append((i, j))
+    stencil = np.tile([[step, step], [step, -step], [-step, step], [-step, -step]], (len(pairs), 1))
+    at = _loss_at(loss_fn, params, batch, np.repeat(pairs, 4, axis=0), stencil).reshape(len(blocks), probes, 4)
+    entries = (at[..., 0] - at[..., 1] - at[..., 2] + at[..., 3]) / (4.0 * step * step)
+    return [max([0.0] + np.abs(row).tolist()) for row in entries]
 
 
 def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-4) -> float:

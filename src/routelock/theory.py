@@ -233,19 +233,14 @@ def hessian_block_audit(
     probe does detect real curvature.
     """
     loss_fn = two_mode_loss_fn(model, list(batch0) + list(batch1))
-    groups = model.groups()
-
-    def probe(a, b, s):
-        return sampled_cross_hessian_max(loss_fn, model.params, None, a, b, step=HESSIAN_STEP, probes=probes, seed=s)
-
-    return HessianAuditReport(
-        cross_beta0_beta1=probe(groups["beta0"], groups["beta1"], seed),
-        alpha_beta0=probe(groups["alpha"], groups["beta0"], seed + 1),
-        alpha_beta1=probe(groups["alpha"], groups["beta1"], seed + 2),
-        beta0_beta0=probe(groups["beta0"], groups["beta0"], seed + 3),
-        probes=probes,
-        step=HESSIAN_STEP,
+    g = model.groups()
+    # expert-only blocks first: fewer chunks then carry pointed shared (alpha) segments
+    blocks = {"cross_beta0_beta1": (g["beta0"], g["beta1"], seed), "beta0_beta0": (g["beta0"], g["beta0"], seed + 3),
+              "alpha_beta0": (g["alpha"], g["beta0"], seed + 1), "alpha_beta1": (g["alpha"], g["beta1"], seed + 2)}
+    maxima = sampled_cross_hessian_max(
+        loss_fn, model.params, None, list(blocks.values()), step=HESSIAN_STEP, probes=probes
     )
+    return HessianAuditReport(**dict(zip(blocks, maxima)), probes=probes, step=HESSIAN_STEP)
 
 
 # ---------------------------------------------------------------------------

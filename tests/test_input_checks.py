@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from routelock.errors import ShapeError
-from routelock.params import ParamVector, central_differences, value_and_grad
+from routelock.params import ParamVector, central_differences, sampled_cross_hessian_max, value_and_grad
 from routelock.synth import SynthTaskSpec
 from routelock.tensor import Tensor, backward, embedding, matmul, rope_rotate, softmax_cross_entropy
 from routelock.theory import GradientPair, QuadraticMode, equal_curvature_gap
@@ -42,6 +42,12 @@ INPUT_CHECKS = {
     "from-flat-size": (lambda: PV.from_flat(np.zeros(4)), ValueError, "flat vector has 4 entries, expected 3"),
     "central-differences-step-0": (lambda: central_differences(None, PV, None, [0], step=0.0), ValueError,
                                    "step must be positive"),
+    "central-differences-coordinate-negative": (lambda: central_differences(None, PV, None, [-1]), ValueError,
+                                                "coordinate -1 is outside a parameter vector of size 3"),
+    "central-differences-coordinate-past-end": (lambda: central_differences(None, PV, None, [0, 3]), ValueError,
+                                                "coordinate 3 is outside a parameter vector of size 3"),
+    "hessian-block-no-names": (lambda: sampled_cross_hessian_max(None, PV, None, [(["w"], ["w"], 0), ([], ["w"], 1)]),
+                               ValueError, r"Hessian block 1 \(\[\] x \['w'\]\) has an empty name list"),
     "segment-slice-unknown-name": (lambda: PV.segment_slice("v"), KeyError, "'v'"),
     "value-and-grad-non-scalar-loss": (lambda: value_and_grad(lambda leaves, _: leaves["w"], PV, None), ValueError,
                                        r"loss_fn must return a scalar, got shape \(3,\)"),

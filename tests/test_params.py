@@ -130,7 +130,7 @@ def test_hessian_block_separable():
     def loss_fn(leaves, _):
         return sum_all(mul(leaves["a"], leaves["a"])) + sum_all(mul(leaves["b"], leaves["b"]))
 
-    worst = sampled_cross_hessian_max(loss_fn, p, None, ["a"], ["b"], probes=8)
+    [worst] = sampled_cross_hessian_max(loss_fn, p, None, [(["a"], ["b"], 0)], probes=8)
     assert worst <= 1e-6
 
 
@@ -140,14 +140,14 @@ def test_hessian_block_bilinear():
     def loss_fn(leaves, _):
         return sum_all(mul(leaves["a"], leaves["b"]))
 
-    worst = sampled_cross_hessian_max(loss_fn, p, None, ["a"], ["b"], probes=4)
+    [worst] = sampled_cross_hessian_max(loss_fn, p, None, [(["a"], ["b"], 0)], probes=4)
     assert abs(worst - 1.0) <= 1e-4
 
 
 def test_hessian_block_bad_probes():
     p = pv(a=np.zeros(2), b=np.zeros(2))
     with pytest.raises(ValueError):
-        sampled_cross_hessian_max(lambda l, _: sum_all(l["a"]), p, None, ["a"], ["b"], probes=0)
+        sampled_cross_hessian_max(lambda l, _: sum_all(l["a"]), p, None, [(["a"], ["b"], 0)], probes=0)
 
 
 def test_add_scaled():

@@ -2,17 +2,22 @@
 
 One forward over pointed leaves evaluates K parameter points; each point's
 loss must equal, bit for bit, a forward at that point alone. The batched
-oracles must equal their one-point-per-forward loops bit for bit.
+oracles must equal their one-point-per-forward loops bit for bit, and the
+Hessian audit's one pass over its four blocks must equal the blocks probed
+one at a time.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from routelock import theory
 from routelock.model import DenseModel, ExpertCallRecorder, ModelParams, causal_mask, rope_tables
-from routelock.params import as_leaves, finite_diff_grad, sampled_cross_hessian_max
+from routelock.params import CHUNK_POINTS, _loss_at, as_leaves, finite_diff_grad, sampled_cross_hessian_max
 from routelock.tensor import Tensor, attention, linear, no_grad, rotary_tables, swiglu
+from routelock.trainer import split_by_mode, two_mode_loss_fn
 
 from test_acceptance import GRAD_CFG, full_loss_fn, grad_dataset
 
@@ -97,8 +102,63 @@ def test_cross_hessian_matches_per_point_stencil_bitwise():
 
             entry = (at(step, step) - at(step, -step) - at(-step, step) + at(-step, -step)) / (4.0 * step * step)
             worst = max(worst, abs(entry))
-        got = sampled_cross_hessian_max(loss_fn, pv, None, names_a, names_b, step=step, probes=probes, seed=seed)
+        [got] = sampled_cross_hessian_max(loss_fn, pv, None, [(names_a, names_b, seed)], step=step, probes=probes)
         assert got == worst
+
+
+def test_loss_at_values_follow_their_points_bitwise():
+    # 96 shuffled two-coordinate points over embed, an expert weight and lm_head, so that
+    # both chunks mix all three segments; permuting the points permutes their losses
+    model, loss_fn = c1_setup(2)
+    pv = model.params
+    rng = np.random.default_rng(7)
+    flat = np.concatenate([np.arange(*pv.segment_slice(n)) for n in ("embed", "layer1.expert0.w_up", "lm_head")])
+    coords, deltas = rng.choice(flat, size=(96, 2)), 1e-3 * rng.normal(size=(96, 2))
+    values = _loss_at(loss_fn, pv, None, coords, deltas)
+    perm = rng.permutation(96)
+    assert _loss_at(loss_fn, pv, None, coords[perm], deltas[perm]).tobytes() == values[perm].tobytes()
+
+
+def audit_setup(seed):
+    model = ModelParams.clone_from_dense(DenseModel.init_random(GRAD_CFG, seed=seed))
+    d0, d1 = split_by_mode(grad_dataset(np.random.default_rng(200 + seed)))
+    return model, d0, d1
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("probes", [1, 4, 16, 24])
+def test_audit_equals_its_blocks_probed_alone_bitwise(probes, seed):
+    model, d0, d1 = audit_setup(seed)
+    loss_fn = two_mode_loss_fn(model, d0 + d1)
+    g = model.groups()
+    rep = theory.hessian_block_audit(model, d0, d1, probes=probes, seed=seed)
+    for got, block in (
+        (rep.cross_beta0_beta1, (g["beta0"], g["beta1"], seed)),
+        (rep.alpha_beta0, (g["alpha"], g["beta0"], seed + 1)),
+        (rep.alpha_beta1, (g["alpha"], g["beta1"], seed + 2)),
+        (rep.beta0_beta0, (g["beta0"], g["beta0"], seed + 3)),
+    ):
+        [alone] = sampled_cross_hessian_max(loss_fn, model.params, None, [block], step=theory.HESSIAN_STEP, probes=probes)
+        assert np.float64(got).tobytes() == np.float64(alone).tobytes()
+
+
+@pytest.mark.parametrize("probes, forwards", [(1, 1), (4, 1), (16, 4), (24, 6)])
+def test_audit_is_one_batched_pass(monkeypatch, probes, forwards):
+    # four blocks x probes x a 4-point stencil, CHUNK_POINTS points per loss_fn call
+    calls = []
+
+    def counted_loss_fn(model, dataset):
+        loss_fn = two_mode_loss_fn(model, dataset)
+
+        def counted(leaves, batch):
+            calls.append(1)
+            return loss_fn(leaves, batch)
+
+        return counted
+
+    monkeypatch.setattr(theory, "two_mode_loss_fn", counted_loss_fn)
+    theory.hessian_block_audit(*audit_setup(0), probes=probes, seed=0)
+    assert len(calls) == forwards == math.ceil(16 * probes / CHUNK_POINTS)
 
 
 SEQ, WIDTH, HEADS = 5, 8, 2
