@@ -389,7 +389,9 @@ def _np_chunk(
     row at positions pos0 .. pos0+n-1 (a prefix from 0, or one token) in the first R cache rows.
 
     Every op acts per element, reduces a row's own last axis, or is a stacked matmul (one
-    BLAS call per row), so each row is bitwise a one-row call, and the tape.
+    BLAS call per row), so each row is bitwise a one-row call, and that is bitwise the tape's
+    forward of the one sequence. A row of a many-sequence tape forward is not: the tape's
+    projections run one GEMM over all of its token rows.
     """
     cfg, pv = model.config, model.params
     heads, end = cfg.n_heads, pos0 + ids.shape[1]

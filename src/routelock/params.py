@@ -163,7 +163,10 @@ def central_differences(
     """(L(p + step e_i) - L(p - step e_i)) / (2 step) at each flat coordinate i in ``coords``."""
     if step <= 0:
         raise ValueError("step must be positive")
-    coords = np.asarray(coords, dtype=np.int64)
+    coords = np.asarray(coords)
+    if coords.size and coords.dtype.kind not in "iu":
+        raise ValueError(f"coordinates must be integers, got {coords.dtype} values such as {coords.flat[0]}")
+    coords = coords.astype(np.int64)
     values = _loss_at(
         loss_fn, params, batch, np.repeat(coords, 2)[:, None], np.tile([step, -step], coords.size)[:, None]
     )

@@ -236,21 +236,32 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs matrices, got shapes {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    ad, bd = _aligned(a, b)
-    data = ad @ bd
+    # a (k, n) right operand takes linear's layout: per point, one GEMM over all of a's rows
+    rows = b.ndim - b.pointed == 2
+    data = _rows(a.data, b.data, a.pointed, b.pointed) if rows else np.matmul(*_aligned(a, b))
 
     def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        bt = np.swapaxes(b.data, -1, -2)
+        ga = _rows(g, bt) if rows else _unbroadcast(g @ bt, a.shape)
         gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
         return ga, gb
 
     return _node(data, (a, b), vjp, "matmul")
 
 
+def _rows(a: np.ndarray, w: np.ndarray, a_pointed: bool = False, w_pointed: bool = False) -> np.ndarray:
+    """a @ w for a (..., k) and a (k, n) w, either one pointed: per point, one GEMM over all of a's rows.
+
+    Unpointed, that is one GEMM. Pointed, numpy's stacked matmul makes that same GEMM once per
+    point, so each point is bitwise the unpointed product at that point."""
+    rows = a.reshape((a.shape[0], -1, a.shape[-1]) if a_pointed else (-1, a.shape[-1]))
+    lead = a.shape[:-1] if a_pointed or not w_pointed else w.shape[:1] + a.shape[:-1]
+    return (rows @ w).reshape(lead + (w.shape[-1],))
+
+
 def _linear(x: np.ndarray, x_pointed: bool, w: np.ndarray, w_pointed: bool) -> np.ndarray:
-    """x @ w.T as a stacked matmul, the point axis kept apart: ``linear``'s forward on arrays."""
-    xd, wt = _pair(x, x_pointed, np.swapaxes(w, -1, -2), w_pointed)
-    return xd @ wt
+    """x @ w.T, ``linear``'s forward on arrays."""
+    return _rows(x, np.swapaxes(w, -1, -2), x_pointed, w_pointed)
 
 
 def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -261,16 +272,20 @@ def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
 def linear(x, w) -> Tensor:
     """x @ w.T for a (f, d) weight: a projection of x's trailing axis from d to f features.
 
-    One node for ``matmul(x, transpose(w))``, with its arithmetic: the forward is a stacked
-    matmul, one GEMM per leading index, so each row of x is bitwise the row alone, and the
-    vjp makes one GEMM per leading index and sums the weight's share.
+    One node for ``matmul(x, transpose(w))``, with its arithmetic. Unpointed, the forward and the
+    input gradient are each one GEMM over all of x's rows, which sum over d or f only; the weight
+    gradient stays one GEMM per leading index, summed in index order, because a GEMM that sums
+    over every row would round differently with the BLAS thread count. So a one-sequence forward
+    is bitwise the numpy decoder's, but a row of a batch is not bitwise the row alone. Pointed,
+    the forward makes that same GEMM once per point, so each point is bitwise the unpointed
+    forward at that point.
     """
     x, w = _coerce(x), _coerce(w)
     if w.ndim - w.pointed != 2 or x.ndim - x.pointed < 1 or x.shape[-1] != w.shape[-1]:
         raise ShapeError(f"linear needs x (..., d) and a weight (f, d), got shapes {x.shape} and {w.shape}")
 
     def vjp(g):
-        return g @ w.data, _weight_grad(x.data, g)
+        return _rows(g, w.data), _weight_grad(x.data, g)
 
     return _node(_linear(x.data, x.pointed, w.data, w.pointed), (x, w), vjp, "linear")
 
@@ -513,12 +528,13 @@ def swiglu(x, w_gate, w_up, w_down) -> Tensor:
 
     def vjp(g):
         # the hidden product's weight gradient comes first, so that the recomputed product is
-        # not held while the two stacked (..., d, f) weight gradients are formed
+        # not held while the two stacked (..., d, f) weight gradients are formed; as in linear,
+        # input gradients are one GEMM over all rows and weight gradients one GEMM per sequence
         g_down = _weight_grad(gate * s * up, g)
-        g_hidden = g @ wd.data
+        g_hidden = _rows(g, wd.data)
         g_up = g_hidden * (gate * s)
         g_gate = (g_hidden * up) * (s * (1.0 + gate * (1.0 - s)))
-        gx = g_gate @ wg.data + g_up @ wu.data
+        gx = _rows(g_gate, wg.data) + _rows(g_up, wu.data)
         return gx, _weight_grad(x.data, g_gate), _weight_grad(x.data, g_up), g_down
 
     return _node(data, (x, wg, wu, wd), vjp, "swiglu")

@@ -25,7 +25,6 @@ from routelock.params import (
     value_and_grad,
 )
 from routelock.synth import SynthTaskSpec, eval_prompts, generate_synth_dataset
-from routelock.tensor import add, mul
 from routelock.theory import (
     conflict_gap,
     dense_optimum,
@@ -41,14 +40,13 @@ from routelock.tokenizer import CTRL_NOTHINK_ID, CTRL_THINK_ID, Route
 from routelock.trainer import (
     ChatExample,
     TrainConfig,
-    batch_loss_fn,
     expert_gap,
-    make_batch,
     mode_loss_grad,
     mode_weights,
     split_by_mode,
     token_level_route_variant,
     train,
+    two_mode_loss_fn,
 )
 
 GRAD_CFG = ModelConfig(vocab_size=24, d_model=8, n_layers=2, n_heads=2, d_ff=12, max_seq=24)
@@ -73,20 +71,6 @@ def grad_dataset(rng):
     return d0 + d1
 
 
-def full_loss_fn(model, dataset):
-    """pi-weighted two-mode objective as a single graph closure."""
-    pi0, pi1 = mode_weights(dataset)
-    d0, d1 = split_by_mode(dataset)
-    b0, b1 = make_batch(d0), make_batch(d1)
-    f0 = batch_loss_fn(model, Route.NO_THINK, "example_mean")
-    f1 = batch_loss_fn(model, Route.THINK, "example_mean")
-
-    def loss_fn(leaves, _batch):
-        return add(mul(f0(leaves, b0), pi0), mul(f1(leaves, b1), pi1))
-
-    return loss_fn
-
-
 def test_c01_gradient_oracle():
     """Reverse-mode vs central differences on the full two-mode loss, 20 seeds."""
     worst = 0.0
@@ -94,7 +78,7 @@ def test_c01_gradient_oracle():
         rng = np.random.default_rng(seed)
         model = ModelParams.clone_from_dense(DenseModel.init_random(GRAD_CFG, seed=seed))
         dataset = grad_dataset(rng)
-        loss_fn = full_loss_fn(model, dataset)
+        loss_fn = two_mode_loss_fn(model, dataset)
         _, rev = value_and_grad(loss_fn, model.params, None)
         fd = finite_diff_grad(loss_fn, model.params, None, step=1e-5)
         worst = max(worst, grads_max_relative_error(rev, fd))

@@ -46,6 +46,10 @@ INPUT_CHECKS = {
                                                 "coordinate -1 is outside a parameter vector of size 3"),
     "central-differences-coordinate-past-end": (lambda: central_differences(None, PV, None, [0, 3]), ValueError,
                                                 "coordinate 3 is outside a parameter vector of size 3"),
+    "central-differences-coordinate-float": (lambda: central_differences(None, PV, None, [1.7]), ValueError,
+                                             "coordinates must be integers, got float64 values such as 1.7"),
+    "central-differences-coordinate-bool": (lambda: central_differences(None, PV, None, [True]), ValueError,
+                                            "coordinates must be integers, got bool values such as True"),
     "hessian-block-no-names": (lambda: sampled_cross_hessian_max(None, PV, None, [(["w"], ["w"], 0), ([], ["w"], 1)]),
                                ValueError, r"Hessian block 1 \(\[\] x \['w'\]\) has an empty name list"),
     "segment-slice-unknown-name": (lambda: PV.segment_slice("v"), KeyError, "'v'"),

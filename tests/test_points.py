@@ -1,4 +1,4 @@
-"""Point-batched no-grad forwards on the C1 model.
+"""Point-batched no-grad forwards on the C1 model, and once at demo size.
 
 One forward over pointed leaves evaluates K parameter points; each point's
 loss must equal, bit for bit, a forward at that point alone. The batched
@@ -14,19 +14,20 @@ import numpy as np
 import pytest
 
 from routelock import theory
-from routelock.model import DenseModel, ExpertCallRecorder, ModelParams, causal_mask, rope_tables
+from routelock.model import DenseModel, ExpertCallRecorder, ModelConfig, ModelParams, causal_mask, rope_tables
 from routelock.params import CHUNK_POINTS, _loss_at, as_leaves, finite_diff_grad, sampled_cross_hessian_max
+from routelock.synth import SynthTaskSpec, generate_synth_dataset
 from routelock.tensor import Tensor, attention, linear, no_grad, rotary_tables, swiglu
 from routelock.trainer import split_by_mode, two_mode_loss_fn
 
-from test_acceptance import GRAD_CFG, full_loss_fn, grad_dataset
+from test_acceptance import GRAD_CFG, grad_dataset
 
 K = 5
 
 
 def c1_setup(seed):
     model = ModelParams.clone_from_dense(DenseModel.init_random(GRAD_CFG, seed=seed))
-    return model, full_loss_fn(model, grad_dataset(np.random.default_rng(seed)))
+    return model, two_mode_loss_fn(model, grad_dataset(np.random.default_rng(seed)))
 
 
 def loss_value(loss_fn, params):
@@ -53,6 +54,23 @@ def test_pointed_loss_matches_per_point_bitwise(seed):
         assert batched.pointed and batched.shape == (K,)
         assert batched.data.tobytes() == np.array(single).tobytes()
         assert batched_rec.total_positions == single_rec.total_positions
+
+
+def test_pointed_loss_matches_per_point_bitwise_at_demo_size():
+    # d_model 64 over 50 sequences: one GEMM per sequence would round these projections
+    # differently from the unpointed forward's one GEMM over all token rows
+    data, vocab = generate_synth_dataset(SynthTaskSpec(modulus=10, n_problems=25, seed=0))
+    cfg = ModelConfig(vocab_size=len(vocab), d_model=64, n_layers=2, n_heads=4, d_ff=128, max_seq=32)
+    model = ModelParams.init_random(cfg, seed=0)
+    loss_fn, pv = two_mode_loss_fn(model, data), model.params
+    rng = np.random.default_rng(7)
+    for names in (["embed"], ["layer0.wq"], ["layer1.expert0.w_up", "lm_head"]):
+        points = {n: pv[n] + 1e-3 * rng.normal(size=(3,) + pv[n].shape) for n in names}
+        with no_grad():
+            batched = loss_fn({**as_leaves(pv), **{n: Tensor(a, pointed=True) for n, a in points.items()}}, None)
+            single = [loss_fn({**as_leaves(pv), **{n: Tensor(a[k]) for n, a in points.items()}}, None).data
+                      for k in range(3)]
+        assert batched.data.tobytes() == np.array(single).tobytes(), names
 
 
 def test_finite_diff_matches_per_point_loop_bitwise():

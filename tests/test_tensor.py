@@ -544,13 +544,30 @@ def test_fused_ops_forward_and_grads_bitwise_equal_composed(lead, width):
             assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
-def test_linear_rows_are_bitwise_the_row_alone():
-    # a stacked matmul: one flattened GEMM over all rows rounds differently at this shape
+def test_linear_layout_flat_rows_per_example_weight_grad():
+    # at a demo shape, where one GEMM over all rows rounds the forward differently from one GEMM per sequence
     rng = np.random.default_rng(33)
     x, w = rng.normal(size=(25, 10, 64)), rng.normal(size=(64, 64))
-    out = linear(Tensor(x), Tensor(w)).data
-    for i in range(len(x)):
-        assert out[i].tobytes() == linear(Tensor(x[i]), Tensor(w)).data.tobytes()
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = linear(xt, wt)
+    g = rng.normal(size=out.shape)
+    backward(sum_all(mul(out, g)))
+    # forward and input gradient: one GEMM over the 250 token rows
+    assert out.data.tobytes() == (x.reshape(-1, 64) @ w.T).reshape(x.shape).tobytes()
+    assert xt.grad.tobytes() == (g.reshape(-1, 64) @ w).reshape(x.shape).tobytes()
+    # weight gradient: one GEMM per example, summed in example order
+    gw = x[0].T @ g[0]
+    for xi, gi in zip(x[1:], g[1:]):
+        gw = gw + xi.T @ gi
+    assert wt.grad.tobytes() == gw.T.tobytes()
+    # pointed: the same GEMM once per point, so each point is bitwise the unpointed forward at that point
+    xk, wk = x + 1e-3 * rng.normal(size=(3,) + x.shape), w + 1e-3 * rng.normal(size=(3,) + w.shape)
+    with no_grad():
+        for k in range(3):
+            alone = linear(Tensor(x), Tensor(wk[k])).data
+            assert linear(Tensor(x), Tensor(wk, pointed=True)).data[k].tobytes() == alone.tobytes()
+            alone = linear(Tensor(xk[k]), Tensor(w)).data
+            assert linear(Tensor(xk, pointed=True), Tensor(w)).data[k].tobytes() == alone.tobytes()
 
 
 def test_fused_ops_reject_mismatched_shapes():

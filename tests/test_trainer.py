@@ -1,13 +1,19 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import routelock
 from routelock.errors import ConfigError, DataError
 from routelock.model import ModelConfig, ModelParams
 from routelock.params import ParamVector, as_leaves, value_and_grad
 from routelock.synth import SynthTaskSpec, generate_synth_dataset
+from routelock.tensor import add, mul
 from routelock.tokenizer import (
     CTRL_NOTHINK_ID,
     CTRL_THINK_ID,
@@ -32,7 +38,7 @@ from routelock.trainer import (
 )
 
 from conftest import TINY_CFG, tiny_dense, tiny_model
-from test_acceptance import GRAD_CFG, full_loss_fn, grad_dataset
+from test_acceptance import GRAD_CFG, grad_dataset
 
 
 def ex(prompt, target, mode):
@@ -106,10 +112,16 @@ def test_full_objective_matches_per_example_average(tiny):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_two_mode_loss_fn_matches_reference_bitwise(seed):
-    # full_loss_fn in the acceptance suite is the hand-built pi-weighted closure
     model = tiny_model(seed, GRAD_CFG)
     dataset = grad_dataset(np.random.default_rng(seed))
-    ref_loss, ref_grads = value_and_grad(full_loss_fn(model, dataset), model.params, None)
+    # the pi-weighted objective built by hand: both modes present, one graph
+    (pi0, pi1), (b0, b1) = mode_weights(dataset), map(make_batch, split_by_mode(dataset))
+    f0, f1 = (batch_loss_fn(model, route, "example_mean") for route in (Route.NO_THINK, Route.THINK))
+
+    def reference(leaves, _batch):
+        return add(mul(f0(leaves, b0), pi0), mul(f1(leaves, b1), pi1))
+
+    ref_loss, ref_grads = value_and_grad(reference, model.params, None)
     loss, grads = value_and_grad(two_mode_loss_fn(model, dataset), model.params, None)
     assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
     assert grads.flatten().tobytes() == ref_grads.flatten().tobytes()
@@ -467,3 +479,32 @@ def test_demo_training_tape_holds_at_most_11_mib():
 def test_train_config_names_the_bad_field(fields, word):
     with pytest.raises(ConfigError, match=word):
         TrainConfig(**{"learning_rate": 0.1, **fields})
+
+
+# trains a demo-size model (d_model 64, batch 25) for four momentum steps and prints its parameter digest
+THREADS_SCRIPT = """
+import hashlib
+from routelock.model import ModelConfig, ModelParams
+from routelock.synth import SynthTaskSpec, generate_synth_dataset
+from routelock.trainer import TrainConfig, train
+data, vocab = generate_synth_dataset(SynthTaskSpec(modulus=10, n_problems=50, seed=0))
+cfg = ModelConfig(vocab_size=len(vocab), d_model=64, n_layers=2, n_heads=4, d_ff=128, max_seq=32)
+trained, _ = train(ModelParams.init_random(cfg, seed=0), data,
+                   TrainConfig(learning_rate=0.05, batch_size=25, optimizer="sgd_momentum"))
+print(hashlib.sha256(trained.params.flatten().tobytes()).hexdigest())
+"""
+
+
+def test_trained_parameters_are_bitwise_equal_under_1_and_2_blas_threads():
+    # the thread count is read when BLAS loads, so each count gets its own process. A weight
+    # gradient taken as one GEMM over all B*T token rows fails this: its bits change with the count
+    src = str(Path(routelock.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        env.update({var: threads for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+        run = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env, capture_output=True, text=True,
+                             timeout=60)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]
