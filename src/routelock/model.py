@@ -44,6 +44,7 @@ from .tensor import (
     rms_norm,
     rotary_tables,
     swiglu,
+    tail,
 )
 from .tokenizer import EOS_ID, Route, resolve_route
 
@@ -220,9 +221,12 @@ _RECORDERS: list["ExpertCallRecorder"] = []
 class ExpertCallRecorder:
     """Context manager logging (layer, route, positions) per expert application.
 
-    A forward over K parameter points logs the positions of all K points. A
-    batched generation chunk runs one expert and logs (layer, route, rows x n)
-    once, so totals per route equal the sums over one-prompt calls.
+    Positions are those the MLP ran on: the last layer runs only where logits
+    are read, B x (T - first) in a ``decoder_logits`` forward and rows x 1 in a
+    generation prefill. A forward over K parameter points logs the positions of
+    all K points. A batched generation chunk runs one expert and logs (layer,
+    route, rows x n) once per layer, so totals per route equal the sums over
+    one-prompt calls.
     """
 
     def __init__(self):
@@ -311,11 +315,15 @@ def decoder_logits(
     leaves: Mapping[str, Tensor],
     tokens,
     mlp_apply: Callable[[int, Tensor], Tensor],
+    first: int = 0,
 ) -> Tensor:
-    """Causal decoder logits (..., T, V) for int token ids (T,) or (B, T).
+    """Causal decoder logits (..., T - first, V) at positions ``first`` .. T-1, for int token
+    ids (T,) or (B, T).
 
-    ``mlp_apply(layer, h)`` is the MLP output for layer ``layer``'s
-    normalized input ``h``; ``mlp_dispatch`` builds the one a model runs.
+    Every layer but the last, and the last layer's k and v, run at all T positions, as later
+    positions attend to them; the last layer's queries, and all that follows its attention,
+    run only from ``first`` on. ``mlp_apply(layer, h)`` is the MLP output for layer
+    ``layer``'s normalized input ``h``; ``mlp_dispatch`` builds the one a model runs.
     """
     ids = np.asarray(tokens, dtype=np.int64)
     seq = ids.shape[-1]
@@ -327,7 +335,9 @@ def decoder_logits(
     for layer in range(cfg.n_layers):
         h = rms_norm(x, leaves[f"layer{layer}.ln1"])
         q, k, v = (linear(h, leaves[f"layer{layer}.{w}"]) for w in ("wq", "wk", "wv"))
-        x = add(x, linear(attention(q, k, v, cfg.n_heads, cos, sin, mask), leaves[f"layer{layer}.wo"]))
+        start = first if layer == cfg.n_layers - 1 else 0
+        ctx = attention(q, k, v, cfg.n_heads, cos, sin, mask, start)
+        x = add(tail(x, start), linear(ctx, leaves[f"layer{layer}.wo"]))
         x = add(x, mlp_apply(layer, rms_norm(x, leaves[f"layer{layer}.ln2"])))
     if cfg.final_norm:
         x = rms_norm(x, leaves["final_norm"])
@@ -385,12 +395,15 @@ def _swiglu_np(pv: ParamVector, layer: int, expert: int | None, h: np.ndarray) -
 def _np_chunk(
     model: ModelParams | DenseModel, ids: np.ndarray, expert: int | None, cache: _KVCache, pos0: int
 ) -> np.ndarray:
-    """Logits (R, n, V) for ids (R, n): ``decoder_logits`` on plain arrays with MLP ``expert``, every
-    row at positions pos0 .. pos0+n-1 (a prefix from 0, or one token) in the first R cache rows.
+    """Logits (R, 1, V) at the last position for ids (R, n): ``decoder_logits`` on plain arrays with
+    MLP ``expert`` and ``first`` n-1, every row at positions pos0 .. pos0+n-1 (a prefix from 0,
+    or one token) in the first R cache rows.
 
-    Every op acts per element, reduces a row's own last axis, or is a stacked matmul (one
-    BLAS call per row), so each row is bitwise a one-row call, and that is bitwise the tape's
-    forward of the one sequence. A row of a many-sequence tape forward is not: the tape's
+    Every layer writes k and v of all n positions into the cache; the last layer then runs its
+    query, and all that follows its attention, at the last position only. Every op acts per
+    element, reduces a row's own last axis, or is a stacked matmul (one BLAS call per row), so
+    each row is bitwise a one-row call, and that is bitwise the tape's forward of the one
+    sequence from ``first`` n-1. A row of a many-sequence tape forward is not: the tape's
     projections run one GEMM over all of its token rows.
     """
     cfg, pv = model.config, model.params
@@ -406,7 +419,10 @@ def _np_chunk(
         qk = _split_heads(_rotate(qk, cos, sin, 2 * heads), 2 * heads)
         kc[layer, :, :, pos0:end] = qk[:, heads:]
         vc[layer, :, :, pos0:end] = _split_heads(h @ pv[f"layer{layer}.wv"].T, heads)
-        scores = (qk[:, :heads] @ np.swapaxes(kc[layer, :, :, :end], -1, -2)) * (1.0 / math.sqrt(cfg.head_dim))
+        q = qk[:, :heads]
+        if layer == cfg.n_layers - 1:  # only the last position's logits are read; its mask row is all 0
+            q, x, mask = q[:, :, -1:], x[:, -1:], None
+        scores = (q @ np.swapaxes(kc[layer, :, :, :end], -1, -2)) * (1.0 / math.sqrt(cfg.head_dim))
         if mask is not None:
             scores = scores + mask
         x = x + _merge_heads(_softmax(scores) @ vc[layer, :, :, :end]) @ pv[f"layer{layer}.wo"].T
@@ -418,10 +434,15 @@ def _np_chunk(
 
 def _sample(logits: np.ndarray, temperature: float | None, rngs) -> list[int]:
     """One token per row of logits (R, V): the argmax for ``temperature`` None, else a draw
-    from row r's softmax of logits / temperature with ``rngs[r]``."""
+    from row r's softmax of logits / temperature with ``rngs[r]``. A temperature so small that
+    logits / temperature overflows raises ValueError."""
     if temperature is None:
         return logits.argmax(axis=-1).tolist()
-    return [int(rng.choice(row.size, p=_softmax(row / temperature))) for row, rng in zip(logits, rngs)]
+    with np.errstate(over="ignore"):
+        scaled = logits / temperature
+    if not np.all(np.isfinite(scaled)):
+        raise ValueError(f"temperature {temperature!r} is too small: logits / temperature overflow")
+    return [int(rng.choice(row.size, p=_softmax(row))) for row, rng in zip(scaled, rngs)]
 
 
 def check_prompt(cfg: ModelConfig, prompt_ids: Sequence[int]) -> list[int]:
@@ -455,8 +476,8 @@ def generate_batch(
         raise ValueError("max_new must be >= 0")
     if temperature is not None and seed is None:
         raise ValueError("temperature sampling requires a seed")
-    if temperature is not None and not temperature > 0:
-        raise ValueError(f"temperature must be > 0, got {temperature!r}")
+    if temperature is not None and not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be a finite number > 0, got {temperature!r}")
     routes = [resolve_route(p) for p in seqs]
     starts = [len(p) for p in seqs]
     groups: dict[tuple[int | None, int], list[list[int]]] = {}

@@ -308,6 +308,23 @@ def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
     return _node(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),), "transpose")
 
 
+def _scatter_rows(g: np.ndarray, shape: tuple[int, ...], first: int) -> np.ndarray:
+    """The gradient of x[..., first:, :] for x of ``shape`` (..., T, d): zeros, and ``g`` from row ``first`` on."""
+    if first == 0:
+        return g
+    out = np.zeros(shape)
+    out[..., first:, :] = g
+    return out
+
+
+def tail(x, first: int) -> Tensor:
+    """x[..., first:, :], the rows of a (..., T, d) x from ``first`` on (x itself for 0); the vjp pads with zeros."""
+    x = _coerce(x)
+    if first == 0:
+        return x
+    return _node(x.data[..., first:, :], (x,), lambda g: (_scatter_rows(g, x.shape, first),), "tail")
+
+
 def sum_all(a) -> Tensor:
     """Sum of every entry; per point for a pointed tensor."""
     a = _coerce(a)
@@ -551,17 +568,19 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (t, h * hd))
 
 
-def attention(q, k, v, n_heads: int, cos: np.ndarray, sin: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Multi-head attention of projected q, k, v (..., T, D) as one node, heads merged back.
+def attention(q, k, v, n_heads: int, cos: np.ndarray, sin: np.ndarray, mask: np.ndarray, first: int = 0) -> Tensor:
+    """Multi-head attention of projected q, k, v (..., T, D) as one node, heads merged back:
+    the (..., T - first, D) outputs of the queries at positions ``first`` .. T-1.
 
-    Rotary mixing of q and k by their (T, D) ``rotary_tables`` cos/sin, then per head of
-    width hd = D / n_heads: scores q k^T * (1/sqrt(hd)) + mask (an additive (T, T) constant),
-    the softmax and its weighted sum of v. q, k and v share their non-point shape, so a
-    pointed one broadcasts against the others as ``_pair`` would align it. Forward and vjp
-    run the arithmetic of the composed ``rope_rotate``, head reshapes, ``matmul``, ``mul``,
-    ``add`` and ``softmax`` nodes, so both are bitwise theirs. The vjp keeps the attention
-    weights and recomputes the rotated q and k heads from q and k, as the forward made them,
-    each only for the one product that needs it.
+    Rotary mixing of q[..., first:, :] by cos/sin[first:] and of k by their (T, D)
+    ``rotary_tables`` cos/sin, then per head of width hd = D / n_heads: scores
+    q k^T * (1/sqrt(hd)) + mask[first:] (an additive (T, T) constant), the softmax and its
+    weighted sum of v. q, k and v share their non-point shape, so a pointed one broadcasts
+    against the others as ``_pair`` would align it. Forward and vjp run the arithmetic of the
+    composed row slice of q, ``rope_rotate``, head reshapes, ``matmul``, ``mul``, ``add`` and
+    ``softmax`` nodes, so both are bitwise theirs; q's rows before ``first`` get a zero
+    gradient. The vjp keeps the attention weights and recomputes the rotated q and k heads
+    from q and k, as the forward made them, each only for the one product that needs it.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     shape = q.shape[q.pointed :]
@@ -569,22 +588,24 @@ def attention(q, k, v, n_heads: int, cos: np.ndarray, sin: np.ndarray, mask: np.
         raise ShapeError(f"attention needs q, k, v of one shape (..., T, D), got {q.shape}, {k.shape}, {v.shape}")
     if shape[-1] % n_heads != 0 or (shape[-1] // n_heads) % 2 != 0:
         raise ShapeError(f"attention width {shape[-1]} does not split into {n_heads} heads of even width")
+    if not 0 <= first < shape[-2]:
+        raise ShapeError(f"attention query start {first} is outside positions 0 .. {shape[-2] - 1}")
     scale = 1.0 / math.sqrt(shape[-1] // n_heads)
 
-    def rotated_heads(t: Tensor) -> np.ndarray:
-        return _split_heads(_rotate(t.data, cos, sin, n_heads), n_heads)
+    def rotated_heads(t: Tensor, start: int) -> np.ndarray:
+        return _split_heads(_rotate(t.data[..., start:, :], cos[start:], sin[start:], n_heads), n_heads)
 
     vh = _split_heads(v.data, n_heads)
-    p = _softmax((rotated_heads(q) @ np.swapaxes(rotated_heads(k), -1, -2)) * scale + mask)
+    p = _softmax((rotated_heads(q, first) @ np.swapaxes(rotated_heads(k, 0), -1, -2)) * scale + mask[first:])
     data = _merge_heads(p @ vh)
 
     def vjp(g):
         g_ctx = _split_heads(g, n_heads)
         g_p = g_ctx @ np.swapaxes(vh, -1, -2)
         g_scores = (p * (g_p - np.sum(g_p * p, axis=-1, keepdims=True))) * scale
-        gq = _merge_heads(g_scores @ rotated_heads(k))
-        gk = _merge_heads(np.swapaxes(np.swapaxes(rotated_heads(q), -1, -2) @ g_scores, -1, -2))
+        gq = _rotate(_merge_heads(g_scores @ rotated_heads(k, 0)), cos[first:], -sin[first:], n_heads)
+        gk = _merge_heads(np.swapaxes(np.swapaxes(rotated_heads(q, first), -1, -2) @ g_scores, -1, -2))
         gv = _merge_heads(np.swapaxes(p, -1, -2) @ g_ctx)
-        return _rotate(gq, cos, -sin, n_heads), _rotate(gk, cos, -sin, n_heads), gv
+        return _scatter_rows(gq, q.shape, first), _rotate(gk, cos, -sin, n_heads), gv
 
     return _node(data, (q, k, v), vjp, "attention")

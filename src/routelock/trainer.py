@@ -128,12 +128,16 @@ def make_batch(examples: Sequence[ChatExample]) -> dict:
 
 
 def batch_loss_fn(model: ModelParams | DenseModel, route: Route | None, reduction: str):
-    """Loss closure over parameter leaves, for value_and_grad."""
+    """Loss closure over parameter leaves, for value_and_grad. Logits start at the batch's first
+    column with loss: earlier columns weigh 0 in every reduction, so the objective is unchanged."""
     cfg = model.config
 
     def loss_fn(leaves: Mapping[str, Tensor], batch: dict) -> Tensor:
-        logits = decoder_logits(cfg, leaves, batch["inputs"], mlp_dispatch(model, leaves, route))
-        return softmax_cross_entropy(logits, batch["labels"], batch["label_mask"], reduction=reduction)
+        mask = batch["label_mask"]
+        # argmax finds the first True; with no loss column at all it is 0, and cross-entropy raises
+        first = int(np.argmax(np.any(mask, axis=0))) if mask.size else 0
+        logits = decoder_logits(cfg, leaves, batch["inputs"], mlp_dispatch(model, leaves, route), first)
+        return softmax_cross_entropy(logits, batch["labels"][:, first:], mask[:, first:], reduction=reduction)
 
     return loss_fn
 

@@ -246,12 +246,14 @@ def test_c10_route_lock_generation():
     assert route is Route.NO_THINK
     assert CTRL_THINK_ID in out
     assert all(r == 0 for _, r, _ in rec.calls)
-    per_step = [c for c in rec.calls if c[2] == 1]
-    n_steps = len(per_step) // model.config.n_layers
-    assert len(per_step) == n_steps * model.config.n_layers
-    layers_per_chunk = [c[0] for c in per_step]
-    for i in range(n_steps):
-        assert layers_per_chunk[i * 2 : i * 2 + 2] == [0, 1]
+    # one chunk per generated token, each logging one call per layer in layer order; the
+    # prefill's last layer runs only at the prompt's final position, every later chunk at one
+    layers = model.config.n_layers
+    chunks = [rec.calls[i : i + layers] for i in range(0, len(rec.calls), layers)]
+    assert len(chunks) == len(out) and len(rec.calls) == len(out) * layers
+    assert all([c[0] for c in chunk] == [0, 1] for chunk in chunks)
+    assert [c[2] for c in chunks[0]] == [len(prompt), 1]
+    assert all(c[2] == 1 for chunk in chunks[1:] for c in chunk)
     report(
         "C10 route-lock",
         f"emitted {out.count(CTRL_THINK_ID)} /think tokens under route 0; "

@@ -665,6 +665,9 @@ OPERATOR_ERRORS = {
     "generate-temperature-zero": (generate_with("--temp", "0", "--seed", "1"), ["temperature", "0.0"]),
     "generate-temperature-negative": (generate_with("--temp", "-1", "--seed", "1"), ["temperature", "-1.0"]),
     "generate-temperature-nan": (generate_with("--temp", "nan", "--seed", "1"), ["temperature", "nan"]),
+    "generate-temperature-inf": (generate_with("--temp", "inf", "--seed", "1"), ["temperature", "finite", "inf"]),
+    "generate-temperature-overflows": (generate_with("--temp", "1e-320", "--seed", "1"),
+                                       ["temperature", "1e-320", "overflow"]),
     "theory-unknown-check": (lambda d: ["theory", "--seed", "3", "--checks", "nope", "--out", str(d / "t")],
                              ["'nope'", "stationarity"]),
     "filter-max-len-zero": (filter_with("--max-len", "0"), ["max_len"]),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from routelock.errors import ShapeError
+from routelock.model import generate
 from routelock.params import ParamVector, central_differences, sampled_cross_hessian_max, value_and_grad
 from routelock.synth import SynthTaskSpec
 from routelock.tensor import Tensor, backward, embedding, matmul, rope_rotate, softmax_cross_entropy
@@ -21,6 +22,10 @@ THINK_EXAMPLE = ChatExample.build([1, 8, CTRL_THINK_ID], [10, 2], Route.THINK)  
 INPUT_CHECKS = {
     "expert-index-none": (lambda: tiny_model().expert_index(None), ValueError, "route is required"),
     "expert-index-route-2": (lambda: tiny_model().expert_index(2), ValueError, "route must be 0 or 1, got 2"),
+    "generate-temperature-inf": (lambda: generate(tiny_model(), [1, 8], 2, temperature=float("inf"), seed=1),
+                                 ValueError, "temperature must be a finite number > 0, got inf"),
+    "generate-temperature-overflows": (lambda: generate(tiny_model(), [1, 8], 2, temperature=1e-320, seed=1),
+                                       ValueError, "temperature 1e-320 is too small: logits / temperature overflow"),
     "train-empty-dataset": (lambda: train(tiny_model(), [], TrainConfig(learning_rate=0.1)), ValueError,
                             "dataset is empty"),
     "token-routes-wrong-length": (lambda: token_level_route_variant(tiny_model(), THINK_EXAMPLE, [1, 1]),

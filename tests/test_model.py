@@ -12,9 +12,11 @@ from routelock.model import (
     _position_tables,
     _swiglu_at,
     causal_mask,
+    decoder_logits,
     forward,
     generate,
     generate_batch,
+    mlp_dispatch,
     rope_tables,
     route_logit_gap,
     segment_group,
@@ -173,30 +175,43 @@ def test_swiglu_at_matches_reference(tiny, kind):
     assert np.max(np.abs(out - ref)) <= 1e-12
 
 
-@pytest.mark.parametrize("d_model", [8, 12, 16])
-def test_graph_forward_matches_numpy_prefill_bitwise(d_model):
-    # the generation path is a second, plain-array forward; the two must
-    # agree exactly on the same inputs, at every head dimension
-    cfg = ModelConfig(vocab_size=24, d_model=d_model, n_layers=2, n_heads=2, d_ff=12, max_seq=24)
+def last_position_logits(model, tokens, route):
+    """The tape's logits of ``tokens`` at their last position only: ``decoder_logits`` from ``first`` n-1."""
+    leaves = as_leaves(model.params)
+    return decoder_logits(model.config, leaves, tokens, mlp_dispatch(model, leaves, route), len(tokens) - 1).data
+
+
+# head dims 4, 6 and 8 at depths 1, 2 and 3; the 2-layer cases keep their bare d_model ids
+DEPTHS = [pytest.param(d, n, id=str(d) if n == 2 else f"{d}-{n}layers") for n in (2, 1, 3) for d in (8, 12, 16)]
+
+
+@pytest.mark.parametrize("d_model, n_layers", DEPTHS)
+def test_graph_forward_matches_numpy_prefill_bitwise(d_model, n_layers):
+    # the generation path is a second, plain-array forward; a prefill of every prompt length
+    # must give exactly the tape's logits at its last position, at every head dimension and depth
+    cfg = ModelConfig(vocab_size=24, d_model=d_model, n_layers=n_layers, n_heads=2, d_ff=12, max_seq=24)
     model = tiny_model(seed=0, cfg=cfg)
-    a = forward(model, TOKENS, Route.NO_THINK).data
     expert = model.expert_index(Route.NO_THINK)
-    b = _np_chunk(model, np.asarray([TOKENS], np.int64), expert, _KVCache(cfg, 1), 0)[0]
-    assert np.array_equal(a, b)
+    for n in range(1, len(TOKENS) + 1):
+        a = last_position_logits(model, TOKENS[:n], Route.NO_THINK)
+        b = _np_chunk(model, np.asarray([TOKENS[:n]], np.int64), expert, _KVCache(cfg, 1), 0)[0]
+        assert a.shape == b.shape == (1, cfg.vocab_size)
+        assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("d_model", [8, 12, 16])
-def test_multi_row_prefill_rows_match_forward_bitwise(d_model):
-    # rows of one chunk run on one expert and share attention calls; each
-    # row's logits are still those of the tape forward on that row alone
-    cfg = ModelConfig(vocab_size=24, d_model=d_model, n_layers=2, n_heads=2, d_ff=12, max_seq=24)
+@pytest.mark.parametrize("d_model, n_layers", DEPTHS)
+def test_multi_row_prefill_rows_match_forward_bitwise(d_model, n_layers):
+    # rows of one chunk run on one expert and share attention calls; each row's logits
+    # are still those of the tape forward on that row alone, at its last position
+    cfg = ModelConfig(vocab_size=24, d_model=d_model, n_layers=n_layers, n_heads=2, d_ff=12, max_seq=24)
     model = perturbed_beta1(tiny_model(seed=0, cfg=cfg), scale=0.5)
     rows = [TOKENS, [1, 9, 8, 7, 6, 5, CTRL_THINK_ID], [1, 10, 12, 14, 16, 18, 20], TOKENS]
     ids, out = np.asarray(rows, np.int64), {}
     for route in Route:
         out[route] = _np_chunk(model, ids, model.expert_index(route), _KVCache(cfg, len(rows)), 0)
+        assert out[route].shape == (len(rows), 1, cfg.vocab_size)
         for row, logits in zip(rows, out[route]):
-            assert np.array_equal(logits, forward(model, row, route).data)
+            assert logits.tobytes() == last_position_logits(model, row, route).tobytes()
     assert not np.array_equal(out[Route.NO_THINK][0], out[Route.THINK][3])
 
 
@@ -261,22 +276,26 @@ def test_generate_empty_prompt_rejected(tiny):
 
 
 def test_kv_cache_matches_full_recompute():
-    for seed in range(5):
-        model = tiny_model(seed=seed)
-        cached, _ = generate(model, TOKENS, max_new=8, use_cache=True)
-        full, _ = generate(model, TOKENS, max_new=8, use_cache=False)
-        assert cached == full
+    # at depths 1, 2 and 3: the last layer runs its query at the last fed position only
+    for n_layers in (1, 2, 3):
+        cfg = ModelConfig(vocab_size=24, d_model=8, n_layers=n_layers, n_heads=2, d_ff=12, max_seq=24)
+        for seed in range(5):
+            model = tiny_model(seed=seed, cfg=cfg)
+            cached, _ = generate(model, TOKENS, max_new=8, use_cache=True)
+            full, _ = generate(model, TOKENS, max_new=8, use_cache=False)
+            assert cached == full
 
 
 def test_generate_per_token_expert_calls(tiny):
     prompt = [1, 8, CTRL_NOTHINK_ID]
     with ExpertCallRecorder() as rec:
         out, _ = generate(tiny, prompt, max_new=5, use_cache=True)
-    assert all(r == 0 for _, r, _ in rec.calls)
-    step_events = [c for c in rec.calls if c[2] == 1]
-    assert len(step_events) % TINY_CFG.n_layers == 0
-    prefill = [c for c in rec.calls if c[2] == len(prompt)]
-    assert len(prefill) == TINY_CFG.n_layers
+    assert len(out) == 5  # no EOS: a prefill and four one-token steps
+    last = TINY_CFG.n_layers - 1
+    # the prefill runs every layer but the last on the whole prompt, and the last on its final position
+    prefill = [(layer, 0, len(prompt)) for layer in range(last)] + [(last, 0, 1)]
+    step = [(layer, 0, 1) for layer in range(TINY_CFG.n_layers)]
+    assert rec.calls == prefill + step * (len(out) - 1)
 
 
 def test_temperature_sampling_needs_seed(tiny):

@@ -31,6 +31,7 @@ from routelock.tensor import (
     softmax_cross_entropy,
     sum_all,
     swiglu,
+    tail,
     transpose,
 )
 
@@ -475,14 +476,15 @@ def composed_swiglu(x, wg, wu, wd):
     return composed_linear(mul(silu(composed_linear(x, wg)), composed_linear(x, wu)), wd)
 
 
-def composed_attention(q, k, v, n_heads, cos, sin, mask):
+def composed_attention(q, k, v, n_heads, cos, sin, mask, first=0):
     def heads(t):
         lead, (seq, d) = t.shape[:-2], t.shape[-2:]
         return swapped(reshape(t, lead + (seq, n_heads, d // n_heads)), -3, -2)
 
-    qh, kh, vh = heads(rope_rotate(q, cos, sin, n_heads)), heads(rope_rotate(k, cos, sin, n_heads)), heads(v)
+    qh = heads(rope_rotate(tail(q, first), cos[first:], sin[first:], n_heads))
+    kh, vh = heads(rope_rotate(k, cos, sin, n_heads)), heads(v)
     scores = mul(matmul(qh, swapped(kh, -1, -2)), 1.0 / math.sqrt(q.shape[-1] // n_heads))
-    ctx = swapped(matmul(softmax(add(scores, mask)), vh), -3, -2)
+    ctx = swapped(matmul(softmax(add(scores, mask[first:])), vh), -3, -2)
     return reshape(ctx, ctx.shape[:-2] + (q.shape[-1],))
 
 
@@ -544,6 +546,53 @@ def test_fused_ops_forward_and_grads_bitwise_equal_composed(lead, width):
             assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
+@pytest.mark.parametrize("first", [1, SEQ - 1])
+def test_attention_query_start_bitwise_equal_composed(first):
+    # queries from position ``first`` on: the composed graph slices q's rows with a tail node
+    rng = np.random.default_rng(34)
+    arrays = [rng.normal(size=(2, SEQ, WIDTH)) for _ in range(3)]
+    cot = rng.normal(size=(2, SEQ - first, WIDTH))
+    results = []
+    for op in (attention, composed_attention):
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*tensors, HEADS, COS, SIN, causal_mask(SEQ), first)
+        backward(sum_all(mul(out, cot)))
+        results.append((out.data, [t.grad for t in tensors]))
+    (a, ga), (b, gb) = results
+    assert a.shape == (2, SEQ - first, WIDTH) and a.tobytes() == b.tobytes()
+    for x, y in zip(ga, gb):
+        assert x.shape == y.shape == (2, SEQ, WIDTH) and x.tobytes() == y.tobytes()
+    assert ga[0][:, :first].tobytes() == np.zeros((2, first, WIDTH)).tobytes()
+    # a pointed q, k or v: each point is bitwise the composed graph at that point alone
+    k = 3
+    points = [rng.normal(size=(k, 2, SEQ, WIDTH)) for _ in range(3)]
+    with no_grad():
+        for i in range(3):
+            pointed = [Tensor(p, pointed=True) if j == i else Tensor(p[0]) for j, p in enumerate(points)]
+            out = attention(*pointed, HEADS, COS, SIN, causal_mask(SEQ), first)
+            assert out.pointed and out.shape == (k, 2, SEQ - first, WIDTH)
+            for point in range(k):
+                alone = [Tensor(p[point] if j == i else p[0]) for j, p in enumerate(points)]
+                ref = composed_attention(*alone, HEADS, COS, SIN, causal_mask(SEQ), first)
+                assert out.data[point].tobytes() == ref.data.tobytes()
+
+
+def test_tail_slices_rows_and_scatters_its_gradient():
+    rng = np.random.default_rng(35)
+    x = rng.normal(size=(2, 5, 3))
+    t = Tensor(x, requires_grad=True)
+    assert tail(t, 0) is t
+    out = tail(t, 2)
+    assert out.shape == (2, 3, 3) and out.data.tobytes() == x[:, 2:].tobytes()
+    g = rng.normal(size=out.shape)
+    backward(sum_all(mul(out, g)))
+    expected = np.zeros_like(x)
+    expected[:, 2:] = g
+    assert t.grad.tobytes() == expected.tobytes()
+    with no_grad():
+        assert tail(Tensor(np.stack([x, -x]), pointed=True), 4).data.tobytes() == np.stack([x, -x])[:, :, 4:].tobytes()
+
+
 def test_linear_layout_flat_rows_per_example_weight_grad():
     # at a demo shape, where one GEMM over all rows rounds the forward differently from one GEMM per sequence
     rng = np.random.default_rng(33)
@@ -580,3 +629,6 @@ def test_fused_ops_reject_mismatched_shapes():
         attention(q, q, Tensor(np.ones((SEQ + 1, WIDTH))), HEADS, COS, SIN, causal_mask(SEQ))
     with pytest.raises(ShapeError, match="heads"):
         attention(q, q, q, 3, COS, SIN, causal_mask(SEQ))
+    for first in (-1, SEQ):
+        with pytest.raises(ShapeError, match=f"query start {first} is outside positions 0 .. {SEQ - 1}"):
+            attention(q, q, q, HEADS, COS, SIN, causal_mask(SEQ), first)

@@ -10,10 +10,10 @@ import pytest
 
 import routelock
 from routelock.errors import ConfigError, DataError
-from routelock.model import ModelConfig, ModelParams
+from routelock.model import DenseModel, ModelConfig, ModelParams, decoder_logits, mlp_dispatch
 from routelock.params import ParamVector, as_leaves, value_and_grad
 from routelock.synth import SynthTaskSpec, generate_synth_dataset
-from routelock.tensor import add, mul
+from routelock.tensor import add, mul, softmax_cross_entropy
 from routelock.tokenizer import (
     CTRL_NOTHINK_ID,
     CTRL_THINK_ID,
@@ -108,6 +108,57 @@ def test_full_objective_matches_per_example_average(tiny):
     data = tiny_dataset()
     naive = sum(mode_loss(tiny, [e]) for e in data) / len(data)
     assert abs(mode_loss(tiny, data) - naive) <= 1e-12
+
+
+def full_position_loss_fn(model, route, reduction):
+    """``batch_loss_fn`` as it was: logits at every input position, masked columns included."""
+
+    def loss_fn(leaves, batch):
+        logits = decoder_logits(model.config, leaves, batch["inputs"], mlp_dispatch(model, leaves, route))
+        return softmax_cross_entropy(logits, batch["labels"], batch["label_mask"], reduction=reduction)
+
+    return loss_fn
+
+
+# prompts of 3, 5 and 6 tokens padded to one rectangle; the 1-token prompts put loss on column 0
+RAGGED = {
+    "ragged": [
+        ex([1, 8, CTRL_THINK_ID], [13, 14, 15, 2], Route.THINK),
+        ex([1, 9, 10, 11, CTRL_THINK_ID], [16, 2], Route.THINK),
+        ex([1, 12, 6, 7, 8, CTRL_THINK_ID], [17, 18, 19, 20, 2], Route.THINK),
+    ],
+    "column-0": [
+        ex([CTRL_THINK_ID], [13, 14, 2], Route.THINK),
+        ex([1, 9, 10, CTRL_THINK_ID], [16, 2], Route.THINK),
+    ],
+}
+
+
+@pytest.mark.parametrize("data", list(RAGGED))
+@pytest.mark.parametrize("reduction", ["example_mean", "token_sum"])
+@pytest.mark.parametrize("kind", ["dense", "routed"])
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_restricted_loss_is_the_full_position_objective(data, reduction, kind, n_layers):
+    cfg = ModelConfig(vocab_size=24, d_model=8, n_layers=n_layers, n_heads=2, d_ff=12, max_seq=24)
+    model = tiny_dense(seed=4, cfg=cfg) if kind == "dense" else tiny_model(seed=4, cfg=cfg)
+    batch = make_batch(RAGGED[data])
+    first = int(np.argmax(batch["label_mask"].any(axis=0)))
+    assert first == (0 if data == "column-0" else 2)
+    loss, grads = value_and_grad(batch_loss_fn(model, Route.THINK, reduction), model.params, batch)
+    ref_loss, ref_grads = value_and_grad(full_position_loss_fn(model, Route.THINK, reduction), model.params, batch)
+    if first == 0:
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grads.flatten().tobytes() == ref_grads.flatten().tobytes()
+    # relative to each entry: an entry that is 0.0 in one must be 0.0 in the other
+    got, ref = np.append(grads.flatten(), loss), np.append(ref_grads.flatten(), ref_loss)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(got), np.abs(ref)))
+
+
+def test_restricted_loss_without_target_positions_raises_cross_entropy_error(tiny):
+    batch = make_batch([ex([1, 8, CTRL_THINK_ID], [], Route.THINK), ex([1, 9, CTRL_THINK_ID], [], Route.THINK)])
+    assert batch["inputs"].shape == (2, 2) and not batch["label_mask"].any()
+    with pytest.raises(ValueError, match="an example has no unmasked positions"):
+        batch_loss_fn(tiny, Route.THINK, "example_mean")(as_leaves(tiny.params), batch)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -484,7 +535,7 @@ def test_train_config_names_the_bad_field(fields, word):
 # trains a demo-size model (d_model 64, batch 25) for four momentum steps and prints its parameter digest
 THREADS_SCRIPT = """
 import hashlib
-from routelock.model import ModelConfig, ModelParams
+from routelock.model import DenseModel, ModelConfig, ModelParams, decoder_logits, mlp_dispatch
 from routelock.synth import SynthTaskSpec, generate_synth_dataset
 from routelock.trainer import TrainConfig, train
 data, vocab = generate_synth_dataset(SynthTaskSpec(modulus=10, n_problems=50, seed=0))
