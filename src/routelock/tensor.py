@@ -19,6 +19,8 @@ its axes right-aligned to the pointed operand's non-point axes: a pointed
 (f, d) weight. Each point's values are bitwise equal to evaluating that
 point on its own. Pointed tensors are forward-only: creating or using one
 while recording raises.
+
+Kernels write only into arrays they allocate: no input, kept value or ``g``.
 """
 
 from __future__ import annotations
@@ -348,8 +350,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     # overflow-safe logistic: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below.
     # minimum(x, -x) is -|x| except that it passes a NaN through with its sign,
     # which keeps the result bitwise equal to the masked two-branch form.
-    e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    e = np.negative(x)
+    np.exp(np.minimum(x, e, out=e), out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
 
 
 def _rms_scale(x: np.ndarray) -> np.ndarray:
@@ -360,8 +366,10 @@ def _rms_scale(x: np.ndarray) -> np.ndarray:
 
 def _softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over the trailing axis, shifted by the row max so exp cannot overflow."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def rotary_tables(cos: np.ndarray, sin: np.ndarray, n_heads: int) -> tuple[np.ndarray, np.ndarray]:
@@ -388,12 +396,16 @@ def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, n_heads: int) -> np
     layout, by ``rotary_tables`` cos/sin: x * cos + x[..., swap] * sin, which is (x1 cos - x2 sin,
     x2 cos + x1 sin) bitwise, as negation is exact and addition commutes. With -sin it is the
     inverse rotation (by -angle), which, being orthogonal, is also the transpose."""
-    return x * cos + x.take(_half_swap(x.shape[-1], n_heads), axis=-1) * sin
+    out = x * cos
+    swapped = x.take(_half_swap(x.shape[-1], n_heads), axis=-1)
+    swapped *= sin
+    out += swapped
+    return out
 
 
 def silu(a) -> Tensor:
     a = _coerce(a)
-    s = _sigmoid(a.data)
+    s = _sigmoid(a.data.reshape(a.shape or (1,))).reshape(a.shape)  # _sigmoid works in place on an axis
     data = a.data * s
 
     def vjp(g):
@@ -409,14 +421,19 @@ def rms_norm(a, gain) -> Tensor:
         raise ShapeError(f"rms_norm gain shape {gain.shape} does not match last dim of {a.shape}")
     d = a.shape[-1]
     s = _rms_scale(a.data)
-    data = a.data / s * _lift(gain.data, gain.pointed, a.ndim - a.pointed)
+    data = a.data / s
+    gd = _lift(gain.data, gain.pointed, a.ndim - a.pointed)  # out of place where it grows an unpointed x
+    data = np.multiply(data, gd, out=None if gain.pointed > a.pointed else data)
 
     def vjp(g):
         t = g * gain.data
-        dot = np.sum(t * a.data, axis=-1, keepdims=True)
-        da = t / s - a.data * (dot / (d * s**3))
-        dgain = (g * (a.data / s)).reshape(-1, d).sum(axis=0)  # the forward's normed x, recomputed
-        return da, dgain
+        tx = t * a.data
+        dot = np.sum(tx, axis=-1, keepdims=True)
+        t /= s  # becomes da = t / s - x * (dot / (d * s**3))
+        t -= np.multiply(a.data, dot / (d * s**3), out=tx)
+        normed = np.divide(a.data, s, out=tx)  # the forward's normed x, recomputed
+        normed *= g
+        return t, normed.reshape(-1, d).sum(axis=0)
 
     return _node(data, (a, gain), vjp, "rms_norm")
 
@@ -442,9 +459,10 @@ def embedding(table, ids) -> Tensor:
     data = table.data[:, ids] if table.pointed else table.data[ids]
 
     def vjp(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
-        return (gt,)
+        # entry (id, j) sums its rows' g[..., j] in order of appearance, as np.add.at would
+        d = table.shape[-1]
+        bins = (ids[..., None] * d + np.arange(d)).ravel()
+        return (np.bincount(bins, weights=g.ravel(), minlength=table.size).reshape(table.shape),)
 
     return _node(data, (table,), vjp, "embedding")
 
@@ -507,14 +525,15 @@ def softmax_cross_entropy(logits, targets, mask=None, reduction: str = "example_
     loss = _reduce(nll * coeff, logits.pointed)
 
     def vjp(g):
-        grad = _softmax(logits.data) * coeff[..., None]
+        grad = _softmax(logits.data)
+        grad *= coeff[..., None]
         np.put_along_axis(
             grad,
             targets[..., None],
             np.take_along_axis(grad, targets[..., None], axis=-1) - coeff[..., None],
             axis=-1,
         )
-        return (grad * g,)
+        return (np.multiply(grad, g, out=grad),)
 
     return _node(loss, (logits,), vjp, "softmax_cross_entropy")
 
@@ -539,19 +558,30 @@ def swiglu(x, w_gate, w_up, w_down) -> Tensor:
     gate = _linear(x.data, x.pointed, wg.data, wg.pointed)
     up = _linear(x.data, x.pointed, wu.data, wu.pointed)
     s = _sigmoid(gate)
-    # silu(gate) * up; gate and up share their non-point shape, so numpy aligns a pointed one with the other
-    hidden = gate * s * up
+    # silu(gate) * up; gate and up share their non-point shape, so numpy aligns a pointed one with
+    # the other. In place, except where a pointed up broadcasts an unpointed gate to the point axis
+    hidden = gate * s
+    hidden = np.multiply(hidden, up, out=None if up.ndim > gate.ndim else hidden)
     data = _linear(hidden, x.pointed or wg.pointed or wu.pointed, wd.data, wd.pointed)
 
     def vjp(g):
         # the hidden product's weight gradient comes first, so that the recomputed product is
         # not held while the two stacked (..., d, f) weight gradients are formed; as in linear,
         # input gradients are one GEMM over all rows and weight gradients one GEMM per sequence
-        g_down = _weight_grad(gate * s * up, g)
+        silu_gate = gate * s
+        h = silu_gate * up
+        g_down = _weight_grad(h, g)
         g_hidden = _rows(g, wd.data)
-        g_up = g_hidden * (gate * s)
-        g_gate = (g_hidden * up) * (s * (1.0 + gate * (1.0 - s)))
-        gx = _rows(g_gate, wg.data) + _rows(g_up, wu.data)
+        g_up = np.multiply(g_hidden, silu_gate, out=silu_gate)
+        # silu's derivative s * (1 + gate * (1 - s)), built in h
+        np.subtract(1.0, s, out=h)
+        np.multiply(gate, h, out=h)
+        h += 1.0
+        np.multiply(s, h, out=h)
+        g_hidden *= up
+        g_gate = np.multiply(g_hidden, h, out=g_hidden)
+        gx = _rows(g_gate, wg.data)
+        gx += _rows(g_up, wu.data)
         return gx, _weight_grad(x.data, g_gate), _weight_grad(x.data, g_up), g_down
 
     return _node(data, (x, wg, wu, wd), vjp, "swiglu")
@@ -596,13 +626,18 @@ def attention(q, k, v, n_heads: int, cos: np.ndarray, sin: np.ndarray, mask: np.
         return _split_heads(_rotate(t.data[..., start:, :], cos[start:], sin[start:], n_heads), n_heads)
 
     vh = _split_heads(v.data, n_heads)
-    p = _softmax((rotated_heads(q, first) @ np.swapaxes(rotated_heads(k, 0), -1, -2)) * scale + mask[first:])
+    scores = rotated_heads(q, first) @ np.swapaxes(rotated_heads(k, 0), -1, -2)
+    scores *= scale
+    scores += mask[first:]
+    p = _softmax(scores)
     data = _merge_heads(p @ vh)
 
     def vjp(g):
         g_ctx = _split_heads(g, n_heads)
         g_p = g_ctx @ np.swapaxes(vh, -1, -2)
-        g_scores = (p * (g_p - np.sum(g_p * p, axis=-1, keepdims=True))) * scale
+        g_p -= np.sum(g_p * p, axis=-1, keepdims=True)
+        g_p *= p
+        g_scores = np.multiply(g_p, scale, out=g_p)
         gq = _rotate(_merge_heads(g_scores @ rotated_heads(k, 0)), cos[first:], -sin[first:], n_heads)
         gk = _merge_heads(np.swapaxes(np.swapaxes(rotated_heads(q, first), -1, -2) @ g_scores, -1, -2))
         gv = _merge_heads(np.swapaxes(p, -1, -2) @ g_ctx)

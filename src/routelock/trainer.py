@@ -57,7 +57,7 @@ from .tokenizer import (
 @dataclass(frozen=True)
 class ChatExample:
     """One supervised example: prompt ids ending in a control token, target ids, and the mode
-    the prompt routes to; a prompt that routes to the other mode raises DataError."""
+    the prompt routes to; a prompt that routes to the other mode, or empty target ids, raise DataError."""
 
     prompt_ids: tuple[int, ...]
     target_ids: tuple[int, ...]
@@ -67,6 +67,8 @@ class ChatExample:
         route = resolve_route(self.prompt_ids)
         if route is not self.mode:
             raise DataError(f"prompt routes to {int(route)} but is tagged mode {int(self.mode)}")
+        if not self.target_ids:
+            raise DataError("target_ids is empty: an example needs at least one target token to train on")
 
     @classmethod
     def build(cls, prompt_ids: Sequence[int], target_ids: Sequence[int], mode: Route) -> "ChatExample":

@@ -600,6 +600,9 @@ OPERATOR_ERRORS = {
     "train-vocab-size-7": (train_with("model", vocab_size=7), ['section "model"', "vocab_size 7", "22 tokens"]),
     "train-vocab-size-100": (train_with("model", vocab_size=100),
                              ['section "model"', "vocab_size 100", "22 tokens"]),
+    # 2**55 features: 22 x 2**55 float64 embedding rows are 5.5 EiB, a byte count that fits in int64
+    # but not in any address space, so the allocation fails before any memory is touched
+    "train-d-model-unallocatable": (train_with("model", d_model=2**55), ["Unable to allocate", "EiB"]),
     # CFG's run seed is 7
     "train-seed-contradicts-run-seed": (train_with(seed=5), ['section "train"', "seed 5", "seed 7"]),
     "train-empty-dataset": (with_file("data.jsonl", "", "train", "--seed", "7", "--dataset", "{dir}/data.jsonl",

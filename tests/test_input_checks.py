@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from routelock.errors import ShapeError
+from routelock.errors import DataError, ShapeError
 from routelock.model import generate
 from routelock.params import ParamVector, central_differences, sampled_cross_hessian_max, value_and_grad
 from routelock.synth import SynthTaskSpec
 from routelock.tensor import Tensor, backward, embedding, matmul, rope_rotate, softmax_cross_entropy
 from routelock.theory import GradientPair, QuadraticMode, equal_curvature_gap
-from routelock.tokenizer import CTRL_THINK_ID, Route
+from routelock.tokenizer import CTRL_NOTHINK_ID, CTRL_THINK_ID, Route
 from routelock.trainer import ChatExample, TrainConfig, token_level_route_variant, train
 
 from conftest import tiny_model
@@ -28,6 +28,8 @@ INPUT_CHECKS = {
                                        ValueError, "temperature 1e-320 is too small: logits / temperature overflow"),
     "train-empty-dataset": (lambda: train(tiny_model(), [], TrainConfig(learning_rate=0.1)), ValueError,
                             "dataset is empty"),
+    "chat-example-empty-target": (lambda: ChatExample.build([CTRL_NOTHINK_ID], [], Route.NO_THINK), DataError,
+                                  "target_ids is empty"),
     "token-routes-wrong-length": (lambda: token_level_route_variant(tiny_model(), THINK_EXAMPLE, [1, 1]),
                                   ValueError, r"token_routes must have length 4, got \(2,\)"),
     "synth-modulus-1": (lambda: SynthTaskSpec(modulus=1), ValueError, "modulus must be >= 2"),

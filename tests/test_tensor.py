@@ -100,6 +100,7 @@ def test_matmul_broadcast_weight_grad():
 def test_silu_values():
     assert silu(Tensor(np.array([0.0]))).data[0] == 0.0
     assert abs(silu(Tensor(np.array([1.0]))).data[0] - SIGMOID_1) < 1e-12
+    assert silu(Tensor(1.0)).data.tobytes() == silu(Tensor(np.array([1.0]))).data.tobytes()  # a 0-d input
 
 
 def test_silu_grad_vs_fd():
@@ -632,3 +633,154 @@ def test_fused_ops_reject_mismatched_shapes():
     for first in (-1, SEQ):
         with pytest.raises(ShapeError, match=f"query start {first} is outside positions 0 .. {SEQ - 1}"):
             attention(q, q, q, HEADS, COS, SIN, causal_mask(SEQ), first)
+
+
+# ---------------------------------------------------------------------------
+# kernel buffers: what a chain may write into, and the bits of its in-place chains
+# ---------------------------------------------------------------------------
+
+
+def read_only(a):
+    a = np.asarray(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+def test_kernels_write_into_nothing_they_were_given():
+    # every input, every upstream gradient and every forward output is read-only, so an
+    # in-place write into any of them raises; a second vjp call equal to the first shows
+    # that the vjp left the values it kept from the forward as they were
+    rng = np.random.default_rng(36)
+    b, d, f, v = 2, WIDTH, 12, 5
+    mask, cos, sin = read_only(causal_mask(SEQ)), read_only(COS), read_only(SIN)
+    ids, targets = rng.integers(0, v, size=(b, SEQ)), rng.integers(0, v, size=(b, SEQ))
+    ids.flags.writeable = targets.flags.writeable = False
+    label_mask = read_only(rng.random((b, SEQ)) < 0.7)
+    x = (b, SEQ, d)
+    cases = {
+        "linear": (linear, [x, (f, d)]),
+        "swiglu": (swiglu, [x, (f, d), (f, d), (d, f)]),
+        "attention": (lambda q, k, w: attention(q, k, w, HEADS, cos, sin, mask), [x, x, x]),
+        "attention from 2": (lambda q, k, w: attention(q, k, w, HEADS, cos, sin, mask, 2), [x, x, x]),
+        "rms_norm": (rms_norm, [x, (d,)]),
+        "softmax_cross_entropy": (lambda z: softmax_cross_entropy(z, targets, label_mask), [(b, SEQ, v)]),
+        "embedding": (lambda table: embedding(table, ids), [(v, d)]),
+        "tail": (lambda t: tail(t, 2), [x]),
+    }
+    for name, (op, shapes) in cases.items():
+        arrays = [read_only(rng.normal(size=shape)) for shape in shapes]
+        out = op(*(Tensor(a, requires_grad=True) for a in arrays))
+        out.data.flags.writeable = False
+        g = read_only(rng.normal(size=out.shape))
+        first, again = out._vjp(g), out._vjp(g)
+        for x1, x2 in zip(first, again):
+            assert x1.tobytes() == x2.tobytes(), name
+        # pointed forwards: each operand in turn carries 3 points, the others are shared
+        with no_grad():
+            for i in range(len(arrays)):
+                pointed = [Tensor(read_only(rng.normal(size=(3,) + a.shape)), pointed=True) if j == i else Tensor(a)
+                           for j, a in enumerate(arrays)]
+                assert op(*pointed).pointed, name
+
+
+def rows_product(a, w):
+    """a @ w over all of a's rows in one GEMM, as the fused nodes project."""
+    return (a.reshape(-1, a.shape[-1]) @ w).reshape(a.shape[:-1] + (w.shape[-1],))
+
+
+def per_sequence_weight_grad(a, g):
+    """The (f, d) weight gradient of a @ w.T, one GEMM per sequence, summed in sequence order."""
+    a, g = a.reshape((-1,) + a.shape[-2:]), g.reshape((-1,) + g.shape[-2:])
+    gw = a[0].T @ g[0]
+    for ai, gi in zip(a[1:], g[1:]):
+        gw = gw + ai.T @ gi
+    return gw.T
+
+
+def explicit_swiglu_vjp(x, wg, wu, wd, g):
+    gate, up = rows_product(x, wg.T), rows_product(x, wu.T)
+    s = masked_sigmoid(gate)
+    g_hidden = rows_product(g, wd)
+    g_up = g_hidden * (gate * s)
+    g_gate = (g_hidden * up) * (s * (1.0 + gate * (1.0 - s)))
+    gx = rows_product(g_gate, wg) + rows_product(g_up, wu)
+    return (gx, per_sequence_weight_grad(x, g_gate), per_sequence_weight_grad(x, g_up),
+            per_sequence_weight_grad(gate * s * up, g))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_swiglu_vjp_matches_explicit_formula_bitwise():
+    # d = 1 makes each projection entry one product, so special values reach the elementwise chain one by one
+    rng = np.random.default_rng(37)
+    for d, f, lead in ((1, 6, (3, 5)), (1, 4, (7,)), (8, 16, (25, 21))):
+        for draw in (lambda size: rng.normal(scale=6.0, size=size), lambda size: special_draws(rng, size)):
+            x, wg, wu, wd = draw(lead + (d,)), draw((f, d)), draw((f, d)), draw((d, f))
+            out = swiglu(*(Tensor(a, requires_grad=True) for a in (x, wg, wu, wd)))
+            g = draw(out.shape)
+            for got, ref in zip(out._vjp(g), explicit_swiglu_vjp(x, wg, wu, wd, g)):
+                assert_bitwise_where_not_nan(got, ref)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rms_norm_forward_and_vjp_match_explicit_formulas_bitwise():
+    rng = np.random.default_rng(38)
+    for shape in ((1, 1, 64), (4, 9), (7,), (2, 3, 5, 16)):
+        d = shape[-1]
+        for draw in (rng.normal, lambda size: special_draws(rng, size)):
+            x, gain, g = draw(size=shape), draw(size=(d,)), draw(size=shape)
+            out = rms_norm(Tensor(x, requires_grad=True), Tensor(gain, requires_grad=True))
+            s = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
+            assert_bitwise_where_not_nan(out.data, x / s * gain)
+            t = g * gain
+            dot = np.sum(t * x, axis=-1, keepdims=True)
+            dx, dgain = out._vjp(g)
+            assert_bitwise_where_not_nan(dx, t / s - x * (dot / (d * s**3)))
+            assert_bitwise_where_not_nan(dgain, (g * (x / s)).reshape(-1, d).sum(axis=0))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("first", [0, 2])
+def test_attention_scores_and_softmax_gradient_match_explicit_formulas_bitwise(first):
+    # heads of width 2: each score sums two products, so special values stay near where they were drawn
+    rng = np.random.default_rng(39)
+    heads, width = 4, 8
+    half = rope_tables(0, SEQ, width // heads, 10000.0)
+    cos, sin = rotary_tables(*half, heads)
+    mask, scale = causal_mask(SEQ), 1.0 / math.sqrt(width // heads)
+
+    def split(t):
+        return t.reshape(t.shape[:-1] + (heads, -1)).swapaxes(-3, -2)
+
+    def merge(t):
+        return t.swapaxes(-3, -2).reshape(t.shape[:-3] + (t.shape[-2], width))
+
+    for draw in (lambda size: rng.normal(scale=3.0, size=size), lambda size: special_draws(rng, size)):
+        q, k, v = (draw((2, SEQ, width)) for _ in range(3))
+        out = attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), heads, cos, sin, mask, first)
+        rq = split(explicit_rope(q[:, first:], half[0][first:], half[1][first:], heads))
+        rk, vh = split(explicit_rope(k, *half, heads)), split(v)
+        p = explicit_softmax((rq @ rk.swapaxes(-1, -2)) * scale + mask[first:])
+        assert_bitwise_where_not_nan(out.data, merge(p @ vh))
+        g = draw(out.shape)
+        g_ctx = split(g)
+        g_p = g_ctx @ vh.swapaxes(-1, -2)
+        g_scores = (p * (g_p - np.sum(g_p * p, axis=-1, keepdims=True))) * scale
+        gq = np.zeros_like(q)
+        gq[:, first:] = explicit_rope(merge(g_scores @ rk), half[0][first:], half[1][first:], heads, inverse=True)
+        gk = explicit_rope(merge((rq.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2)), *half, heads, inverse=True)
+        for got, ref in zip(out._vjp(g), (gq, gk, merge(p.swapaxes(-1, -2) @ g_ctx))):
+            assert_bitwise_where_not_nan(got, ref)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_embedding_vjp_matches_add_at_bitwise():
+    # repeated ids sum their rows in order of appearance; where two NaNs meet, which payload
+    # survives may differ, as np.add.at and np.bincount put the operands of their adds in different slots
+    rng = np.random.default_rng(40)
+    for v, d, lead in ((5, 3, (4, 6)), (24, 8, (2, 9)), (30, 64, (25, 21))):
+        for draw in (rng.normal, lambda size: special_draws(rng, size)):
+            ids, g = rng.integers(0, v, size=lead), draw(size=lead + (d,))
+            ref = np.zeros((v, d))
+            np.add.at(ref, ids, g)
+            got = embedding(Tensor(draw(size=(v, d)), requires_grad=True), ids)._vjp(g)[0]
+            assert_bitwise_where_not_nan(got, ref)

@@ -155,7 +155,9 @@ def test_restricted_loss_is_the_full_position_objective(data, reduction, kind, n
 
 
 def test_restricted_loss_without_target_positions_raises_cross_entropy_error(tiny):
-    batch = make_batch([ex([1, 8, CTRL_THINK_ID], [], Route.THINK), ex([1, 9, CTRL_THINK_ID], [], Route.THINK)])
+    # the batch make_batch would build from two prompts without targets, which ChatExample rejects
+    batch = {"inputs": np.array([[1, 8], [1, 9]]), "labels": np.array([[8, CTRL_THINK_ID], [9, CTRL_THINK_ID]]),
+             "label_mask": np.zeros((2, 2), dtype=bool)}
     assert batch["inputs"].shape == (2, 2) and not batch["label_mask"].any()
     with pytest.raises(ValueError, match="an example has no unmasked positions"):
         batch_loss_fn(tiny, Route.THINK, "example_mean")(as_leaves(tiny.params), batch)
