@@ -23,7 +23,16 @@ MAGIC = b"PLE1"
 FORMAT_VERSION = 1
 
 
+def _check_routed(cfg: ModelConfig, segments, what: str) -> None:
+    """Raise ValueError unless the (name, shape) ``segments`` are ``cfg``'s routed layout, in order."""
+    if [(n, tuple(s)) for n, s in segments] != [(n, tuple(s)) for n, s in routed_layout(cfg)]:
+        raise ValueError(f"{what} does not match the config's routed layout")
+
+
 def save_checkpoint(model: ModelParams, path) -> None:
+    """Write ``model`` to ``path``; a model not in the routed layout raises ValueError before the file opens."""
+    segments = [(name, arr.shape) for name, arr in model.params.items()]
+    _check_routed(model.config, segments, f"{path}: the model's segment layout")
     manifest = []
     offset = 0
     for name, arr in model.params.items():
@@ -67,13 +76,14 @@ def load_checkpoint(path) -> ModelParams:
     try:
         header = json.loads(blob[16 : 16 + hlen].decode("utf-8"))
         cfg = ModelConfig(**header["config"])
-        entries = [(e["name"], tuple(e["shape"]), e["offset"]) for e in header["segments"]]
+        entries = [(e["name"], tuple(e["shape"]), e["offset"], e["group"]) for e in header["segments"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed header: {exc}") from exc
-    if [(n, s) for n, s, _ in entries] != [(n, tuple(s)) for n, s in routed_layout(cfg)]:
-        raise ValueError(f"{path}: segment manifest does not match the config layout")
+    _check_routed(cfg, [(n, s) for n, s, _, _ in entries], f"{path}: segment manifest")
     total = 0
-    for name, shape, offset in entries:
+    for name, shape, offset, group in entries:
+        if group != segment_group(name):
+            raise ValueError(f"{path}: segment {name!r} is labelled {group!r}, expected {segment_group(name)!r}")
         if offset != total:
             raise ValueError(f"{path}: segment {name!r} at offset {offset}, expected contiguous offset {total}")
         total += math.prod(shape) * 8
@@ -83,7 +93,7 @@ def load_checkpoint(path) -> ModelParams:
         raise ValueError(f"{path}: payload is {len(payload)} bytes, the manifest needs {total}{cut}")
     segments = [
         (name, np.frombuffer(payload, "<f8", math.prod(shape), offset).reshape(shape).astype(np.float64))
-        for name, shape, offset in entries
+        for name, shape, offset, _ in entries
     ]
     for name, arr in segments:
         if not np.isfinite(arr).all():

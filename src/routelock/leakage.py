@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError
-from .model import DenseModel, ModelParams, check_prompt, generate_batch
+from .model import ModelParams, check_prompt, generate_batch
 from .tokenizer import Route, Vocabulary, decode
 
 DEFAULT_MARKERS = ("wait", "hmm", "alternatively")
@@ -35,15 +35,20 @@ class ReflectiveLexicon:
     def __post_init__(self):
         if not self.markers:
             raise ValueError("lexicon must be nonempty")
+        for m in self.markers:
+            if m.split() != [m]:
+                raise ValueError(f"lexicon marker {m!r} is not one whitespace-free token, so it can never match")
         object.__setattr__(self, "markers", tuple(m.lower() for m in self.markers))
 
     @classmethod
     def load(cls, path) -> "ReflectiveLexicon":
+        """The markers of ``path``, one per non-blank line; a bad lexicon raises ValueError naming the file."""
         with open(path, encoding="utf-8") as fh:
             markers = [line.strip() for line in fh if line.strip()]
-        if not markers:
-            raise ValueError(f"{path}: lexicon must be nonempty")
-        return cls(tuple(markers))
+        try:
+            return cls(tuple(markers))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def count_reflective(text: str, lexicon: ReflectiveLexicon | None = None) -> int:
@@ -103,7 +108,7 @@ def score_completions(
 
 
 def evaluate(
-    model: ModelParams | DenseModel,
+    model: ModelParams,
     prompts_with_gold: Sequence[tuple[Sequence[int], str]],
     mode: Route,
     vocab: Vocabulary,

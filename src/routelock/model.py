@@ -9,8 +9,8 @@ MLP into both experts bitwise, so the two routes are indistinguishable
 until training separates them.
 
 Parameter segments are named ``embed``, ``layer{i}.ln1``, ``layer{i}.wq``
-.. ``layer{i}.wo``, ``layer{i}.ln2``, then ``layer{i}.mlp.*`` for the
-dense model or ``layer{i}.expert0.*`` / ``layer{i}.expert1.*`` for the
+.. ``layer{i}.wo``, ``layer{i}.ln2``, then ``layer{i}.mlp.*`` in the
+dense layout or ``layer{i}.expert0.*`` / ``layer{i}.expert1.*`` in the
 routed one, and finally ``final_norm`` (when enabled) and ``lm_head``.
 Expert segments form the beta0/beta1 partitions; everything else is alpha.
 """
@@ -141,33 +141,19 @@ def _init_params(cfg: ModelConfig, layout, seed: int) -> ParamVector:
 
 
 @dataclass
-class DenseModel:
-    """Single-MLP baseline; source for cloning and demo comparison."""
+class ModelParams:
+    """Decoder model: config plus parameters in the dense layout (``layer{i}.mlp.*``, one MLP
+    for every route) or the routed one (two experts, partitioned alpha/beta0/beta1)."""
 
     config: ModelConfig
     params: ParamVector
 
     @classmethod
-    def init_random(cls, cfg: ModelConfig, seed: int) -> "DenseModel":
+    def init_dense(cls, cfg: ModelConfig, seed: int) -> "ModelParams":
         return cls(cfg, _init_params(cfg, dense_layout(cfg), seed))
 
-    def with_params(self, pv: ParamVector) -> "DenseModel":
-        return replace(self, params=pv)
-
-    def expert_index(self, route: Route | int | None) -> None:
-        """The dense model has no experts: every route runs its one MLP."""
-        return None
-
-
-@dataclass
-class ModelParams:
-    """Dual-expert model: config plus the alpha/beta0/beta1-partitioned parameters."""
-
-    config: ModelConfig
-    params: ParamVector
-
     @classmethod
-    def clone_from_dense(cls, dense: DenseModel) -> "ModelParams":
+    def clone_from_dense(cls, dense: "ModelParams") -> "ModelParams":
         """Duplicate the source MLP into both experts, bitwise; share the rest."""
         cfg = dense.config
         expected = dict(dense_layout(cfg))
@@ -185,13 +171,16 @@ class ModelParams:
 
     @classmethod
     def init_random(cls, cfg: ModelConfig, seed: int) -> "ModelParams":
-        return cls.clone_from_dense(DenseModel.init_random(cfg, seed))
+        return cls.clone_from_dense(cls.init_dense(cfg, seed))
 
     def with_params(self, pv: ParamVector) -> "ModelParams":
         return replace(self, params=pv)
 
-    def expert_index(self, route: Route | int | None) -> int:
-        """The expert ``route`` selects; the dual-expert model requires a route."""
+    def expert_index(self, route: Route | int | None) -> int | None:
+        """The expert ``route`` selects: None in the dense layout, whose one MLP runs for every
+        route; in the routed layout, the route, which is required."""
+        if "layer0.mlp.w_gate" in self.params:
+            return None
         if route is None:
             raise ValueError("route is required for the dual-expert model")
         r = int(route)
@@ -292,12 +281,12 @@ def _positions(h: Tensor, points: int) -> int:
     return n if h.pointed else n * points
 
 
-def mlp_dispatch(model: ModelParams | DenseModel, leaves: Mapping[str, Tensor], route: Route | int | None):
+def mlp_dispatch(model: ModelParams, leaves: Mapping[str, Tensor], route: Route | int | None):
     """The ``(layer, h) -> MLP output`` closure of ``model`` on ``route``.
 
-    The model names the MLP each layer runs: the routed model one expert,
-    the dense model its single MLP. Expert calls are logged to every open
-    ExpertCallRecorder.
+    The model's layout names the MLP each layer runs: one expert in the
+    routed layout, the single MLP in the dense one. Expert calls are
+    logged to every open ExpertCallRecorder.
     """
     r = model.expert_index(route)
     points = max((t.points for t in leaves.values()), default=1)
@@ -344,11 +333,11 @@ def decoder_logits(
     return linear(x, leaves["lm_head"])
 
 
-def forward(model: ModelParams | DenseModel, tokens, route: Route | int | None = None) -> Tensor:
+def forward(model: ModelParams, tokens, route: Route | int | None = None) -> Tensor:
     """Full-sequence logits; the route is fixed for the whole call.
 
-    For the dual-expert model exactly one expert runs per layer; the
-    dense baseline ignores ``route``.
+    In the routed layout exactly one expert runs per layer; a model in
+    the dense layout ignores ``route``.
     """
     leaves = as_leaves(model.params)
     return decoder_logits(model.config, leaves, tokens, mlp_dispatch(model, leaves, route))
@@ -393,7 +382,7 @@ def _swiglu_np(pv: ParamVector, layer: int, expert: int | None, h: np.ndarray) -
 
 
 def _np_chunk(
-    model: ModelParams | DenseModel, ids: np.ndarray, expert: int | None, cache: _KVCache, pos0: int
+    model: ModelParams, ids: np.ndarray, expert: int | None, cache: _KVCache, pos0: int
 ) -> np.ndarray:
     """Logits (R, 1, V) at the last position for ids (R, n): ``decoder_logits`` on plain arrays with
     MLP ``expert`` and ``first`` n-1, every row at positions pos0 .. pos0+n-1 (a prefix from 0,
@@ -456,7 +445,7 @@ def check_prompt(cfg: ModelConfig, prompt_ids: Sequence[int]) -> list[int]:
 
 
 def generate_batch(
-    model: ModelParams | DenseModel,
+    model: ModelParams,
     prompts: Sequence[Sequence[int]],
     max_new: int,
     temperature: float | None = None,
@@ -472,8 +461,8 @@ def generate_batch(
     """
     cfg = model.config
     seqs = [check_prompt(cfg, p) for p in prompts]
-    if max_new < 0:
-        raise ValueError("max_new must be >= 0")
+    if isinstance(max_new, bool) or not isinstance(max_new, numbers.Integral) or max_new < 0:
+        raise ValueError(f"max_new must be an integer >= 0, got {max_new!r}")
     if temperature is not None and seed is None:
         raise ValueError("temperature sampling requires a seed")
     if temperature is not None and not (math.isfinite(temperature) and temperature > 0):
@@ -504,7 +493,7 @@ def generate_batch(
 
 
 def generate(
-    model: ModelParams | DenseModel,
+    model: ModelParams,
     prompt_ids: Sequence[int],
     max_new: int,
     temperature: float | None = None,

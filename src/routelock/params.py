@@ -164,6 +164,8 @@ def central_differences(
     if step <= 0:
         raise ValueError("step must be positive")
     coords = np.asarray(coords)
+    if coords.ndim != 1:
+        raise ValueError(f"coordinates must be one-dimensional, got shape {coords.shape}")
     if coords.size and coords.dtype.kind not in "iu":
         raise ValueError(f"coordinates must be integers, got {coords.dtype} values such as {coords.flat[0]}")
     coords = coords.astype(np.int64)
@@ -205,6 +207,8 @@ def sampled_cross_hessian_max(
     points (p + di e_i) + dj e_j with di, dj = +-step; the stencil is also
     correct when i == j, where it reduces to the (2 step) pure second difference.
     """
+    if step <= 0:
+        raise ValueError("step must be positive")
     if probes < 1:
         raise ValueError("probes must be >= 1")
     pairs = []

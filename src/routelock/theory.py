@@ -19,9 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, SingularityError
-from .model import ModelParams, _swiglu_at, decoder_logits, forward, mlp_dispatch, mlp_prefix, segment_group
-from .params import ParamVector, as_leaves, sampled_cross_hessian_max
-from .tensor import Tensor, add, no_grad
+from .model import ModelParams, _swiglu_at, decoder_logits, mlp_dispatch, mlp_prefix, segment_group
+from .params import as_leaves, sampled_cross_hessian_max
+from .tensor import Tensor, no_grad
 from .trainer import ChatExample, two_mode_loss_fn
 
 SYM_TOL = 1e-12
@@ -261,14 +261,6 @@ def random_expert_direction(model: ModelParams, layer: int, seed: int) -> dict[s
     return {k: v / scale for k, v in out.items()}
 
 
-def perturbed_model(model: ModelParams, direction: dict[str, np.ndarray], eps: float) -> ModelParams:
-    pv = ParamVector(
-        (n, a + eps * direction[n] if n in direction else a.copy())
-        for n, a in model.params.items()
-    )
-    return model.with_params(pv)
-
-
 @dataclass(frozen=True)
 class LinearizationRow:
     eps: float
@@ -291,10 +283,11 @@ def linearization_residual(
     f1 - f0, the two experts' outputs on that layer's route-0 MLP input,
     through the route-0 forward's derivative in that layer's MLP output:
     central differences of ``decoder_logits`` with the output shifted by
-    +-FD_STEP along it. The relative residual must shrink superlinearly as
-    eps halves; when the downstream map is affine the two agree to rounding.
+    +-FD_STEP along it. One three-point forward runs route 0 with that output
+    as it is and at both shifts. The relative residual must shrink
+    superlinearly as eps halves; when the downstream map is affine the two
+    agree to rounding.
     """
-    cfg = model.config
     layers = {name.split(".")[0] for name, _ in model.params.items()
               if name in direction and segment_group(name) != "alpha"}
     if len(layers) != 1:
@@ -302,44 +295,32 @@ def linearization_residual(
     layer = int(layers.pop().removeprefix("layer"))
     rows = []
     for eps in epsilons:
-        pert = perturbed_model(model, direction, eps)
-        leaves = as_leaves(pert.params)
-        route0 = mlp_dispatch(pert, leaves, 0)
-        seen: list[Tensor] = []
+        leaves = as_leaves(model.params)
+        leaves.update((n, Tensor(model.params[n] + eps * direction[n])) for n in model.params.names if n in direction)
+        route0 = mlp_dispatch(model, leaves, 0)
+        scales: list[float] = []
 
-        def run(delta: np.ndarray | None = None) -> np.ndarray:
-            """Route-0 logits with ``delta`` added to layer ``layer``'s MLP output; ``seen`` gets its input."""
-
-            def apply(at: int, h: Tensor) -> Tensor:
-                out = route0(at, h)
-                if at != layer:
-                    return out
-                seen.append(h)
-                return out if delta is None else add(out, delta)
-
-            return decoder_logits(cfg, leaves, tokens, apply).data
+        def apply(at: int, h: Tensor) -> Tensor:
+            """Route 0's MLP output; at ``layer``, three points: it, then it moved by +-FD_STEP along f1 - f0."""
+            f0 = route0(at, h)
+            if at != layer:
+                return f0
+            df = _swiglu_at(leaves, mlp_prefix(layer, 1), h).data - f0.data
+            scales.append(float(np.sqrt(np.sum(df * df))))
+            if scales[0] == 0.0:
+                return f0
+            shift = FD_STEP * (df / scales[0])
+            return Tensor(np.stack((f0.data, f0.data + shift, f0.data - shift)), pointed=True)
 
         with no_grad():
-            gap = forward(pert, tokens, 1).data - run()
-            f0, f1 = (_swiglu_at(leaves, mlp_prefix(layer, r), seen[0]).data for r in (0, 1))
-            df = f1 - f0
-            scale = float(np.sqrt(np.sum(df * df)))
-            if scale == 0.0:
-                rows.append(LinearizationRow(eps, 0.0, 0.0, 0.0, 0.0))
-                continue
-            unit = df / scale
-            pred = (run(FD_STEP * unit) - run(-FD_STEP * unit)) * (scale / (2.0 * FD_STEP))
-        gap_n = float(np.sqrt(np.sum(gap * gap)))
-        res = float(np.sqrt(np.sum((gap - pred) ** 2)))
-        rows.append(
-            LinearizationRow(
-                eps=eps,
-                gap_norm=gap_n,
-                prediction_norm=float(np.sqrt(np.sum(pred * pred))),
-                residual=res,
-                rel_residual=res / gap_n if gap_n > 0 else 0.0,
-            )
-        )
+            l1 = decoder_logits(model.config, leaves, tokens, mlp_dispatch(model, leaves, 1)).data
+            l0 = decoder_logits(model.config, leaves, tokens, apply).data
+        if scales[0] == 0.0:
+            rows.append(LinearizationRow(eps, 0.0, 0.0, 0.0, 0.0))
+            continue
+        gap, pred = l1 - l0[0], (l0[1] - l0[2]) * (scales[0] / (2.0 * FD_STEP))
+        gap_n, pred_n, res = (float(np.sqrt(np.sum(a * a))) for a in (gap, pred, gap - pred))
+        rows.append(LinearizationRow(eps, gap_n, pred_n, res, res / gap_n if gap_n > 0 else 0.0))
     return rows
 
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError, check_field
 from .model import (
-    DenseModel,
     ModelParams,
     _swiglu_at,
     decoder_logits,
@@ -129,7 +128,7 @@ def make_batch(examples: Sequence[ChatExample]) -> dict:
     }
 
 
-def batch_loss_fn(model: ModelParams | DenseModel, route: Route | None, reduction: str):
+def batch_loss_fn(model: ModelParams, route: Route | None, reduction: str):
     """Loss closure over parameter leaves, for value_and_grad. Logits start at the batch's first
     column with loss: earlier columns weigh 0 in every reduction, so the objective is unchanged."""
     cfg = model.config
@@ -158,7 +157,7 @@ def mode_weights(dataset: Sequence[ChatExample]) -> tuple[float, float]:
 
 
 def two_mode_loss_fn(
-    model: ModelParams | DenseModel,
+    model: ModelParams,
     dataset: Sequence[ChatExample],
     reduction: str = "example_mean",
 ):
@@ -178,7 +177,7 @@ def two_mode_loss_fn(
 
 
 def mode_loss(
-    model: ModelParams | DenseModel,
+    model: ModelParams,
     dataset: Sequence[ChatExample],
     reduction: str = "example_mean",
 ) -> float:
@@ -188,7 +187,7 @@ def mode_loss(
 
 
 def mode_loss_grad(
-    model: ModelParams | DenseModel,
+    model: ModelParams,
     dataset: Sequence[ChatExample],
     reduction: str = "example_mean",
 ) -> tuple[float, ParamVector]:
@@ -263,20 +262,20 @@ def expert_gap(params: ParamVector) -> dict[str, np.ndarray]:
 
 
 def train(
-    model: ModelParams | DenseModel,
+    model: ModelParams,
     dataset: Sequence[ChatExample],
     cfg: TrainConfig,
     epoch_callback: Callable[[int, float, float], None] | None = None,
-) -> tuple[ModelParams | DenseModel, TrajectoryLog]:
+) -> tuple[ModelParams, TrajectoryLog]:
     """Mode-pure alternating-batch training; deterministic under the seed.
 
-    Returns a new model of the same kind plus the trajectory log. When
+    Returns a new model in the same layout plus the trajectory log. When
     both mode pools are nonempty the schedule strictly alternates
     no-think/think batches; leftover batches of the larger pool follow.
     Each step logs the norm of the active expert's gradient (of every
-    gradient for the dense model, which has no experts); under plain SGD
-    a routed model also adds the step's expert gradient to the log's sum,
-    with sign + on think steps and - on no-think steps.
+    gradient for a model in the dense layout, which has no experts); under
+    plain SGD a routed model also adds the step's expert gradient to the
+    log's sum, with sign + on think steps and - on no-think steps.
     """
     if not dataset:
         raise ValueError("dataset is empty")

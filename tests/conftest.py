@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from routelock.model import DenseModel, ModelConfig, ModelParams
+from routelock.model import ModelConfig, ModelParams
 from routelock.synth import SynthTaskSpec, generate_synth_dataset
 from routelock.trainer import split_by_mode
 
@@ -9,7 +9,7 @@ TINY_CFG = ModelConfig(vocab_size=24, d_model=8, n_layers=2, n_heads=2, d_ff=12,
 
 
 def tiny_dense(seed=0, cfg=TINY_CFG):
-    return DenseModel.init_random(cfg, seed=seed)
+    return ModelParams.init_dense(cfg, seed=seed)
 
 
 def tiny_model(seed=0, cfg=TINY_CFG):
@@ -34,7 +34,7 @@ def synth_model(synth_small):
     """Cloned model sized to the small synthetic vocabulary."""
     _, _, vocab = synth_small
     cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_layers=2, n_heads=2, d_ff=12, max_seq=32)
-    return ModelParams.clone_from_dense(DenseModel.init_random(cfg, seed=1))
+    return ModelParams.clone_from_dense(ModelParams.init_dense(cfg, seed=1))
 
 
 def mode_batches(data, n=4):

@@ -10,7 +10,6 @@ import pytest
 from routelock.checkpoint import load_checkpoint, save_checkpoint
 from routelock.leakage import evaluate, filter_no_think_candidates
 from routelock.model import (
-    DenseModel,
     ExpertCallRecorder,
     ModelConfig,
     ModelParams,
@@ -76,7 +75,7 @@ def test_c01_gradient_oracle():
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        model = ModelParams.clone_from_dense(DenseModel.init_random(GRAD_CFG, seed=seed))
+        model = ModelParams.clone_from_dense(ModelParams.init_dense(GRAD_CFG, seed=seed))
         dataset = grad_dataset(rng)
         loss_fn = two_mode_loss_fn(model, dataset)
         _, rev = value_and_grad(loss_fn, model.params, None)
@@ -87,7 +86,7 @@ def test_c01_gradient_oracle():
 
 
 def test_c02_exact_decoupling():
-    model = ModelParams.clone_from_dense(DenseModel.init_random(GRAD_CFG, seed=1))
+    model = ModelParams.clone_from_dense(ModelParams.init_dense(GRAD_CFG, seed=1))
     dataset = grad_dataset(np.random.default_rng(1))
     d0, d1 = split_by_mode(dataset)
     zeros = {}
@@ -108,7 +107,7 @@ def test_c03_gradient_decomposition():
     worst = 0.0
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
-        model = ModelParams.clone_from_dense(DenseModel.init_random(GRAD_CFG, seed=seed))
+        model = ModelParams.clone_from_dense(ModelParams.init_dense(GRAD_CFG, seed=seed))
         dataset = grad_dataset(rng)
         pi0, pi1 = mode_weights(dataset)
         d0, d1 = split_by_mode(dataset)
@@ -124,7 +123,7 @@ def test_c03_gradient_decomposition():
 def test_c04_hessian_block_structure():
     worst_cross = 0.0
     for seed in range(5):
-        model = ModelParams.clone_from_dense(DenseModel.init_random(GRAD_CFG, seed=seed))
+        model = ModelParams.clone_from_dense(ModelParams.init_dense(GRAD_CFG, seed=seed))
         dataset = grad_dataset(np.random.default_rng(200 + seed))
         d0, d1 = split_by_mode(dataset)
         rep = hessian_block_audit(model, d0, d1, probes=64, seed=seed)
@@ -140,7 +139,7 @@ def test_c04_hessian_block_structure():
 
 
 def test_c05_identical_init_route_equivalence():
-    dense = DenseModel.init_random(GRAD_CFG, seed=3)
+    dense = ModelParams.init_dense(GRAD_CFG, seed=3)
     model = ModelParams.clone_from_dense(dense)
     tokens = [1, 7, 9, CTRL_NOTHINK_ID, 11, 13]
     gap = route_logit_gap(model, tokens)
@@ -152,7 +151,7 @@ def test_c05_identical_init_route_equivalence():
 
 
 def test_c06_specialization_trajectory():
-    model = ModelParams.clone_from_dense(DenseModel.init_random(GRAD_CFG, seed=4))
+    model = ModelParams.clone_from_dense(ModelParams.init_dense(GRAD_CFG, seed=4))
     rng = np.random.default_rng(42)
     d0 = [
         ChatExample.build([1, int(rng.integers(6, 24)), CTRL_NOTHINK_ID],
@@ -214,7 +213,7 @@ def test_c08_interference_criterion():
 
 
 def test_c09_sequence_vs_token_routing():
-    model = ModelParams.clone_from_dense(DenseModel.init_random(GRAD_CFG, seed=6))
+    model = ModelParams.clone_from_dense(ModelParams.init_dense(GRAD_CFG, seed=6))
     example = ChatExample.build([1, 7, CTRL_NOTHINK_ID], [9, 11, 2], Route.NO_THINK)
     n = len(example.tokens) - 1
     tok_loss, tok_grads = token_level_route_variant(model, example, [0] * n)
@@ -229,7 +228,7 @@ def test_c09_sequence_vs_token_routing():
 
 
 def test_c10_route_lock_generation():
-    model = ModelParams.clone_from_dense(DenseModel.init_random(GRAD_CFG, seed=7))
+    model = ModelParams.clone_from_dense(ModelParams.init_dense(GRAD_CFG, seed=7))
     prompt = [1, 7, CTRL_NOTHINK_ID]
     # aim the /think head row along the final hidden state so the first
     # generated token is the think control token
@@ -265,7 +264,7 @@ def test_c11_linearization_scaling():
     spec = SynthTaskSpec(modulus=5, n_problems=6, seed=9)
     data, vocab = generate_synth_dataset(spec)
     cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_layers=2, n_heads=2, d_ff=12, max_seq=32)
-    model = ModelParams.clone_from_dense(DenseModel.init_random(cfg, seed=9))
+    model = ModelParams.clone_from_dense(ModelParams.init_dense(cfg, seed=9))
     direction = random_expert_direction(model, cfg.n_layers - 1, seed=10)
     rows = linearization_residual(model, list(data[0].tokens), direction, [1e-1, 5e-2, 2.5e-2])
     rels = [r.rel_residual for r in rows]
@@ -274,7 +273,7 @@ def test_c11_linearization_scaling():
     affine_cfg = ModelConfig(
         vocab_size=20, d_model=8, n_layers=1, n_heads=2, d_ff=12, max_seq=16, final_norm=False
     )
-    affine = ModelParams.clone_from_dense(DenseModel.init_random(affine_cfg, seed=11))
+    affine = ModelParams.clone_from_dense(ModelParams.init_dense(affine_cfg, seed=11))
     adir = random_expert_direction(affine, 0, seed=12)
     arows = linearization_residual(affine, [1, 7, 9, 4], adir, [1e-1, 2.5e-2])
     assert all(r.residual <= 1e-10 for r in arows)
@@ -294,7 +293,7 @@ DEMO_TRAIN = TrainConfig(
 def test_c12_end_to_end_demo():
     data, vocab = generate_synth_dataset(DEMO_SPEC)
     cfg = ModelConfig(vocab_size=len(vocab), d_model=64, n_layers=2, n_heads=4, d_ff=128, max_seq=32)
-    model = ModelParams.clone_from_dense(DenseModel.init_random(cfg, seed=0))
+    model = ModelParams.clone_from_dense(ModelParams.init_dense(cfg, seed=0))
     trained, _ = train(model, data, DEMO_TRAIN)
 
     held0 = eval_prompts(DEMO_SPEC, 100, 777, Route.NO_THINK, vocab)
@@ -341,7 +340,7 @@ def test_c13_filter_pipeline():
 
 
 def test_c14_bit_exact_persistence(tmp_path):
-    model = ModelParams.clone_from_dense(DenseModel.init_random(GRAD_CFG, seed=14))
+    model = ModelParams.clone_from_dense(ModelParams.init_dense(GRAD_CFG, seed=14))
     tokens = [1, 7, 9, CTRL_NOTHINK_ID, 11]
     before = forward(model, tokens, Route.THINK).data
     p1, p2 = tmp_path / "a.ple", tmp_path / "b.ple"

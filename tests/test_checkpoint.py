@@ -9,7 +9,7 @@ from routelock.model import forward
 from routelock.params import ParamVector
 from routelock.tokenizer import Route
 
-from conftest import tiny_model
+from conftest import tiny_dense, tiny_model
 
 TOKENS = [1, 8, 9, 4, 10]
 
@@ -46,12 +46,12 @@ def test_loaded_segments_bitwise_equal(tmp_path):
 
 
 def test_roundtrip_without_final_norm(tmp_path):
-    from routelock.model import DenseModel, ModelConfig, ModelParams
+    from routelock.model import ModelConfig, ModelParams
 
     cfg = ModelConfig(
         vocab_size=16, d_model=8, n_layers=1, n_heads=2, d_ff=12, max_seq=16, final_norm=False
     )
-    model = ModelParams.clone_from_dense(DenseModel.init_random(cfg, seed=3))
+    model = ModelParams.clone_from_dense(ModelParams.init_dense(cfg, seed=3))
     assert "final_norm" not in model.params
     path = tmp_path / "m.ple"
     save_checkpoint(model, path)
@@ -60,6 +60,13 @@ def test_roundtrip_without_final_norm(tmp_path):
     a = forward(model, [1, 5, 7], Route.NO_THINK).data
     b = forward(loaded, [1, 5, 7], Route.NO_THINK).data
     assert np.array_equal(a, b)
+
+
+def test_dense_layout_model_is_not_saved(tmp_path):
+    path = tmp_path / "dense.ple"
+    with pytest.raises(ValueError, match=r"dense\.ple.*routed layout"):
+        save_checkpoint(tiny_dense(seed=5), path)
+    assert not path.exists()
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -124,6 +131,19 @@ def test_checkpoint_offsets_must_be_contiguous(tmp_path):
     header["segments"][1]["offset"] += 8
     write_header(path, blob, header)
     with pytest.raises(ValueError, match=r"m\.ple.*offset"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("relabel", ["all-alpha", "swapped-experts"])
+def test_checkpoint_group_labels_are_checked(tmp_path, relabel):
+    path, blob = saved_blob(tmp_path)
+    _, header = header_of(blob)
+    swap = {"alpha": "alpha", "beta0": "beta1", "beta1": "beta0"}
+    for entry in header["segments"]:
+        entry["group"] = "alpha" if relabel == "all-alpha" else swap[entry["group"]]
+    write_header(path, blob, header)
+    labelled = r"m\.ple.*'layer0\.expert0\.w_gate' is labelled '(alpha|beta1)', expected 'beta0'"
+    with pytest.raises(ValueError, match=labelled):
         load_checkpoint(path)
 
 

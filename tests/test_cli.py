@@ -577,6 +577,14 @@ def filter_with(*flags, gold="0\n1\n", first="answer: 0"):
     return build
 
 
+def with_lexicon(text, build):
+    """``build``'s command, given a lexicon file ``{dir}/lex.txt`` holding ``text``."""
+    def wrapped(tmp_path):
+        (tmp_path / "lex.txt").write_text(text)
+        return build(tmp_path)
+    return wrapped
+
+
 LARGE = ["compute", "plus", "mod", "x", "y"]  # 11 tokens; "y" is id 10
 OPERATOR_ERRORS = {
     "train-diverges": (diverging_train, ["non-finite loss"]),
@@ -676,6 +684,12 @@ OPERATOR_ERRORS = {
     "filter-max-len-zero": (filter_with("--max-len", "0"), ["max_len"]),
     "filter-fewer-gold-lines": (filter_with(gold="0\n"), ["gold.txt", "2 candidates", "1 gold"]),
     "filter-empty-lexicon": (filter_with("--lexicon", "{dir}/empty.txt"), ["empty.txt", "nonempty"]),
+    "eval-lexicon-marker-with-space": (with_file("lex.txt", "wait\nwait now\n", "eval", "--checkpoint",
+                                                 "{dir}/small.ple", "--dataset", "{dir}/eval.jsonl", "--out",
+                                                 "{dir}/ev", "--lexicon", "{dir}/lex.txt"),
+                                       ["lex.txt", "'wait now'", "token"]),
+    "filter-lexicon-marker-with-space": (with_lexicon("wait\nwait now\n", filter_with("--lexicon", "{dir}/lex.txt")),
+                                         ["lex.txt", "'wait now'", "token"]),
     "filter-response-not-a-string": (filter_with(first=0), ["cand.jsonl:1", '"response"', "string"]),
 }
 

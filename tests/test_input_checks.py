@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from routelock.errors import DataError, ShapeError
+from routelock.leakage import ReflectiveLexicon
 from routelock.model import generate
 from routelock.params import ParamVector, central_differences, sampled_cross_hessian_max, value_and_grad
 from routelock.synth import SynthTaskSpec
@@ -26,6 +27,12 @@ INPUT_CHECKS = {
                                  ValueError, "temperature must be a finite number > 0, got inf"),
     "generate-temperature-overflows": (lambda: generate(tiny_model(), [1, 8], 2, temperature=1e-320, seed=1),
                                        ValueError, "temperature 1e-320 is too small: logits / temperature overflow"),
+    "generate-max-new-float": (lambda: generate(tiny_model(), [1, 8], 2.5), ValueError,
+                               "max_new must be an integer >= 0, got 2.5"),
+    "generate-max-new-bool": (lambda: generate(tiny_model(), [1, 8], True), ValueError,
+                              "max_new must be an integer >= 0, got True"),
+    "lexicon-marker-with-space": (lambda: ReflectiveLexicon(("wait", "wait now")), ValueError,
+                                  "lexicon marker 'wait now' is not one whitespace-free token"),
     "train-empty-dataset": (lambda: train(tiny_model(), [], TrainConfig(learning_rate=0.1)), ValueError,
                             "dataset is empty"),
     "chat-example-empty-target": (lambda: ChatExample.build([CTRL_NOTHINK_ID], [], Route.NO_THINK), DataError,
@@ -49,6 +56,8 @@ INPUT_CHECKS = {
     "from-flat-size": (lambda: PV.from_flat(np.zeros(4)), ValueError, "flat vector has 4 entries, expected 3"),
     "central-differences-step-0": (lambda: central_differences(None, PV, None, [0], step=0.0), ValueError,
                                    "step must be positive"),
+    "central-differences-coordinates-2d": (lambda: central_differences(None, PV, None, [[0, 1], [2, 0]]), ValueError,
+                                           r"coordinates must be one-dimensional, got shape \(2, 2\)"),
     "central-differences-coordinate-negative": (lambda: central_differences(None, PV, None, [-1]), ValueError,
                                                 "coordinate -1 is outside a parameter vector of size 3"),
     "central-differences-coordinate-past-end": (lambda: central_differences(None, PV, None, [0, 3]), ValueError,
@@ -59,6 +68,10 @@ INPUT_CHECKS = {
                                             "coordinates must be integers, got bool values such as True"),
     "hessian-block-no-names": (lambda: sampled_cross_hessian_max(None, PV, None, [(["w"], ["w"], 0), ([], ["w"], 1)]),
                                ValueError, r"Hessian block 1 \(\[\] x \['w'\]\) has an empty name list"),
+    "hessian-step-0": (lambda: sampled_cross_hessian_max(None, PV, None, [(["w"], ["w"], 0)], step=0.0), ValueError,
+                       "step must be positive"),
+    "hessian-step-negative": (lambda: sampled_cross_hessian_max(None, PV, None, [(["w"], ["w"], 0)], step=-1e-3),
+                              ValueError, "step must be positive"),
     "segment-slice-unknown-name": (lambda: PV.segment_slice("v"), KeyError, "'v'"),
     "value-and-grad-non-scalar-loss": (lambda: value_and_grad(lambda leaves, _: leaves["w"], PV, None), ValueError,
                                        r"loss_fn must return a scalar, got shape \(3,\)"),

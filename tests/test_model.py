@@ -3,7 +3,6 @@ import pytest
 
 from routelock.errors import CapacityError, ConfigError
 from routelock.model import (
-    DenseModel,
     ExpertCallRecorder,
     ModelConfig,
     ModelParams,
@@ -54,7 +53,7 @@ def test_clone_experts_bitwise_equal(tiny):
 
 def test_parameter_count_identity():
     cfg = ModelConfig(vocab_size=64, d_model=16, n_layers=2, n_heads=2, d_ff=32, max_seq=16)
-    dense = DenseModel.init_random(cfg, seed=0)
+    dense = ModelParams.init_dense(cfg, seed=0)
     routed = ModelParams.clone_from_dense(dense)
     expert_size = 3 * 16 * 32
     assert routed.params.size == dense.params.size + cfg.n_layers * expert_size
@@ -66,7 +65,7 @@ def test_clone_rejects_mismatched_shapes():
         (n, a[:-1] if n == "layer0.mlp.w_gate" else a) for n, a in dense.params.items()
     )
     with pytest.raises(ConfigError):
-        ModelParams.clone_from_dense(DenseModel(dense.config, broken))
+        ModelParams.clone_from_dense(ModelParams(dense.config, broken))
 
 
 def test_partition_covers_everything(tiny):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from routelock import theory
-from routelock.model import DenseModel, ExpertCallRecorder, ModelConfig, ModelParams, causal_mask, rope_tables
+from routelock.model import ExpertCallRecorder, ModelConfig, ModelParams, causal_mask, rope_tables
 from routelock.params import CHUNK_POINTS, _loss_at, as_leaves, finite_diff_grad, sampled_cross_hessian_max
 from routelock.synth import SynthTaskSpec, generate_synth_dataset
 from routelock.tensor import Tensor, attention, linear, no_grad, rotary_tables, swiglu
@@ -26,7 +26,7 @@ K = 5
 
 
 def c1_setup(seed):
-    model = ModelParams.clone_from_dense(DenseModel.init_random(GRAD_CFG, seed=seed))
+    model = ModelParams.clone_from_dense(ModelParams.init_dense(GRAD_CFG, seed=seed))
     return model, two_mode_loss_fn(model, grad_dataset(np.random.default_rng(seed)))
 
 
@@ -138,7 +138,7 @@ def test_loss_at_values_follow_their_points_bitwise():
 
 
 def audit_setup(seed):
-    model = ModelParams.clone_from_dense(DenseModel.init_random(GRAD_CFG, seed=seed))
+    model = ModelParams.clone_from_dense(ModelParams.init_dense(GRAD_CFG, seed=seed))
     d0, d1 = split_by_mode(grad_dataset(np.random.default_rng(200 + seed)))
     return model, d0, d1
 

@@ -3,9 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+import routelock.model
+import routelock.theory
 from routelock.errors import DegenerateInputError, SingularityError
-from routelock.model import DenseModel, ModelConfig, ModelParams
+from routelock.model import ModelConfig, ModelParams, decoder_logits, mlp_dispatch, segment_group
+from routelock.params import ParamVector, as_leaves
+from routelock.tensor import add, no_grad, swiglu
 from routelock.theory import (
+    FD_STEP,
     GradientPair,
     InterferenceReport,
     QuadraticMode,
@@ -16,6 +21,7 @@ from routelock.theory import (
     hessian_block_audit,
     interference_predicate,
     length_mass_report,
+    LinearizationRow,
     linearization_residual,
     random_expert_direction,
     random_quadratic_pair,
@@ -266,11 +272,92 @@ def test_linearization_affine_downstream_exact():
     cfg = ModelConfig(
         vocab_size=20, d_model=8, n_layers=1, n_heads=2, d_ff=12, max_seq=16, final_norm=False
     )
-    model = ModelParams.clone_from_dense(DenseModel.init_random(cfg, seed=2))
+    model = ModelParams.clone_from_dense(ModelParams.init_dense(cfg, seed=2))
     direction = random_expert_direction(model, 0, seed=5)
     rows = linearization_residual(model, [1, 7, 9, 4, 11], direction, [1e-1, 1e-2])
     for row in rows:
         assert row.residual <= 1e-10
+
+
+def per_run_linearization_rows(model, tokens, direction, epsilons):
+    """``linearization_residual`` as one perturbed copy of the model and four unpointed forwards per eps:
+    route 1, route 0, and route 0 with the layer's MLP output moved by +FD_STEP and -FD_STEP along f1 - f0."""
+    cfg = model.config
+    layer = int(next(n for n in direction if segment_group(n) != "alpha").split(".")[0].removeprefix("layer"))
+    rows = []
+    for eps in epsilons:
+        pert = ParamVector((n, a + eps * direction[n] if n in direction else a.copy()) for n, a in model.params.items())
+        leaves = as_leaves(pert)
+        route0 = mlp_dispatch(model, leaves, 0)
+        seen = []
+
+        def run(delta=None):
+            def apply(at, h):
+                out = route0(at, h)
+                if at != layer:
+                    return out
+                seen.append(h)
+                return out if delta is None else add(out, delta)
+
+            return decoder_logits(cfg, leaves, tokens, apply).data
+
+        with no_grad():
+            gap = decoder_logits(cfg, leaves, tokens, mlp_dispatch(model, leaves, 1)).data - run()
+            f0, f1 = (swiglu(seen[0], *(leaves[f"layer{layer}.expert{r}.{w}"] for w in ("w_gate", "w_up", "w_down")))
+                      .data for r in (0, 1))
+            df = f1 - f0
+            scale = float(np.sqrt(np.sum(df * df)))
+            if scale == 0.0:
+                rows.append(LinearizationRow(eps, 0.0, 0.0, 0.0, 0.0))
+                continue
+            unit = df / scale
+            pred = (run(FD_STEP * unit) - run(-FD_STEP * unit)) * (scale / (2.0 * FD_STEP))
+        gap_n = float(np.sqrt(np.sum(gap * gap)))
+        res = float(np.sqrt(np.sum((gap - pred) ** 2)))
+        rows.append(LinearizationRow(eps, gap_n, float(np.sqrt(np.sum(pred * pred))), res,
+                                     res / gap_n if gap_n > 0 else 0.0))
+    return rows
+
+
+@pytest.mark.parametrize("apart", [False, True], ids=["clone", "apart"])
+@pytest.mark.parametrize("moves", ["expert1", "expert0", "embed+expert1"])
+@pytest.mark.parametrize("final_norm", [True, False], ids=["final-norm", "no-final-norm"])
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_linearization_runs_two_forwards_per_eps_bitwise_the_per_run_rows(
+    monkeypatch, n_layers, final_norm, moves, apart
+):
+    cfg = ModelConfig(vocab_size=16, d_model=8, n_layers=n_layers, n_heads=2, d_ff=12, max_seq=16,
+                      final_norm=final_norm)
+    rng = np.random.default_rng(n_layers)
+    model = ModelParams.init_random(cfg, seed=n_layers)
+    if apart:  # the experts differ, so f1 - f0 is nonzero at eps 0 too
+        model = model.with_params(ParamVector((n, a + 0.1 * rng.normal(size=a.shape) if segment_group(n) == "beta1"
+                                               else a) for n, a in model.params.items()))
+    epsilons = [0.0, 1e-1, 5e-2, 2.5e-2]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return decoder_logits(*args, **kwargs)
+
+    for layer in range(n_layers):
+        direction = random_expert_direction(model, layer, seed=layer)
+        if moves == "expert0":
+            direction = {n.replace(".expert1.", ".expert0."): d for n, d in direction.items()}
+        if moves == "embed+expert1":
+            direction["embed"] = 0.3 * rng.normal(size=model.params["embed"].shape)
+        tokens = [1, 7, 9, 4, 11][: 2 + layer]
+        expected = per_run_linearization_rows(model, tokens, direction, epsilons)
+        with monkeypatch.context() as patch:
+            for module in (routelock.model, routelock.theory):
+                patch.setattr(module, "decoder_logits", counted)
+            calls.clear()
+            rows = linearization_residual(model, tokens, direction, epsilons)
+        assert len(calls) == 2 * len(epsilons)
+        assert [[float(v).hex() for v in dataclasses.astuple(r)] for r in rows] == [
+            [float(v).hex() for v in dataclasses.astuple(r)] for r in expected]
+        assert apart or rows[0] == LinearizationRow(0.0, 0.0, 0.0, 0.0, 0.0)
+        assert any(r.gap_norm > 0 for r in rows)
 
 
 # --- length-mass accounting ---------------------------------------------------

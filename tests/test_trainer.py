@@ -10,7 +10,7 @@ import pytest
 
 import routelock
 from routelock.errors import ConfigError, DataError
-from routelock.model import DenseModel, ModelConfig, ModelParams, decoder_logits, mlp_dispatch
+from routelock.model import ModelConfig, ModelParams, decoder_logits, mlp_dispatch
 from routelock.params import ParamVector, as_leaves, value_and_grad
 from routelock.synth import SynthTaskSpec, generate_synth_dataset
 from routelock.tensor import add, mul, softmax_cross_entropy
@@ -289,10 +289,10 @@ def test_training_only_mode0_with_momentum_leaves_beta1_bitwise(tiny):
 
 def test_mode_losses_non_increasing_first_epoch(tiny, synth_small):
     _, data, _ = synth_small
-    from routelock.model import ModelConfig, DenseModel, ModelParams
+    from routelock.model import ModelConfig, ModelParams
 
     cfg = ModelConfig(vocab_size=40, d_model=8, n_layers=2, n_heads=2, d_ff=12, max_seq=32)
-    model = ModelParams.clone_from_dense(DenseModel.init_random(cfg, seed=1))
+    model = ModelParams.clone_from_dense(ModelParams.init_dense(cfg, seed=1))
     d0, d1 = split_by_mode(data)
     before0, before1 = mode_loss(model, d0), mode_loss(model, d1)
     tc = TrainConfig(learning_rate=0.02, epochs=1, batch_size=4, seed=5)
@@ -537,7 +537,7 @@ def test_train_config_names_the_bad_field(fields, word):
 # trains a demo-size model (d_model 64, batch 25) for four momentum steps and prints its parameter digest
 THREADS_SCRIPT = """
 import hashlib
-from routelock.model import DenseModel, ModelConfig, ModelParams, decoder_logits, mlp_dispatch
+from routelock.model import ModelConfig, ModelParams, decoder_logits, mlp_dispatch
 from routelock.synth import SynthTaskSpec, generate_synth_dataset
 from routelock.trainer import TrainConfig, train
 data, vocab = generate_synth_dataset(SynthTaskSpec(modulus=10, n_problems=50, seed=0))
