@@ -3,14 +3,15 @@
 Layout: magic ``PLE1``, uint32 LE format version, uint64 LE header
 length, the header (one canonical JSON object holding the model config
 and a segment manifest with names, shapes, byte offsets and
-alpha/beta0/beta1 labels), then the raw little-endian float64 segment
-data in manifest order. Save -> load -> save reproduces identical bytes.
+alpha/beta0/beta1 labels), then the payload: the parameters' flat view
+(``ParamVector.flatten``) as raw little-endian float64, so each manifest
+offset is 8 times the segment's start in that view. Save -> load -> save
+reproduces identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import asdict
 
@@ -31,20 +32,12 @@ def _check_routed(cfg: ModelConfig, segments, what: str) -> None:
 
 def save_checkpoint(model: ModelParams, path) -> None:
     """Write ``model`` to ``path``; a model not in the routed layout raises ValueError before the file opens."""
-    segments = [(name, arr.shape) for name, arr in model.params.items()]
-    _check_routed(model.config, segments, f"{path}: the model's segment layout")
-    manifest = []
-    offset = 0
-    for name, arr in model.params.items():
-        manifest.append(
-            {
-                "name": name,
-                "shape": list(arr.shape),
-                "offset": offset,
-                "group": segment_group(name),
-            }
-        )
-        offset += arr.size * 8
+    params = model.params
+    _check_routed(model.config, [(n, a.shape) for n, a in params.items()], f"{path}: the model's segment layout")
+    manifest = [
+        {"name": n, "shape": list(a.shape), "offset": 8 * params.segment_slice(n)[0], "group": segment_group(n)}
+        for n, a in params.items()
+    ]
     header = json.dumps(
         {"config": asdict(model.config), "segments": manifest},
         sort_keys=True,
@@ -55,8 +48,7 @@ def save_checkpoint(model: ModelParams, path) -> None:
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        for _, arr in model.params.items():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(params.flatten().astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -80,22 +72,18 @@ def load_checkpoint(path) -> ModelParams:
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed header: {exc}") from exc
     _check_routed(cfg, [(n, s) for n, s, _, _ in entries], f"{path}: segment manifest")
-    total = 0
-    for name, shape, offset, group in entries:
+    layout = ParamVector((name, np.empty(shape)) for name, shape, _, _ in entries)
+    for name, _, offset, group in entries:
         if group != segment_group(name):
             raise ValueError(f"{path}: segment {name!r} is labelled {group!r}, expected {segment_group(name)!r}")
-        if offset != total:
-            raise ValueError(f"{path}: segment {name!r} at offset {offset}, expected contiguous offset {total}")
-        total += math.prod(shape) * 8
-    payload = blob[16 + hlen :]
-    if len(payload) != total:
-        cut = " (truncated)" if len(payload) < total else ""
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, the manifest needs {total}{cut}")
-    segments = [
-        (name, np.frombuffer(payload, "<f8", math.prod(shape), offset).reshape(shape).astype(np.float64))
-        for name, shape, offset, _ in entries
-    ]
-    for name, arr in segments:
+        if offset != (expected := 8 * layout.segment_slice(name)[0]):
+            raise ValueError(f"{path}: segment {name!r} at offset {offset}, expected contiguous offset {expected}")
+    payload, total = len(blob) - 16 - hlen, 8 * layout.size
+    if payload != total:
+        cut = " (truncated)" if payload < total else ""
+        raise ValueError(f"{path}: payload is {payload} bytes, the manifest needs {total}{cut}")
+    params = layout.from_flat(np.frombuffer(blob, "<f8", offset=16 + hlen))
+    for name, arr in params.items():
         if not np.isfinite(arr).all():
             raise ValueError(f"{path}: non-finite values (NaN or inf) in segment {name!r}")
-    return ModelParams(cfg, ParamVector(segments))
+    return ModelParams(cfg, params.copy())  # writable, one array per segment: the views above are of read-only bytes

@@ -33,9 +33,13 @@ class ReflectiveLexicon:
     markers: tuple[str, ...] = DEFAULT_MARKERS
 
     def __post_init__(self):
+        if isinstance(self.markers, str):
+            raise ValueError(f"lexicon markers must be a sequence of strings, got the single string {self.markers!r}")
         if not self.markers:
             raise ValueError("lexicon must be nonempty")
         for m in self.markers:
+            if not isinstance(m, str):
+                raise ValueError(f"lexicon marker {m!r} is not a string")
             if m.split() != [m]:
                 raise ValueError(f"lexicon marker {m!r} is not one whitespace-free token, so it can never match")
         object.__setattr__(self, "markers", tuple(m.lower() for m in self.markers))

@@ -21,16 +21,21 @@ LossFn = Callable[[Mapping[str, Tensor], object], Tensor]
 
 
 class ParamVector:
-    """Ordered, uniquely named float64 segments."""
+    """Ordered, uniquely named float64 segments; each one's start in the flat view is recorded at construction."""
 
     def __init__(self, segments: Iterable[tuple[str, np.ndarray]]):
         self._names: list[str] = []
         self._seg: dict[str, np.ndarray] = {}
+        self._start: dict[str, int] = {}
+        size = 0
         for name, arr in segments:
             if name in self._seg:
                 raise ValueError(f"duplicate segment name {name!r}")
             self._names.append(name)
-            self._seg[name] = np.ascontiguousarray(arr, dtype=np.float64)
+            self._seg[name] = a = np.ascontiguousarray(arr, dtype=np.float64)
+            self._start[name] = size
+            size += a.size
+        self._size = size
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -51,7 +56,7 @@ class ParamVector:
 
     @property
     def size(self) -> int:
-        return sum(a.size for a in self._seg.values())
+        return self._size
 
     def copy(self) -> "ParamVector":
         return ParamVector((n, a.copy()) for n, a in self.items())
@@ -65,22 +70,12 @@ class ParamVector:
     def from_flat(self, flat: np.ndarray) -> "ParamVector":
         if flat.size != self.size:
             raise ValueError(f"flat vector has {flat.size} entries, expected {self.size}")
-        out, lo = [], 0
-        for name, a in self.items():
-            hi = lo + a.size
-            out.append((name, flat[lo:hi].reshape(a.shape)))
-            lo = hi
-        return ParamVector(out)
+        return ParamVector((n, flat[slice(*self.segment_slice(n))].reshape(a.shape)) for n, a in self.items())
 
     def segment_slice(self, name: str) -> tuple[int, int]:
-        """(start, stop) of a segment inside the flat view."""
-        lo = 0
-        for n in self._names:
-            size = self._seg[n].size
-            if n == name:
-                return lo, lo + size
-            lo += size
-        raise KeyError(name)
+        """(start, stop) of a segment inside the flat view; KeyError for an unknown name."""
+        start = self._start[name]
+        return start, start + self._seg[name].size
 
     def add_scaled(self, other: "ParamVector", c: float) -> "ParamVector":
         """self + c * other, segmentwise."""
@@ -91,7 +86,12 @@ class ParamVector:
         return ParamVector((n, a) for n, a in self.items() if n in wanted)
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(float(np.sum(a * a)) for _, a in self.items())))
+        return euclidean_norm(a for _, a in self.items())
+
+
+def euclidean_norm(arrays: Iterable[np.ndarray]) -> float:
+    """sqrt of the sum of squares over all entries of ``arrays``, summed array by array; 0.0 when there are none."""
+    return float(np.sqrt(sum(float(np.sum(a * a)) for a in arrays)))
 
 
 def as_leaves(params: ParamVector, requires_grad: bool = False) -> dict[str, Tensor]:
@@ -131,11 +131,11 @@ def _loss_at(loss_fn: LossFn, params: ParamVector, batch, coords: np.ndarray, de
     enters once, unbatched. A loss that comes back unpointed (the chunk
     perturbs nothing the loss reads) is the loss at every point of the chunk.
     """
-    bounds = np.cumsum([0] + [a.size for _, a in params.items()])
-    outside = coords[(coords < 0) | (coords >= bounds[-1])]
+    outside = coords[(coords < 0) | (coords >= params.size)]
     if outside.size:
-        raise ValueError(f"coordinate {outside[0]} is outside a parameter vector of size {bounds[-1]}")
+        raise ValueError(f"coordinate {outside[0]} is outside a parameter vector of size {params.size}")
     names = params.names
+    starts = np.array([params.segment_slice(n)[0] for n in names])
     base = as_leaves(params)
     values = np.empty(len(coords))
     with no_grad():
@@ -143,12 +143,13 @@ def _loss_at(loss_fn: LossFn, params: ParamVector, batch, coords: np.ndarray, de
             c, d = coords[lo : lo + CHUNK_POINTS], deltas[lo : lo + CHUNK_POINTS]
             rows = np.arange(len(c))
             leaves = dict(base)
-            for s in np.unique(np.searchsorted(bounds, c, side="right") - 1):
+            for s in np.unique(np.searchsorted(starts, c, side="right") - 1):
                 seg = params[names[s]]
+                start, stop = params.segment_slice(names[s])
                 pts = np.tile(seg.reshape(-1), (len(c), 1))
                 for m in range(c.shape[1]):
-                    hit = (c[:, m] >= bounds[s]) & (c[:, m] < bounds[s + 1])
-                    pts[rows[hit], c[hit, m] - bounds[s]] += d[hit, m]
+                    hit = (c[:, m] >= start) & (c[:, m] < stop)
+                    pts[rows[hit], c[hit, m] - start] += d[hit, m]
                 leaves[names[s]] = Tensor(pts.reshape((len(c),) + seg.shape), pointed=True)
             loss = loss_fn(leaves, batch)
             if loss.size != loss.points:
@@ -161,8 +162,8 @@ def central_differences(
     loss_fn: LossFn, params: ParamVector, batch, coords, step: float = 1e-5
 ) -> np.ndarray:
     """(L(p + step e_i) - L(p - step e_i)) / (2 step) at each flat coordinate i in ``coords``."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     coords = np.asarray(coords)
     if coords.ndim != 1:
         raise ValueError(f"coordinates must be one-dimensional, got shape {coords.shape}")
@@ -183,11 +184,7 @@ def finite_diff_grad(
 
 
 def _flat_indices(params: ParamVector, names: Iterable[str]) -> np.ndarray:
-    idx = []
-    for name in names:
-        lo, hi = params.segment_slice(name)
-        idx.append(np.arange(lo, hi))
-    return np.concatenate(idx)
+    return np.concatenate([np.arange(*params.segment_slice(n)) for n in names])
 
 
 def sampled_cross_hessian_max(
@@ -207,8 +204,8 @@ def sampled_cross_hessian_max(
     points (p + di e_i) + dj e_j with di, dj = +-step; the stencil is also
     correct when i == j, where it reduces to the (2 step) pure second difference.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     if probes < 1:
         raise ValueError("probes must be >= 1")
     pairs = []
@@ -226,7 +223,7 @@ def sampled_cross_hessian_max(
     stencil = np.tile([[step, step], [step, -step], [-step, step], [-step, -step]], (len(pairs), 1))
     at = _loss_at(loss_fn, params, batch, np.repeat(pairs, 4, axis=0), stencil).reshape(len(blocks), probes, 4)
     entries = (at[..., 0] - at[..., 1] - at[..., 2] + at[..., 3]) / (4.0 * step * step)
-    return [max([0.0] + np.abs(row).tolist()) for row in entries]
+    return np.abs(entries).max(axis=1).tolist()  # np.max, unlike Python's max, propagates a NaN entry
 
 
 def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-4) -> float:

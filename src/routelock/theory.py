@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, SingularityError
 from .model import ModelParams, _swiglu_at, decoder_logits, mlp_dispatch, mlp_prefix, segment_group
-from .params import as_leaves, sampled_cross_hessian_max
+from .params import as_leaves, euclidean_norm, sampled_cross_hessian_max
 from .tensor import Tensor, no_grad
 from .trainer import ChatExample, two_mode_loss_fn
 
@@ -257,7 +257,7 @@ def random_expert_direction(model: ModelParams, layer: int, seed: int) -> dict[s
         for name, arr in model.params.items()
         if name.startswith(prefix)
     }
-    scale = np.sqrt(sum(float(np.sum(v * v)) for v in out.values()))
+    scale = euclidean_norm(out.values())
     return {k: v / scale for k, v in out.items()}
 
 
@@ -306,7 +306,7 @@ def linearization_residual(
             if at != layer:
                 return f0
             df = _swiglu_at(leaves, mlp_prefix(layer, 1), h).data - f0.data
-            scales.append(float(np.sqrt(np.sum(df * df))))
+            scales.append(euclidean_norm([df]))
             if scales[0] == 0.0:
                 return f0
             shift = FD_STEP * (df / scales[0])
@@ -319,7 +319,7 @@ def linearization_residual(
             rows.append(LinearizationRow(eps, 0.0, 0.0, 0.0, 0.0))
             continue
         gap, pred = l1 - l0[0], (l0[1] - l0[2]) * (scales[0] / (2.0 * FD_STEP))
-        gap_n, pred_n, res = (float(np.sqrt(np.sum(a * a))) for a in (gap, pred, gap - pred))
+        gap_n, pred_n, res = (euclidean_norm([a]) for a in (gap, pred, gap - pred))
         rows.append(LinearizationRow(eps, gap_n, pred_n, res, res / gap_n if gap_n > 0 else 0.0))
     return rows
 

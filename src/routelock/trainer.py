@@ -37,7 +37,7 @@ from .model import (
     mlp_prefix,
     segment_group,
 )
-from .params import ParamVector, as_leaves, value_and_grad
+from .params import ParamVector, as_leaves, euclidean_norm, value_and_grad
 from .tensor import Tensor, add, mul, no_grad, softmax_cross_entropy
 from .tokenizer import (
     CTRL_NOTHINK_ID,
@@ -244,11 +244,6 @@ class TrajectoryLog:
         return {k: -self.learning_rate * v for k, v in self.cum_grad_diff.items()}
 
 
-def _norm(arrays) -> float:
-    """Euclidean norm over all entries of ``arrays``; 0.0 when there are none."""
-    return float(np.sqrt(sum(float(np.sum(a * a)) for a in arrays)))
-
-
 def _expert_slice(pv: ParamVector, expert: int) -> dict[str, np.ndarray]:
     """Expert ``expert``'s segments, keyed by expert-local suffix (e.g. ``layer0.w_gate``)."""
     tag = f".expert{expert}."
@@ -316,9 +311,9 @@ def train(
                     step=len(log.records),
                     mode=int(route),
                     loss=loss,
-                    active_grad_norm=_norm(active.values()),
-                    expert_gap_norm=_norm(expert_gap(params).values()),
-                    cum_grad_diff_norm=_norm(log.cum_grad_diff.values()),
+                    active_grad_norm=euclidean_norm(active.values()),
+                    expert_gap_norm=euclidean_norm(expert_gap(params).values()),
+                    cum_grad_diff_norm=euclidean_norm(log.cum_grad_diff.values()),
                 )
             )
 

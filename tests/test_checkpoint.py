@@ -179,3 +179,30 @@ def test_non_finite_payload_is_rejected(tmp_path, bad):
     save_checkpoint(model.with_params(ParamVector((n, poison(n, a)) for n, a in model.params.items())), path)
     with pytest.raises(ValueError, match=r"bad\.ple.*non-finite.*'layer0\.wk'"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("which", ["final-norm", "no-final-norm", "trained"])
+def test_payload_is_the_flat_view(tmp_path, synth_small, synth_model, which):
+    from routelock.model import ModelConfig, ModelParams
+    from routelock.trainer import TrainConfig, train
+
+    if which == "trained":
+        model, _ = train(synth_model, synth_small[1], TrainConfig(learning_rate=0.1, batch_size=4, seed=2))
+    else:
+        cfg = ModelConfig(vocab_size=16, d_model=8, n_layers=2, n_heads=2, d_ff=12, max_seq=16,
+                          final_norm=which == "final-norm")
+        model = ModelParams.init_random(cfg, seed=4)
+    path = tmp_path / "m.ple"
+    save_checkpoint(model, path)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + hlen])
+    params = model.params
+    assert blob[16 + hlen :] == params.flatten().astype("<f8").tobytes()
+    assert [e["name"] for e in header["segments"]] == list(params.names)
+    for e in header["segments"]:
+        assert e["offset"] == 8 * params.segment_slice(e["name"])[0]
+    slices = [params.segment_slice(n) for n in params.names]
+    assert slices[0][0] == 0 and slices[-1][1] == params.size
+    assert all(stop == start for (_, stop), (start, _) in zip(slices, slices[1:]))
+    assert all(hi - lo == params[n].size for n, (lo, hi) in zip(params.names, slices))

@@ -8,7 +8,7 @@ from routelock.leakage import ReflectiveLexicon
 from routelock.model import generate
 from routelock.params import ParamVector, central_differences, sampled_cross_hessian_max, value_and_grad
 from routelock.synth import SynthTaskSpec
-from routelock.tensor import Tensor, backward, embedding, matmul, rope_rotate, softmax_cross_entropy
+from routelock.tensor import Tensor, backward, embedding, matmul, mul, rope_rotate, softmax_cross_entropy, sum_all
 from routelock.theory import GradientPair, QuadraticMode, equal_curvature_gap
 from routelock.tokenizer import CTRL_NOTHINK_ID, CTRL_THINK_ID, Route
 from routelock.trainer import ChatExample, TrainConfig, token_level_route_variant, train
@@ -18,6 +18,14 @@ from conftest import tiny_model
 LOGITS = np.zeros((2, 4))
 NOT_PSD = np.diag([1.0, -1.0])
 PV = ParamVector([("w", np.zeros(3))])
+NAN, INF = float("nan"), float("inf")
+
+
+def squares(leaves, _batch):
+    """sum(w * w): a finite loss, so a bad step cannot hide behind a failing loss_fn."""
+    return sum_all(mul(leaves["w"], leaves["w"]))
+
+
 THINK_EXAMPLE = ChatExample.build([1, 8, CTRL_THINK_ID], [10, 2], Route.THINK)  # 4 input positions
 
 INPUT_CHECKS = {
@@ -33,6 +41,10 @@ INPUT_CHECKS = {
                               "max_new must be an integer >= 0, got True"),
     "lexicon-marker-with-space": (lambda: ReflectiveLexicon(("wait", "wait now")), ValueError,
                                   "lexicon marker 'wait now' is not one whitespace-free token"),
+    "lexicon-single-string": (lambda: ReflectiveLexicon("wait"), ValueError,
+                              "lexicon markers must be a sequence of strings, got the single string 'wait'"),
+    "lexicon-marker-not-string": (lambda: ReflectiveLexicon(("wait", 7)), ValueError,
+                                  "lexicon marker 7 is not a string"),
     "train-empty-dataset": (lambda: train(tiny_model(), [], TrainConfig(learning_rate=0.1)), ValueError,
                             "dataset is empty"),
     "chat-example-empty-target": (lambda: ChatExample.build([CTRL_NOTHINK_ID], [], Route.NO_THINK), DataError,
@@ -56,6 +68,8 @@ INPUT_CHECKS = {
     "from-flat-size": (lambda: PV.from_flat(np.zeros(4)), ValueError, "flat vector has 4 entries, expected 3"),
     "central-differences-step-0": (lambda: central_differences(None, PV, None, [0], step=0.0), ValueError,
                                    "step must be positive"),
+    "central-differences-step-nan": (lambda: central_differences(squares, PV, None, [0], step=NAN), ValueError,
+                                     "step must be positive and finite, got nan"),
     "central-differences-coordinates-2d": (lambda: central_differences(None, PV, None, [[0, 1], [2, 0]]), ValueError,
                                            r"coordinates must be one-dimensional, got shape \(2, 2\)"),
     "central-differences-coordinate-negative": (lambda: central_differences(None, PV, None, [-1]), ValueError,
@@ -72,6 +86,10 @@ INPUT_CHECKS = {
                        "step must be positive"),
     "hessian-step-negative": (lambda: sampled_cross_hessian_max(None, PV, None, [(["w"], ["w"], 0)], step=-1e-3),
                               ValueError, "step must be positive"),
+    "hessian-step-nan": (lambda: sampled_cross_hessian_max(squares, PV, None, [(["w"], ["w"], 0)], step=NAN),
+                         ValueError, "step must be positive and finite, got nan"),
+    "hessian-step-inf": (lambda: sampled_cross_hessian_max(squares, PV, None, [(["w"], ["w"], 0)], step=INF),
+                         ValueError, "step must be positive and finite, got inf"),
     "segment-slice-unknown-name": (lambda: PV.segment_slice("v"), KeyError, "'v'"),
     "value-and-grad-non-scalar-loss": (lambda: value_and_grad(lambda leaves, _: leaves["w"], PV, None), ValueError,
                                        r"loss_fn must return a scalar, got shape \(3,\)"),

@@ -144,6 +144,16 @@ def test_hessian_block_bilinear():
     assert abs(worst - 1.0) <= 1e-4
 
 
+def test_hessian_block_nan_entry_is_not_zero():
+    p = pv(w=np.array([0.5, -1.0]))
+
+    def loss_fn(leaves, _):
+        return mul(sum_all(mul(leaves["w"], leaves["w"])), float("nan"))
+
+    [worst] = sampled_cross_hessian_max(loss_fn, p, None, [(["w"], ["w"], 0)], probes=4)
+    assert np.isnan(worst)
+
+
 def test_hessian_block_bad_probes():
     p = pv(a=np.zeros(2), b=np.zeros(2))
     with pytest.raises(ValueError):
