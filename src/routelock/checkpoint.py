@@ -30,10 +30,19 @@ def _check_routed(cfg: ModelConfig, segments, what: str) -> None:
         raise ValueError(f"{what} does not match the config's routed layout")
 
 
+def _check_finite(params: ParamVector, path) -> None:
+    """Raise ValueError naming ``path`` and the first segment of ``params`` that holds a NaN or inf."""
+    for name, arr in params.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: non-finite values (NaN or inf) in segment {name!r}")
+
+
 def save_checkpoint(model: ModelParams, path) -> None:
-    """Write ``model`` to ``path``; a model not in the routed layout raises ValueError before the file opens."""
+    """Write ``model`` to ``path``; a model not in the routed layout, or holding a NaN or inf, raises
+    ValueError before the file opens, so every file written loads."""
     params = model.params
     _check_routed(model.config, [(n, a.shape) for n, a in params.items()], f"{path}: the model's segment layout")
+    _check_finite(params, path)
     manifest = [
         {"name": n, "shape": list(a.shape), "offset": 8 * params.segment_slice(n)[0], "group": segment_group(n)}
         for n, a in params.items()
@@ -83,7 +92,5 @@ def load_checkpoint(path) -> ModelParams:
         cut = " (truncated)" if payload < total else ""
         raise ValueError(f"{path}: payload is {payload} bytes, the manifest needs {total}{cut}")
     params = layout.from_flat(np.frombuffer(blob, "<f8", offset=16 + hlen))
-    for name, arr in params.items():
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{path}: non-finite values (NaN or inf) in segment {name!r}")
+    _check_finite(params, path)
     return ModelParams(cfg, params.copy())  # writable, one array per segment: the views above are of read-only bytes

@@ -244,9 +244,9 @@ def matmul(a, b) -> Tensor:
 
     def vjp(g):
         bt = np.swapaxes(b.data, -1, -2)
-        ga = _rows(g, bt) if rows else _unbroadcast(g @ bt, a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
+        if rows:  # linear's kernels, so that a composed linear is bitwise the fused node
+            return _rows(g, bt), _weight_grad(a.data, g).T
+        return _unbroadcast(g @ bt, a.shape), _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
 
     return _node(data, (a, b), vjp, "matmul")
 
@@ -266,9 +266,22 @@ def _linear(x: np.ndarray, x_pointed: bool, w: np.ndarray, w_pointed: bool) -> n
     return _rows(x, np.swapaxes(w, -1, -2), x_pointed, w_pointed)
 
 
+# Rows per weight-gradient GEMM. On OpenBLAS 0.3.31, g.T @ x has the same bits under 1 and 2
+# threads up to 384 rows at (d, f) = (64, 64), (64, 128) and (128, 64), and differs from 386 on.
+WEIGHT_GRAD_ROWS = 256
+
+
 def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The (f, d) gradient of a weight w in x @ w.T, given that product's gradient g (..., f)."""
-    return _unbroadcast(np.swapaxes(x, -1, -2) @ g, (x.shape[-1], g.shape[-1])).T
+    """The contiguous (f, d) gradient of a weight w in x @ w.T, given that product's gradient g (..., f).
+
+    One GEMM g[i:i+R].T @ x[i:i+R] per chunk of R = WEIGHT_GRAD_ROWS flattened rows, summed in
+    chunk order: no GEMM sums over more rows than the BLAS thread count leaves bitwise alone, and
+    the bits depend only on the row sequence, not on how the rows group into sequences."""
+    x, g, r = x.reshape(-1, x.shape[-1]), g.reshape(-1, g.shape[-1]), WEIGHT_GRAD_ROWS
+    out = g[:r].T @ x[:r]
+    for i in range(r, len(x), r):
+        out += g[i : i + r].T @ x[i : i + r]
+    return out
 
 
 def linear(x, w) -> Tensor:
@@ -276,11 +289,11 @@ def linear(x, w) -> Tensor:
 
     One node for ``matmul(x, transpose(w))``, with its arithmetic. Unpointed, the forward and the
     input gradient are each one GEMM over all of x's rows, which sum over d or f only; the weight
-    gradient stays one GEMM per leading index, summed in index order, because a GEMM that sums
-    over every row would round differently with the BLAS thread count. So a one-sequence forward
-    is bitwise the numpy decoder's, but a row of a batch is not bitwise the row alone. Pointed,
-    the forward makes that same GEMM once per point, so each point is bitwise the unpointed
-    forward at that point.
+    gradient sums over rows, so it is one GEMM per fixed chunk of rows (``_weight_grad``), as one
+    GEMM over every row would round differently with the BLAS thread count. So a one-sequence
+    forward is bitwise the numpy decoder's, but a row of a batch is not bitwise the row alone.
+    Pointed, the forward makes that same GEMM once per point, so each point is bitwise the
+    unpointed forward at that point.
     """
     x, w = _coerce(x), _coerce(w)
     if w.ndim - w.pointed != 2 or x.ndim - x.pointed < 1 or x.shape[-1] != w.shape[-1]:
@@ -565,9 +578,9 @@ def swiglu(x, w_gate, w_up, w_down) -> Tensor:
     data = _linear(hidden, x.pointed or wg.pointed or wu.pointed, wd.data, wd.pointed)
 
     def vjp(g):
-        # the hidden product's weight gradient comes first, so that the recomputed product is
-        # not held while the two stacked (..., d, f) weight gradients are formed; as in linear,
-        # input gradients are one GEMM over all rows and weight gradients one GEMM per sequence
+        # the hidden product's weight gradient comes first, as its buffer h then holds silu's
+        # derivative; as in linear, input gradients are one GEMM over all rows and weight
+        # gradients one GEMM per chunk of WEIGHT_GRAD_ROWS rows
         silu_gate = gate * s
         h = silu_gate * up
         g_down = _weight_grad(h, g)

@@ -1,7 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from routelock.model import ModelConfig, ModelParams
+from routelock.params import ParamVector
 from routelock.synth import SynthTaskSpec, generate_synth_dataset
 from routelock.trainer import split_by_mode
 
@@ -35,6 +39,27 @@ def synth_model(synth_small):
     _, _, vocab = synth_small
     cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_layers=2, n_heads=2, d_ff=12, max_seq=32)
     return ModelParams.clone_from_dense(ModelParams.init_dense(cfg, seed=1))
+
+
+def with_entries(model, entries):
+    """``model`` with, for each ``name: (index, value)`` of ``entries``, that entry of segment ``name`` set to ``value``."""
+    segments = []
+    for name, arr in model.params.items():
+        if name in entries:
+            arr = arr.copy()
+            arr[entries[name][0]] = entries[name][1]
+        segments.append((name, arr))
+    return model.with_params(ParamVector(segments))
+
+
+def write_into_payload(path, name, index, value):
+    """Overwrite entry ``index`` of segment ``name`` in the checkpoint at ``path``, which save_checkpoint
+    would refuse to write for a non-finite ``value``."""
+    blob = bytearray(path.read_bytes())
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    seg = next(e for e in json.loads(blob[16 : 16 + hlen])["segments"] if e["name"] == name)
+    struct.pack_into("<d", blob, 16 + hlen + seg["offset"] + 8 * int(np.ravel_multi_index(index, seg["shape"])), value)
+    path.write_bytes(bytes(blob))
 
 
 def mode_batches(data, n=4):

@@ -9,7 +9,7 @@ from routelock.model import forward
 from routelock.params import ParamVector
 from routelock.tokenizer import Route
 
-from conftest import tiny_dense, tiny_model
+from conftest import tiny_dense, tiny_model, with_entries, write_into_payload
 
 TOKENS = [1, 8, 9, 4, 10]
 
@@ -164,21 +164,40 @@ def test_malformed_checkpoint_header_is_named(tmp_path):
         load_checkpoint(path)
 
 
+POISONED = {"layer0.wk": (2, 3), "layer1.expert1.w_up": (0, 0)}  # the first one in segment order is named
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_payload_is_rejected(tmp_path, bad):
-    model = tiny_model(seed=8)
-    poisoned = {"layer0.wk": (2, 3), "layer1.expert1.w_up": (0, 0)}
-
-    def poison(name, arr):
-        if name in poisoned:
-            arr = arr.copy()
-            arr[poisoned[name]] = bad
-        return arr
-
+    # save_checkpoint refuses such a model, so the values are written into a saved file's payload
     path = tmp_path / "bad.ple"
-    save_checkpoint(model.with_params(ParamVector((n, poison(n, a)) for n, a in model.params.items())), path)
+    save_checkpoint(tiny_model(seed=8), path)
+    for name, index in POISONED.items():
+        write_into_payload(path, name, index, bad)
     with pytest.raises(ValueError, match=r"bad\.ple.*non-finite.*'layer0\.wk'"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_model_is_not_saved(tmp_path, bad):
+    path = tmp_path / "bad.ple"
+    with pytest.raises(ValueError, match=r"bad\.ple.*non-finite.*'layer0\.wk'"):
+        save_checkpoint(with_entries(tiny_model(seed=8), {n: (i, bad) for n, i in POISONED.items()}), path)
+    assert not path.exists()
+
+
+def test_save_load_save_is_total_over_finite_models(tmp_path, synth_small, synth_model):
+    from routelock.trainer import TrainConfig, train
+
+    trained, _ = train(synth_model, synth_small[1], TrainConfig(learning_rate=0.1, batch_size=4, seed=2))
+    extremes = np.array([np.finfo(np.float64).max, -np.finfo(np.float64).max, 5e-324, -0.0, 0.0])
+    edge = tiny_model(seed=9).params
+    edge = ParamVector((n, np.resize(extremes, a.shape)) if n == "embed" else (n, a) for n, a in edge.items())
+    for i, model in enumerate((tiny_model(seed=9), tiny_model(seed=9).with_params(edge), synth_model, trained)):
+        first, second = tmp_path / f"{i}a.ple", tmp_path / f"{i}b.ple"
+        save_checkpoint(model, first)
+        save_checkpoint(load_checkpoint(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 @pytest.mark.parametrize("which", ["final-norm", "no-final-norm", "trained"])

@@ -11,6 +11,8 @@ from routelock.synth import SynthTaskSpec, eval_prompts, synth_records, task_voc
 from routelock.tokenizer import BOS_ID, SPECIAL_TOKENS, Route, Vocabulary, decode
 from routelock.trainer import MODE_NAMES, example_from_record
 
+from conftest import write_into_payload
+
 CFG = {
     "model": {"d_model": 16, "n_layers": 2, "n_heads": 2, "d_ff": 24, "max_seq": 32},
     "train": {"learning_rate": 0.2, "epochs": 1, "batch_size": 6},
@@ -392,9 +394,7 @@ def small_checkpoint(path):
 def test_generate_non_finite_checkpoint_is_one_error_line(tmp_path, capsys):
     ckpt = tmp_path / "nan.ple"
     small_checkpoint(ckpt)
-    model = load_checkpoint(ckpt)
-    model.params["lm_head"][3, 1] = np.nan
-    save_checkpoint(model, ckpt)
+    write_into_payload(ckpt, "lm_head", (3, 1), np.nan)
     assert main(["generate", "--checkpoint", str(ckpt), "--prompt", "compute"]) == 1
     line = one_error_line(capsys)
     assert "nan.ple" in line and "non-finite" in line and "lm_head" in line

@@ -1,8 +1,12 @@
 """Library input checks: each bad call raises its own error with a message naming the fault."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from routelock.checkpoint import save_checkpoint
 from routelock.errors import DataError, ShapeError
 from routelock.leakage import ReflectiveLexicon
 from routelock.model import generate
@@ -13,7 +17,7 @@ from routelock.theory import GradientPair, QuadraticMode, equal_curvature_gap
 from routelock.tokenizer import CTRL_NOTHINK_ID, CTRL_THINK_ID, Route
 from routelock.trainer import ChatExample, TrainConfig, token_level_route_variant, train
 
-from conftest import tiny_model
+from conftest import tiny_model, with_entries
 
 LOGITS = np.zeros((2, 4))
 NOT_PSD = np.diag([1.0, -1.0])
@@ -26,6 +30,7 @@ def squares(leaves, _batch):
     return sum_all(mul(leaves["w"], leaves["w"]))
 
 
+NO_FILE = Path(os.devnull) / "model.ple"  # a save that opened its file would fail with an OSError
 THINK_EXAMPLE = ChatExample.build([1, 8, CTRL_THINK_ID], [10, 2], Route.THINK)  # 4 input positions
 
 INPUT_CHECKS = {
@@ -45,6 +50,9 @@ INPUT_CHECKS = {
                               "lexicon markers must be a sequence of strings, got the single string 'wait'"),
     "lexicon-marker-not-string": (lambda: ReflectiveLexicon(("wait", 7)), ValueError,
                                   "lexicon marker 7 is not a string"),
+    "save-checkpoint-non-finite": (
+        lambda: save_checkpoint(with_entries(tiny_model(), {"embed": ((0, 0), NAN)}), NO_FILE), ValueError,
+        r"model\.ple: non-finite values \(NaN or inf\) in segment 'embed'"),
     "train-empty-dataset": (lambda: train(tiny_model(), [], TrainConfig(learning_rate=0.1)), ValueError,
                             "dataset is empty"),
     "chat-example-empty-target": (lambda: ChatExample.build([CTRL_NOTHINK_ID], [], Route.NO_THINK), DataError,

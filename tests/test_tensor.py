@@ -13,6 +13,7 @@ from routelock.tensor import (
     _rotate,
     _sigmoid,
     _softmax,
+    _weight_grad,
     add,
     attention,
     backward,
@@ -594,7 +595,27 @@ def test_tail_slices_rows_and_scatters_its_gradient():
         assert tail(Tensor(np.stack([x, -x]), pointed=True), 4).data.tobytes() == np.stack([x, -x])[:, :, 4:].tobytes()
 
 
-def test_linear_layout_flat_rows_per_example_weight_grad():
+def row_chunk_weight_grad(a, g):
+    """The (f, d) weight gradient of a @ w.T: g[i:i+256].T @ a[i:i+256] over the flattened rows, summed in chunk order."""
+    a, g = a.reshape(-1, a.shape[-1]), g.reshape(-1, g.shape[-1])
+    gw = g[:256].T @ a[:256]
+    for i in range(256, len(a), 256):
+        gw = gw + g[i : i + 256].T @ a[i : i + 256]
+    return gw
+
+
+def test_weight_grad_is_256_row_chunks_whatever_the_sequence_shape():
+    # a demo batch: 525 token rows, so two full chunks and a 13-row one
+    rng = np.random.default_rng(41)
+    x, g = rng.normal(size=(25, 21, 64)), rng.normal(size=(25, 21, 128))
+    got = _weight_grad(x, g)
+    assert got.shape == (128, 64) and got.flags.c_contiguous
+    assert got.tobytes() == row_chunk_weight_grad(x, g).tobytes()
+    for lead in ((525, 1), (105, 5)):
+        assert _weight_grad(x.reshape(lead + (64,)), g.reshape(lead + (128,))).tobytes() == got.tobytes()
+
+
+def test_linear_layout_flat_rows_chunked_weight_grad():
     # at a demo shape, where one GEMM over all rows rounds the forward differently from one GEMM per sequence
     rng = np.random.default_rng(33)
     x, w = rng.normal(size=(25, 10, 64)), rng.normal(size=(64, 64))
@@ -605,11 +626,8 @@ def test_linear_layout_flat_rows_per_example_weight_grad():
     # forward and input gradient: one GEMM over the 250 token rows
     assert out.data.tobytes() == (x.reshape(-1, 64) @ w.T).reshape(x.shape).tobytes()
     assert xt.grad.tobytes() == (g.reshape(-1, 64) @ w).reshape(x.shape).tobytes()
-    # weight gradient: one GEMM per example, summed in example order
-    gw = x[0].T @ g[0]
-    for xi, gi in zip(x[1:], g[1:]):
-        gw = gw + xi.T @ gi
-    assert wt.grad.tobytes() == gw.T.tobytes()
+    # weight gradient: one GEMM per 256 token rows, summed in chunk order
+    assert wt.grad.tobytes() == row_chunk_weight_grad(x, g).tobytes()
     # pointed: the same GEMM once per point, so each point is bitwise the unpointed forward at that point
     xk, wk = x + 1e-3 * rng.normal(size=(3,) + x.shape), w + 1e-3 * rng.normal(size=(3,) + w.shape)
     with no_grad():
@@ -688,15 +706,6 @@ def rows_product(a, w):
     return (a.reshape(-1, a.shape[-1]) @ w).reshape(a.shape[:-1] + (w.shape[-1],))
 
 
-def per_sequence_weight_grad(a, g):
-    """The (f, d) weight gradient of a @ w.T, one GEMM per sequence, summed in sequence order."""
-    a, g = a.reshape((-1,) + a.shape[-2:]), g.reshape((-1,) + g.shape[-2:])
-    gw = a[0].T @ g[0]
-    for ai, gi in zip(a[1:], g[1:]):
-        gw = gw + ai.T @ gi
-    return gw.T
-
-
 def explicit_swiglu_vjp(x, wg, wu, wd, g):
     gate, up = rows_product(x, wg.T), rows_product(x, wu.T)
     s = masked_sigmoid(gate)
@@ -704,8 +713,8 @@ def explicit_swiglu_vjp(x, wg, wu, wd, g):
     g_up = g_hidden * (gate * s)
     g_gate = (g_hidden * up) * (s * (1.0 + gate * (1.0 - s)))
     gx = rows_product(g_gate, wg) + rows_product(g_up, wu)
-    return (gx, per_sequence_weight_grad(x, g_gate), per_sequence_weight_grad(x, g_up),
-            per_sequence_weight_grad(gate * s * up, g))
+    return (gx, row_chunk_weight_grad(x, g_gate), row_chunk_weight_grad(x, g_up),
+            row_chunk_weight_grad(gate * s * up, g))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

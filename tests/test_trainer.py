@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -550,7 +551,11 @@ print(hashlib.sha256(trained.params.flatten().tobytes()).hexdigest())
 
 def test_trained_parameters_are_bitwise_equal_under_1_and_2_blas_threads():
     # the thread count is read when BLAS loads, so each count gets its own process. A weight
-    # gradient taken as one GEMM over all B*T token rows fails this: its bits change with the count
+    # gradient taken as one GEMM over all B*T token rows fails this: its bits change with the count.
+    # The claim has a length limit, which this demo (at most 31 positions) stays far below: at width
+    # 64 and 4 heads, attention's forward and vjp on 2 sequences have the same bits under 1 and 2
+    # threads at every length from 8 to 203 positions, but not at 204-207, 228-231, 252-255, 300 or
+    # 390, nor for k's gradient at 260, 310 or 380; two 310-position sequences train to other bits
     src = str(Path(routelock.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
@@ -561,3 +566,32 @@ def test_trained_parameters_are_bitwise_equal_under_1_and_2_blas_threads():
         assert run.returncode == 0, run.stderr
         digests.append(run.stdout.strip())
     assert digests[0] == digests[1]
+
+
+# trains 200 demo-size examples once to warm up, then again, and prints the minor page faults of the second run
+FAULTS_SCRIPT = """
+import resource
+from routelock.model import ModelConfig, ModelParams
+from routelock.synth import SynthTaskSpec, generate_synth_dataset
+from routelock.trainer import TrainConfig, train
+data, vocab = generate_synth_dataset(SynthTaskSpec(modulus=10, n_problems=100, seed=0))
+cfg = ModelConfig(vocab_size=len(vocab), d_model=64, n_layers=2, n_heads=4, d_ff=128, max_seq=32)
+model, config = ModelParams.init_random(cfg, seed=0), TrainConfig(learning_rate=0.05, batch_size=25)
+train(model, data, config)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train(model, data, config)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc pin needs glibc's mallopt")
+def test_pinned_malloc_keeps_training_off_the_page_fault_path():
+    # with glibc's dynamic thresholds the heap top is trimmed after a step and faulted back in the
+    # next: 2,400-8,000 minor faults, depending on the heap's layout; pinned on import, 21-52
+    # (2 vCPU, glibc 2.36, OpenBLAS 0.3.31)
+    src = str(Path(routelock.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.update({var: "2" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    run = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 1000
