@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
@@ -29,10 +30,10 @@ from .errors import CapacityError, ConfigError, check_field
 from .params import ParamVector, as_leaves
 from .tensor import (
     Tensor,
-    _merge_heads,
-    _rms_scale,
+    _attend,
+    _gated,
+    _rms_normed,
     _rotate,
-    _sigmoid,
     _softmax,
     _split_heads,
     add,
@@ -238,9 +239,11 @@ class ExpertCallRecorder:
         return {r for _, r, _ in self.calls}
 
 
-def _notify(layer: int, route: int, positions: int) -> None:
-    for rec in _RECORDERS:
-        rec.calls.append((layer, route, positions))
+def _notify(layer: int, route: int | None, positions: int) -> None:
+    """Log an expert call to every open recorder; the dense layout's MLP (route None) is no expert."""
+    if route is not None:
+        for rec in _RECORDERS:
+            rec.calls.append((layer, route, positions))
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +274,6 @@ def _position_tables(max_seq: int, head_dim: int, n_heads: int, base: float) -> 
     return tables
 
 
-def _positions(h: Tensor, points: int) -> int:
-    """Positions an expert runs on, counted for each of ``points`` parameter points.
-
-    A pointed ``h`` already holds every point's positions; an unpointed one
-    is shared by all of them.
-    """
-    n = h.size // h.shape[-1]
-    return n if h.pointed else n * points
-
-
 def mlp_dispatch(model: ModelParams, leaves: Mapping[str, Tensor], route: Route | int | None):
     """The ``(layer, h) -> MLP output`` closure of ``model`` on ``route``.
 
@@ -292,8 +285,8 @@ def mlp_dispatch(model: ModelParams, leaves: Mapping[str, Tensor], route: Route 
     points = max((t.points for t in leaves.values()), default=1)
 
     def apply(layer: int, h: Tensor) -> Tensor:
-        if r is not None:
-            _notify(layer, r, _positions(h, points))
+        # positions counted for each parameter point: a pointed h holds every point's, an unpointed one is shared
+        _notify(layer, r, h.size // h.shape[-1] * (1 if h.pointed else points))
         return _swiglu_at(leaves, mlp_prefix(layer, r), h)
 
     return apply
@@ -372,28 +365,19 @@ class _KVCache:
         self.v[:, : len(rows), :, :filled] = self.v[:, rows, :, :filled]
 
 
-def _swiglu_np(pv: ParamVector, layer: int, expert: int | None, h: np.ndarray) -> np.ndarray:
-    """``_swiglu_at`` on plain arrays, logged as ``mlp_dispatch`` logs it: (layer, expert, rows x n)."""
-    if expert is not None:
-        _notify(layer, expert, h.size // h.shape[-1])
-    mlp = mlp_prefix(layer, expert)
-    gate = h @ pv[f"{mlp}.w_gate"].T
-    return (gate * _sigmoid(gate) * (h @ pv[f"{mlp}.w_up"].T)) @ pv[f"{mlp}.w_down"].T
-
-
 def _np_chunk(
     model: ModelParams, ids: np.ndarray, expert: int | None, cache: _KVCache, pos0: int
 ) -> np.ndarray:
     """Logits (R, 1, V) at the last position for ids (R, n): ``decoder_logits`` on plain arrays with
     MLP ``expert`` and ``first`` n-1, every row at positions pos0 .. pos0+n-1 (a prefix from 0,
-    or one token) in the first R cache rows.
+    or one token) in the first R cache rows; expert calls are logged as ``mlp_dispatch`` logs them.
 
     Every layer writes k and v of all n positions into the cache; the last layer then runs its
-    query, and all that follows its attention, at the last position only. Every op acts per
-    element, reduces a row's own last axis, or is a stacked matmul (one BLAS call per row), so
-    each row is bitwise a one-row call, and that is bitwise the tape's forward of the one
-    sequence from ``first`` n-1. A row of a many-sequence tape forward is not: the tape's
-    projections run one GEMM over all of its token rows.
+    query, and all that follows its attention, at the last position only. Norms, the gated MLP
+    product and the attention core are the tape's kernels (``_rms_normed``, ``_gated``, ``_attend``).
+    Only the projections differ, by design: the tape runs one GEMM over all its token rows, and here
+    each is a stacked matmul, one BLAS call per row. So each row is bitwise a one-row call, and that
+    is bitwise the tape's forward of the one sequence from ``first`` n-1; a tape batch's row is not.
     """
     cfg, pv = model.config, model.params
     heads, end = cfg.n_heads, pos0 + ids.shape[1]
@@ -402,7 +386,7 @@ def _np_chunk(
     mask = cache.mask[pos0:end, :end] if end - pos0 > 1 else None
     x = pv["embed"][ids]
     for layer in range(cfg.n_layers):
-        h = x / _rms_scale(x) * pv[f"layer{layer}.ln1"]
+        h = _rms_normed(x, pv[f"layer{layer}.ln1"])[0]
         # q and k are rotated in one call, as 2 * heads heads side by side: rotary mixing acts per element
         qk = np.concatenate((h @ pv[f"layer{layer}.wq"].T, h @ pv[f"layer{layer}.wk"].T), axis=-1)
         qk = _split_heads(_rotate(qk, cos, sin, 2 * heads), 2 * heads)
@@ -411,13 +395,13 @@ def _np_chunk(
         q = qk[:, :heads]
         if layer == cfg.n_layers - 1:  # only the last position's logits are read; its mask row is all 0
             q, x, mask = q[:, :, -1:], x[:, -1:], None
-        scores = (q @ np.swapaxes(kc[layer, :, :, :end], -1, -2)) * (1.0 / math.sqrt(cfg.head_dim))
-        if mask is not None:
-            scores = scores + mask
-        x = x + _merge_heads(_softmax(scores) @ vc[layer, :, :, :end]) @ pv[f"layer{layer}.wo"].T
-        x = x + _swiglu_np(pv, layer, expert, x / _rms_scale(x) * pv[f"layer{layer}.ln2"])
+        x = x + _attend(q, kc[layer, :, :, :end], vc[layer, :, :, :end], mask)[1] @ pv[f"layer{layer}.wo"].T
+        h = _rms_normed(x, pv[f"layer{layer}.ln2"])[0]
+        _notify(layer, expert, h.size // h.shape[-1])
+        mlp = mlp_prefix(layer, expert)
+        x = x + _gated(h @ pv[f"{mlp}.w_gate"].T, h @ pv[f"{mlp}.w_up"].T)[0] @ pv[f"{mlp}.w_down"].T
     if cfg.final_norm:
-        x = x / _rms_scale(x) * pv["final_norm"]
+        x = _rms_normed(x, pv["final_norm"])[0]
     return x @ pv["lm_head"].T
 
 
@@ -435,13 +419,17 @@ def _sample(logits: np.ndarray, temperature: float | None, rngs) -> list[int]:
 
 
 def check_prompt(cfg: ModelConfig, prompt_ids: Sequence[int]) -> list[int]:
-    """The prompt as a list of ints; an empty one raises ValueError, one past max_seq CapacityError."""
-    prompt = [int(t) for t in prompt_ids]
+    """The prompt as ints; ValueError if empty or an id is not in [0, vocab_size), CapacityError past max_seq."""
+    prompt = list(prompt_ids)
     if not prompt:
         raise ValueError("prompt must be non-empty")
     if len(prompt) > cfg.max_seq:
         raise CapacityError(f"prompt length {len(prompt)} exceeds max_seq {cfg.max_seq}")
-    return prompt
+    ids = [operator.index(t) for t in prompt if hasattr(t, "__index__")]  # ints: no float or string passes
+    if len(ids) < len(prompt) or min(ids) < 0 or max(ids) >= cfg.vocab_size:
+        bad = next(t for t in prompt if not hasattr(t, "__index__") or not 0 <= t < cfg.vocab_size)
+        raise ValueError(f"token id {bad!r} is not an integer in [0, {cfg.vocab_size})")
+    return ids
 
 
 def generate_batch(

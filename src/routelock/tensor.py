@@ -128,17 +128,12 @@ def _lift(d: np.ndarray, pointed: bool, n: int) -> np.ndarray:
     return d.reshape(d.shape[:1] + (1,) * (n + 1 - d.ndim) + d.shape[1:])
 
 
-def _pair(a: np.ndarray, a_pointed: bool, b: np.ndarray, b_pointed: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Operand arrays that numpy broadcasts with the point axis kept apart."""
-    if not (a_pointed or b_pointed):
-        return a, b
-    n = max(a.ndim - a_pointed, b.ndim - b_pointed)
-    return _lift(a, a_pointed, n), _lift(b, b_pointed, n)
-
-
 def _aligned(a: Tensor, b: Tensor) -> tuple[np.ndarray, np.ndarray]:
-    """``_pair`` of two tensors' data."""
-    return _pair(a.data, a.pointed, b.data, b.pointed)
+    """Two tensors' data as operands that numpy broadcasts with the point axis kept apart."""
+    if not (a.pointed or b.pointed):
+        return a.data, b.data
+    n = max(a.ndim - a.pointed, b.ndim - b.pointed)
+    return _lift(a.data, a.pointed, n), _lift(b.data, b.pointed, n)
 
 
 def _reduce(x: np.ndarray, pointed: bool, fn=np.sum) -> np.ndarray:
@@ -371,10 +366,24 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gated(gate: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """silu(gate) * up as gate * s * up, and s = sigmoid(gate); in place unless a pointed up has more axes than gate."""
+    s = _sigmoid(gate)
+    hidden = gate * s
+    return np.multiply(hidden, up, out=None if up.ndim > gate.ndim else hidden), s
+
+
 def _rms_scale(x: np.ndarray) -> np.ndarray:
     """sqrt(mean(x^2, last axis) + eps), kept as a trailing axis of 1."""
     # np.mean's own arithmetic (a sum, then a true divide by the count) without its Python wrapper
     return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + RMS_EPS)
+
+
+def _rms_normed(x: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x / s * gain, and s = ``_rms_scale(x)``, for a gain ``_aligned`` with x; in place unless gain has more axes."""
+    s = _rms_scale(x)
+    out = x / s
+    return np.multiply(out, gain, out=None if gain.ndim > x.ndim else out), s
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -433,10 +442,7 @@ def rms_norm(a, gain) -> Tensor:
     if gain.ndim - gain.pointed != 1 or gain.shape[-1] != a.shape[-1]:
         raise ShapeError(f"rms_norm gain shape {gain.shape} does not match last dim of {a.shape}")
     d = a.shape[-1]
-    s = _rms_scale(a.data)
-    data = a.data / s
-    gd = _lift(gain.data, gain.pointed, a.ndim - a.pointed)  # out of place where it grows an unpointed x
-    data = np.multiply(data, gd, out=None if gain.pointed > a.pointed else data)
+    data, s = _rms_normed(*_aligned(a, gain))
 
     def vjp(g):
         t = g * gain.data
@@ -570,11 +576,7 @@ def swiglu(x, w_gate, w_up, w_down) -> Tensor:
         )
     gate = _linear(x.data, x.pointed, wg.data, wg.pointed)
     up = _linear(x.data, x.pointed, wu.data, wu.pointed)
-    s = _sigmoid(gate)
-    # silu(gate) * up; gate and up share their non-point shape, so numpy aligns a pointed one with
-    # the other. In place, except where a pointed up broadcasts an unpointed gate to the point axis
-    hidden = gate * s
-    hidden = np.multiply(hidden, up, out=None if up.ndim > gate.ndim else hidden)
+    hidden, s = _gated(gate, up)
     data = _linear(hidden, x.pointed or wg.pointed or wu.pointed, wd.data, wd.pointed)
 
     def vjp(g):
@@ -611,6 +613,17 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (t, h * hd))
 
 
+def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The attention core on split heads (..., heads, T, hd): the weights p = softmax(qh kh^T * (1/sqrt(hd)) + mask),
+    with no mask added for None, and their weighted sum of vh with the heads merged, (..., T, heads * hd)."""
+    scores = qh @ np.swapaxes(kh, -1, -2)
+    scores *= 1.0 / math.sqrt(qh.shape[-1])
+    if mask is not None:
+        scores += mask
+    p = _softmax(scores)
+    return p, _merge_heads(p @ vh)
+
+
 def attention(q, k, v, n_heads: int, cos: np.ndarray, sin: np.ndarray, mask: np.ndarray, first: int = 0) -> Tensor:
     """Multi-head attention of projected q, k, v (..., T, D) as one node, heads merged back:
     the (..., T - first, D) outputs of the queries at positions ``first`` .. T-1.
@@ -619,7 +632,7 @@ def attention(q, k, v, n_heads: int, cos: np.ndarray, sin: np.ndarray, mask: np.
     ``rotary_tables`` cos/sin, then per head of width hd = D / n_heads: scores
     q k^T * (1/sqrt(hd)) + mask[first:] (an additive (T, T) constant), the softmax and its
     weighted sum of v. q, k and v share their non-point shape, so a pointed one broadcasts
-    against the others as ``_pair`` would align it. Forward and vjp run the arithmetic of the
+    against the others as ``_aligned`` aligns two tensors. Forward and vjp run the arithmetic of the
     composed row slice of q, ``rope_rotate``, head reshapes, ``matmul``, ``mul``, ``add`` and
     ``softmax`` nodes, so both are bitwise theirs; q's rows before ``first`` get a zero
     gradient. The vjp keeps the attention weights and recomputes the rotated q and k heads
@@ -633,24 +646,19 @@ def attention(q, k, v, n_heads: int, cos: np.ndarray, sin: np.ndarray, mask: np.
         raise ShapeError(f"attention width {shape[-1]} does not split into {n_heads} heads of even width")
     if not 0 <= first < shape[-2]:
         raise ShapeError(f"attention query start {first} is outside positions 0 .. {shape[-2] - 1}")
-    scale = 1.0 / math.sqrt(shape[-1] // n_heads)
 
     def rotated_heads(t: Tensor, start: int) -> np.ndarray:
         return _split_heads(_rotate(t.data[..., start:, :], cos[start:], sin[start:], n_heads), n_heads)
 
     vh = _split_heads(v.data, n_heads)
-    scores = rotated_heads(q, first) @ np.swapaxes(rotated_heads(k, 0), -1, -2)
-    scores *= scale
-    scores += mask[first:]
-    p = _softmax(scores)
-    data = _merge_heads(p @ vh)
+    p, data = _attend(rotated_heads(q, first), rotated_heads(k, 0), vh, mask[first:])
 
     def vjp(g):
         g_ctx = _split_heads(g, n_heads)
         g_p = g_ctx @ np.swapaxes(vh, -1, -2)
         g_p -= np.sum(g_p * p, axis=-1, keepdims=True)
         g_p *= p
-        g_scores = np.multiply(g_p, scale, out=g_p)
+        g_scores = np.multiply(g_p, 1.0 / math.sqrt(vh.shape[-1]), out=g_p)
         gq = _rotate(_merge_heads(g_scores @ rotated_heads(k, 0)), cos[first:], -sin[first:], n_heads)
         gk = _merge_heads(np.swapaxes(np.swapaxes(rotated_heads(q, first), -1, -2) @ g_scores, -1, -2))
         gv = _merge_heads(np.swapaxes(p, -1, -2) @ g_ctx)

@@ -44,6 +44,12 @@ INPUT_CHECKS = {
                                "max_new must be an integer >= 0, got 2.5"),
     "generate-max-new-bool": (lambda: generate(tiny_model(), [1, 8], True), ValueError,
                               "max_new must be an integer >= 0, got True"),
+    "generate-token-id-negative": (lambda: generate(tiny_model(), [1, -1, 4], 4), ValueError,
+                                   r"token id -1 is not an integer in \[0, 24\)"),
+    "generate-token-id-vocab-size": (lambda: generate(tiny_model(), [1, 24, 4], 4), ValueError,
+                                     r"token id 24 is not an integer in \[0, 24\)"),
+    "generate-token-id-float": (lambda: generate(tiny_model(), [1, 1.7, 4], 4), ValueError,
+                                r"token id 1.7 is not an integer in \[0, 24\)"),
     "lexicon-marker-with-space": (lambda: ReflectiveLexicon(("wait", "wait now")), ValueError,
                                   "lexicon marker 'wait now' is not one whitespace-free token"),
     "lexicon-single-string": (lambda: ReflectiveLexicon("wait"), ValueError,

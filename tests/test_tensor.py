@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from routelock.errors import ShapeError
-from routelock.model import causal_mask, rope_tables
+from routelock.model import causal_mask, generate_batch, rope_tables
 from routelock.tensor import (
     RMS_EPS,
     Tensor,
+    _attend,
+    _gated,
+    _rms_normed,
     _rms_scale,
     _rotate,
     _sigmoid,
@@ -35,8 +38,9 @@ from routelock.tensor import (
     tail,
     transpose,
 )
+from routelock.tokenizer import CTRL_NOTHINK_ID, CTRL_THINK_ID
 
-from conftest import fd_grad, rel_err
+from conftest import fd_grad, rel_err, tiny_model
 
 SIGMOID_1 = 0.7310585786300049  # 1 / (1 + e^-1)
 
@@ -699,6 +703,41 @@ def test_kernels_write_into_nothing_they_were_given():
                 pointed = [Tensor(read_only(rng.normal(size=(3,) + a.shape)), pointed=True) if j == i else Tensor(a)
                            for j, a in enumerate(arrays)]
                 assert op(*pointed).pointed, name
+
+
+def test_forward_kernels_write_into_nothing_they_were_given():
+    # read-only inputs, also where a pointed gain or up has more axes than the other operand, so
+    # the kernel's last product cannot run in place
+    rng = np.random.default_rng(38)
+    x, gate, up = (read_only(rng.normal(size=(2, SEQ, WIDTH))) for _ in range(3))
+    for gain in (read_only(rng.normal(size=WIDTH)), read_only(rng.normal(size=(3, 1, 1, WIDTH)))):
+        out, s = _rms_normed(x, gain)
+        assert out.tobytes() == (x / _rms_scale(x) * gain).tobytes() and s.tobytes() == _rms_scale(x).tobytes()
+    for u in (up, read_only(rng.normal(size=(3, 2, SEQ, WIDTH)))):
+        hidden, s = _gated(gate, u)
+        assert hidden.tobytes() == (gate * _sigmoid(gate) * u).tobytes() and s.tobytes() == _sigmoid(gate).tobytes()
+    qh, kh, vh = (read_only(rng.normal(size=(2, HEADS, SEQ, WIDTH // HEADS))) for _ in range(3))
+    for mask in (read_only(causal_mask(SEQ)), None):
+        p, ctx = _attend(qh, kh, vh, mask)
+        scores = qh @ kh.swapaxes(-1, -2) * (1.0 / math.sqrt(WIDTH // HEADS))
+        assert p.tobytes() == explicit_softmax(scores if mask is None else scores + mask).tobytes()
+        assert ctx.tobytes() == (p @ vh).swapaxes(-3, -2).reshape(2, SEQ, WIDTH).tobytes()
+
+
+def test_decoder_writes_into_nothing_it_was_given():
+    # every parameter segment is read-only, so an in-place write into one raises; a prefill
+    # and cached one-token steps (and, without the cache, recomputes) give the writable model's
+    # completions
+    model = tiny_model(seed=3)
+    frozen = model.with_params(model.params.copy())
+    for _, a in frozen.params.items():
+        a.flags.writeable = False
+    prompts = [[1, 8, CTRL_NOTHINK_ID], [1, 9, 10, 11, CTRL_THINK_ID], [1, 12, CTRL_THINK_ID]]
+    for use_cache in (True, False):
+        for temperature, seed in ((None, None), (0.8, 5)):
+            rows = generate_batch(model, prompts, 6, temperature, seed, use_cache)
+            assert max(len(c) for c, _ in rows) > 1
+            assert generate_batch(frozen, prompts, 6, temperature, seed, use_cache) == rows
 
 
 def rows_product(a, w):
