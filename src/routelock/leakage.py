@@ -17,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError
-from .model import ModelParams, check_prompt, generate_batch
+from .model import ModelParams, generate_batch
 from .tokenizer import Route, Vocabulary, decode
 
 DEFAULT_MARKERS = ("wait", "hmm", "alternatively")
@@ -124,16 +123,18 @@ def evaluate(
     """Generate per prompt (greedy for ``temperature`` None) and score the completions with
     ``score_completions``.
 
-    Prompts are decoded ``EVAL_BATCH`` at a time by ``generate_batch``. Prompts
-    longer than the model's capacity are skipped with a warning on stderr and
-    counted in ``n_skipped``; any other error propagates.
+    Prompts are decoded ``EVAL_BATCH`` at a time by ``generate_batch``, which checks
+    them. Prompts longer than the model's max_seq are skipped with a warning on stderr
+    and counted in ``n_skipped``; any other error propagates.
     """
+    max_seq = model.config.max_seq
     kept = []
     for prompt_ids, gold in prompts_with_gold:
-        try:
-            kept.append((check_prompt(model.config, prompt_ids), gold))
-        except CapacityError as exc:
-            print(f"warning: skipping prompt ({exc})", file=sys.stderr)
+        if len(prompt_ids) > max_seq:
+            print(f"warning: skipping prompt (prompt length {len(prompt_ids)} exceeds max_seq {max_seq})",
+                  file=sys.stderr)
+        else:
+            kept.append((prompt_ids, gold))
     scored = []
     for a in range(0, len(kept), EVAL_BATCH):
         batch = kept[a : a + EVAL_BATCH]

@@ -41,7 +41,6 @@ from .tensor import (
     embedding,
     linear,
     matmul,  # noqa: F401  (kept bound here: perfbench's tracer tests read routelock.model.matmul)
-    no_grad,
     rms_norm,
     rotary_tables,
     swiglu,
@@ -338,9 +337,8 @@ def forward(model: ModelParams, tokens, route: Route | int | None = None) -> Ten
 
 def route_logit_gap(model: ModelParams, tokens) -> np.ndarray:
     """Per-position max |logits(route 1) - logits(route 0)|, two exact forwards."""
-    with no_grad():
-        l0 = forward(model, tokens, Route.NO_THINK).data
-        l1 = forward(model, tokens, Route.THINK).data
+    l0 = forward(model, tokens, Route.NO_THINK).data
+    l1 = forward(model, tokens, Route.THINK).data
     return np.max(np.abs(l1 - l0), axis=-1)
 
 

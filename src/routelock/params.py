@@ -4,7 +4,7 @@ A ParamVector is an ordered list of (name, float64 array) segments with a
 flat view; flatten followed by from_flat is the identity. Gradients come
 back ParamVector-shaped, and any segment the forward graph never touched
 is an exact zeros array. The finite-difference oracles evaluate their
-perturbed parameter points CHUNK_POINTS at a time, in one no-grad forward
+perturbed parameter points CHUNK_POINTS at a time, in one unrecorded forward
 over pointed leaves (see ``tensor``).
 """
 
@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import NumericError
-from .tensor import Tensor, backward, find_nonfinite, no_grad
+from .tensor import Tensor, backward, find_nonfinite
 
 LossFn = Callable[[Mapping[str, Tensor], object], Tensor]
 
@@ -102,7 +102,9 @@ def value_and_grad(loss_fn: LossFn, params: ParamVector, batch) -> tuple[float, 
     """Loss value and ParamVector-shaped reverse-mode gradients.
 
     Segments that never entered the forward graph come back as exact
-    zeros (their leaves are never visited by the reverse pass).
+    zeros (their leaves are never visited by the reverse pass). A
+    non-finite loss or gradient raises NumericError, so no caller can
+    apply a NaN or inf update.
     """
     leaves = as_leaves(params, requires_grad=True)
     loss = loss_fn(leaves, batch)
@@ -116,14 +118,17 @@ def value_and_grad(loss_fn: LossFn, params: ParamVector, batch) -> tuple[float, 
         (n, leaves[n].grad if leaves[n].grad is not None else np.zeros_like(a))
         for n, a in params.items()
     )
+    bad = next((n for n, g in grads.items() if not np.isfinite(g).all()), None)
+    if bad is not None:
+        raise NumericError(f"non-finite gradient (NaN or inf) in segment {bad!r}")
     return float(loss.data), grads
 
 
-CHUNK_POINTS = 64  # parameter points per batched no-grad forward
+CHUNK_POINTS = 64  # parameter points per batched unrecorded forward
 
 
 def _loss_at(loss_fn: LossFn, params: ParamVector, batch, coords: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Loss at n parameter points, CHUNK_POINTS of them per no-grad forward.
+    """Loss at n parameter points, CHUNK_POINTS of them per unrecorded forward.
 
     Point p is ``params`` with ``deltas[p, m]`` added in place at flat
     coordinate ``coords[p, m]``, for m in order. Within a chunk only the
@@ -138,23 +143,22 @@ def _loss_at(loss_fn: LossFn, params: ParamVector, batch, coords: np.ndarray, de
     starts = np.array([params.segment_slice(n)[0] for n in names])
     base = as_leaves(params)
     values = np.empty(len(coords))
-    with no_grad():
-        for lo in range(0, len(coords), CHUNK_POINTS):
-            c, d = coords[lo : lo + CHUNK_POINTS], deltas[lo : lo + CHUNK_POINTS]
-            rows = np.arange(len(c))
-            leaves = dict(base)
-            for s in np.unique(np.searchsorted(starts, c, side="right") - 1):
-                seg = params[names[s]]
-                start, stop = params.segment_slice(names[s])
-                pts = np.tile(seg.reshape(-1), (len(c), 1))
-                for m in range(c.shape[1]):
-                    hit = (c[:, m] >= start) & (c[:, m] < stop)
-                    pts[rows[hit], c[hit, m] - start] += d[hit, m]
-                leaves[names[s]] = Tensor(pts.reshape((len(c),) + seg.shape), pointed=True)
-            loss = loss_fn(leaves, batch)
-            if loss.size != loss.points:
-                raise ValueError(f"loss_fn must return one scalar per point, got shape {loss.shape}")
-            values[lo : lo + len(c)] = loss.data.reshape(-1)
+    for lo in range(0, len(coords), CHUNK_POINTS):
+        c, d = coords[lo : lo + CHUNK_POINTS], deltas[lo : lo + CHUNK_POINTS]
+        rows = np.arange(len(c))
+        leaves = dict(base)
+        for s in np.unique(np.searchsorted(starts, c, side="right") - 1):
+            seg = params[names[s]]
+            start, stop = params.segment_slice(names[s])
+            pts = np.tile(seg.reshape(-1), (len(c), 1))
+            for m in range(c.shape[1]):
+                hit = (c[:, m] >= start) & (c[:, m] < stop)
+                pts[rows[hit], c[hit, m] - start] += d[hit, m]
+            leaves[names[s]] = Tensor(pts.reshape((len(c),) + seg.shape), pointed=True)
+        loss = loss_fn(leaves, batch)
+        if loss.size != loss.points:
+            raise ValueError(f"loss_fn must return one scalar per point, got shape {loss.shape}")
+        values[lo : lo + len(c)] = loss.data.reshape(-1)
     return values
 
 

@@ -3,22 +3,23 @@
 Every operation records its inputs and a vector-Jacobian closure on the
 node it produces; ``backward`` replays the graph in reverse topological
 order from a scalar. The graph (the tape) is rebuilt on every forward
-pass and freed with the tensors that hold it. Inside a ``no_grad`` block
-the same functions run the identical forward arithmetic but record
-nothing, so values are bitwise equal with and without recording.
+pass and freed with the tensors that hold it. One rule decides what is
+recorded: an op records its node exactly when one of its inputs requires
+grad. A forward over leaves that require no grad runs the identical
+arithmetic and records nothing, so values are bitwise equal either way.
 
 All data is float64. Leading batch dimensions are supported throughout;
 reductions and normalization act over the trailing axis.
 
 A *pointed* tensor carries one more leading axis, the point axis: row k
-of its data is its value at the k-th of K parameter points, so one no-grad
-forward evaluates K parameter vectors at once. Where a pointed operand
-meets an unpointed one, the unpointed one is shared by every point, with
-its axes right-aligned to the pointed operand's non-point axes: a pointed
-(K, f, d) weight meets an unpointed (B, T, d) activation as K copies of a
-(f, d) weight. Each point's values are bitwise equal to evaluating that
-point on its own. Pointed tensors are forward-only: creating or using one
-while recording raises.
+of its data is its value at the k-th of K parameter points, so one
+unrecorded forward evaluates K parameter vectors at once. Where a pointed
+operand meets an unpointed one, the unpointed one is shared by every point,
+with its axes right-aligned to the pointed operand's non-point axes: a
+pointed (K, f, d) weight meets an unpointed (B, T, d) activation as K copies
+of a (f, d) weight. Each point's values are bitwise equal to evaluating that
+point on its own. Pointed tensors are forward-only: one that requires grad,
+or an op given one and a tensor that requires grad, raises.
 
 Kernels write only into arrays they allocate: no input, kept value or ``g``.
 """
@@ -35,22 +36,6 @@ from .errors import ShapeError
 
 RMS_EPS = 1e-6  # added to the mean square before the root; keeps x=0 finite
 
-_GRAD_ENABLED = [True]
-
-
-class no_grad:
-    """Context manager that disables graph recording."""
-
-    def __enter__(self):
-        self._saved = _GRAD_ENABLED[0]
-        _GRAD_ENABLED[0] = False
-        return self
-
-    def __exit__(self, *exc):
-        _GRAD_ENABLED[0] = self._saved
-        return False
-
-
 class Tensor:
     """A float64 array plus the bookkeeping needed for the reverse pass.
 
@@ -62,8 +47,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_vjp", "pointed")
 
     def __init__(self, data, requires_grad: bool = False, pointed: bool = False):
-        if pointed and _GRAD_ENABLED[0]:
-            raise RuntimeError("pointed tensors are forward-only; create them under no_grad")
+        if pointed and requires_grad:
+            raise RuntimeError("pointed tensors are forward-only; one cannot require grad")
         self.data = np.asarray(data, dtype=np.float64)
         self.pointed = pointed
         self.grad: np.ndarray | None = None
@@ -107,13 +92,17 @@ def _coerce(x) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
-    """Wrap a result; record the edge only if recording is on and useful."""
+    """Wrap a result; record the edge exactly when a parent requires grad."""
     out = Tensor(data)
-    if any(p.pointed for p in parents):
-        if _GRAD_ENABLED[0]:
-            raise RuntimeError(f"{op} got a pointed tensor while recording; pointed tensors are forward-only")
+    grad = pointed = False
+    for p in parents:
+        grad = grad or p.requires_grad
+        pointed = pointed or p.pointed
+    if pointed:
+        if grad:
+            raise RuntimeError(f"{op} got a pointed input and one that requires grad; pointed tensors are forward-only")
         out.pointed = True
-    elif _GRAD_ENABLED[0] and any(p.requires_grad for p in parents):
+    elif grad:
         out.requires_grad = True
         out.op = op
         out._parents = parents

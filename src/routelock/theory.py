@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DegenerateInputError, SingularityError
 from .model import ModelParams, _swiglu_at, decoder_logits, mlp_dispatch, mlp_prefix, segment_group
 from .params import as_leaves, euclidean_norm, sampled_cross_hessian_max
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 from .trainer import ChatExample, two_mode_loss_fn
 
 SYM_TOL = 1e-12
@@ -312,9 +312,8 @@ def linearization_residual(
             shift = FD_STEP * (df / scales[0])
             return Tensor(np.stack((f0.data, f0.data + shift, f0.data - shift)), pointed=True)
 
-        with no_grad():
-            l1 = decoder_logits(model.config, leaves, tokens, mlp_dispatch(model, leaves, 1)).data
-            l0 = decoder_logits(model.config, leaves, tokens, apply).data
+        l1 = decoder_logits(model.config, leaves, tokens, mlp_dispatch(model, leaves, 1)).data
+        l0 = decoder_logits(model.config, leaves, tokens, apply).data
         if scales[0] == 0.0:
             rows.append(LinearizationRow(eps, 0.0, 0.0, 0.0, 0.0))
             continue

@@ -38,7 +38,7 @@ from .model import (
     segment_group,
 )
 from .params import ParamVector, as_leaves, euclidean_norm, value_and_grad
-from .tensor import Tensor, add, mul, no_grad, softmax_cross_entropy
+from .tensor import Tensor, add, mul, softmax_cross_entropy
 from .tokenizer import (
     CTRL_NOTHINK_ID,
     CTRL_THINK_ID,
@@ -182,8 +182,7 @@ def mode_loss(
     reduction: str = "example_mean",
 ) -> float:
     """Value of the two-mode objective; on one mode's examples, that mode's batch loss."""
-    with no_grad():
-        return float(two_mode_loss_fn(model, dataset, reduction)(as_leaves(model.params), None).data)
+    return float(two_mode_loss_fn(model, dataset, reduction)(as_leaves(model.params), None).data)
 
 
 def mode_loss_grad(

@@ -13,7 +13,8 @@ from routelock.leakage import (
     score_completions,
 )
 from routelock import leakage
-from routelock.model import generate
+from routelock import model as model_module
+from routelock.model import check_prompt, generate
 from routelock.params import ParamVector
 from routelock.synth import SynthTaskSpec, eval_prompts, generate_synth_dataset
 from routelock.tokenizer import EOS_ID, Route, decode, encode, resolve_route
@@ -168,6 +169,25 @@ def test_evaluate_skips_overlong_prompts_with_warning(synth_model, synth_small, 
     captured = capsys.readouterr()
     assert "skipping prompt" in captured.err
     assert captured.out == ""
+
+
+def test_evaluate_checks_each_prompt_once(synth_model, synth_small, monkeypatch, capsys):
+    spec, _, vocab = synth_small
+    prompts = eval_prompts(spec, 3, 21, Route.NO_THINK, vocab)
+    too_long = ([5] * (synth_model.config.max_seq + 1), "0")
+    calls = []
+
+    def counting(cfg, prompt_ids):
+        calls.append(list(prompt_ids))
+        return check_prompt(cfg, prompt_ids)
+
+    for module in (model_module, leakage):
+        monkeypatch.setattr(module, "check_prompt", counting, raising=False)
+    rep = evaluate(synth_model, prompts + [too_long], Route.NO_THINK, vocab, max_new=4)
+    assert calls == [list(p) for p, _ in prompts]
+    assert rep.n_skipped == 1
+    n = synth_model.config.max_seq
+    assert capsys.readouterr().err == f"warning: skipping prompt (prompt length {n + 1} exceeds max_seq {n})\n"
 
 
 @pytest.mark.parametrize("mode", [Route.NO_THINK, Route.THINK])

@@ -10,7 +10,7 @@ from routelock.params import (
     sampled_cross_hessian_max,
     value_and_grad,
 )
-from routelock.tensor import matmul, mul, sum_all
+from routelock.tensor import add, matmul, mul, sum_all
 
 
 def pv(**kw):
@@ -74,6 +74,19 @@ def test_nonfinite_loss_names_operation():
 
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError, match="mul"):
+            value_and_grad(loss_fn, p, None)
+
+
+def test_nonfinite_gradient_names_segment():
+    # at a = 1e-300 the loss a * 1e200 * 1e200 is 1e100, finite, but its gradient 1e400 overflows
+    p = pv(ok=np.array([1.0]), a=np.array([1e-300]), also=np.array([1e-300]))
+
+    def loss_fn(leaves, _):
+        scaled = add(mul(mul(leaves["a"], 1e200), 1e200), mul(mul(leaves["also"], 1e200), 1e200))
+        return add(sum_all(leaves["ok"]), sum_all(scaled))
+
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="non-finite gradient .* segment 'a'"):
             value_and_grad(loss_fn, p, None)
 
 

@@ -1,4 +1,4 @@
-"""Point-batched no-grad forwards on the C1 model, and once at demo size.
+"""Point-batched unrecorded forwards on the C1 model, and once at demo size.
 
 One forward over pointed leaves evaluates K parameter points; each point's
 loss must equal, bit for bit, a forward at that point alone. The batched
@@ -17,7 +17,7 @@ from routelock import theory
 from routelock.model import ExpertCallRecorder, ModelConfig, ModelParams, causal_mask, rope_tables
 from routelock.params import CHUNK_POINTS, _loss_at, as_leaves, finite_diff_grad, sampled_cross_hessian_max
 from routelock.synth import SynthTaskSpec, generate_synth_dataset
-from routelock.tensor import Tensor, attention, linear, no_grad, rotary_tables, swiglu
+from routelock.tensor import Tensor, attention, linear, rotary_tables, swiglu
 from routelock.trainer import split_by_mode, two_mode_loss_fn
 
 from test_acceptance import GRAD_CFG, grad_dataset
@@ -31,8 +31,7 @@ def c1_setup(seed):
 
 
 def loss_value(loss_fn, params):
-    with no_grad():
-        return float(loss_fn(as_leaves(params), None).data)
+    return float(loss_fn(as_leaves(params), None).data)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -43,14 +42,13 @@ def test_pointed_loss_matches_per_point_bitwise(seed):
     groups = model.groups()
     for names in (pv.names, groups["alpha"], groups["beta0"], groups["beta1"]):
         points = {n: pv[n] + 1e-3 * rng.normal(size=(K,) + pv[n].shape) for n in names}
-        with no_grad():
-            with ExpertCallRecorder() as batched_rec:
-                batched = loss_fn({**as_leaves(pv), **{n: Tensor(a, pointed=True) for n, a in points.items()}}, None)
-            with ExpertCallRecorder() as single_rec:
-                single = [
-                    loss_fn({**as_leaves(pv), **{n: Tensor(a[k]) for n, a in points.items()}}, None).data
-                    for k in range(K)
-                ]
+        with ExpertCallRecorder() as batched_rec:
+            batched = loss_fn({**as_leaves(pv), **{n: Tensor(a, pointed=True) for n, a in points.items()}}, None)
+        with ExpertCallRecorder() as single_rec:
+            single = [
+                loss_fn({**as_leaves(pv), **{n: Tensor(a[k]) for n, a in points.items()}}, None).data
+                for k in range(K)
+            ]
         assert batched.pointed and batched.shape == (K,)
         assert batched.data.tobytes() == np.array(single).tobytes()
         assert batched_rec.total_positions == single_rec.total_positions
@@ -66,10 +64,9 @@ def test_pointed_loss_matches_per_point_bitwise_at_demo_size():
     rng = np.random.default_rng(7)
     for names in (["embed"], ["layer0.wq"], ["layer1.expert0.w_up", "lm_head"]):
         points = {n: pv[n] + 1e-3 * rng.normal(size=(3,) + pv[n].shape) for n in names}
-        with no_grad():
-            batched = loss_fn({**as_leaves(pv), **{n: Tensor(a, pointed=True) for n, a in points.items()}}, None)
-            single = [loss_fn({**as_leaves(pv), **{n: Tensor(a[k]) for n, a in points.items()}}, None).data
-                      for k in range(3)]
+        batched = loss_fn({**as_leaves(pv), **{n: Tensor(a, pointed=True) for n, a in points.items()}}, None)
+        single = [loss_fn({**as_leaves(pv), **{n: Tensor(a[k]) for n, a in points.items()}}, None).data
+                  for k in range(3)]
         assert batched.data.tobytes() == np.array(single).tobytes(), names
 
 
@@ -202,12 +199,11 @@ def test_fused_op_points_match_per_point_bitwise(op, shapes, lead):
     # input, or a pointed q with an unpointed k and v, against one point at a time
     rng = np.random.default_rng(41)
     arrays = [rng.normal(size=(K,) + (lead if i == 0 or op is attend else ()) + s) for i, s in enumerate(shapes)]
-    with no_grad():
-        for pointed in itertools.product((False, True), repeat=len(arrays)):
-            if not any(pointed):
-                continue
-            out = op(*(Tensor(a, pointed=True) if p else Tensor(a[0]) for a, p in zip(arrays, pointed)))
-            assert out.pointed and out.shape[0] == K
-            for k in range(K):
-                ref = op(*(Tensor(a[k] if p else a[0]) for a, p in zip(arrays, pointed)))
-                assert out.data[k].tobytes() == ref.data.tobytes()
+    for pointed in itertools.product((False, True), repeat=len(arrays)):
+        if not any(pointed):
+            continue
+        out = op(*(Tensor(a, pointed=True) if p else Tensor(a[0]) for a, p in zip(arrays, pointed)))
+        assert out.pointed and out.shape[0] == K
+        for k in range(K):
+            ref = op(*(Tensor(a[k] if p else a[0]) for a, p in zip(arrays, pointed)))
+            assert out.data[k].tobytes() == ref.data.tobytes()

@@ -25,7 +25,6 @@ from routelock.tensor import (
     matmul,
     mean_all,
     mul,
-    no_grad,
     reshape,
     rms_norm,
     rope_rotate,
@@ -56,8 +55,7 @@ def grad_of(build, *arrays, step=1e-5):
         def f(x, i=i):
             args = [Tensor(arr) for arr in arrays]
             args[i] = Tensor(x)
-            with no_grad():
-                return float(build(*args).data)
+            return float(build(*args).data)
         fds.append(fd_grad(f, a.copy(), step=step))
     return rev, fds
 
@@ -241,17 +239,17 @@ def test_gradient_oracle_many_seeds():
             assert rel_err(r, f) <= 1e-5
 
 
-def test_no_grad_matches_grad_forward_bitwise():
+def test_forward_records_exactly_when_a_leaf_requires_grad():
     rng = np.random.default_rng(10)
     x, w = rng.normal(size=(3, 4)), rng.normal(size=(4, 4))
 
-    def run():
-        return silu(matmul(rms_norm(Tensor(x), Tensor(np.ones(4))), Tensor(w))).data
+    def run(requires_grad):
+        return silu(matmul(rms_norm(Tensor(x), Tensor(np.ones(4))), Tensor(w, requires_grad=requires_grad)))
 
-    with no_grad():
-        a = run()
-    b = run()
-    assert np.array_equal(a, b)
+    recorded, plain = run(True), run(False)
+    assert recorded.requires_grad and recorded._vjp is not None and recorded._parents
+    assert not plain.requires_grad and plain._vjp is None and plain._parents == () and plain.op == "leaf"
+    assert recorded.data.tobytes() == plain.data.tobytes()
 
 
 def test_backward_determinism_bitwise():
@@ -417,24 +415,27 @@ def test_cross_entropy_vjp_matches_explicit_formula_bitwise():
 
 def test_pointed_tensor_raises_while_recording():
     with pytest.raises(RuntimeError, match="forward-only"):
-        Tensor(np.zeros((2, 3)), pointed=True)
-    with no_grad():
-        p = Tensor(np.zeros((2, 3)), pointed=True)
+        Tensor(np.zeros((2, 3)), pointed=True, requires_grad=True)
+    p = Tensor(np.zeros((2, 3)), pointed=True)
     with pytest.raises(RuntimeError, match="forward-only"):
         add(p, Tensor(np.ones(3), requires_grad=True))
+    with pytest.raises(RuntimeError, match="forward-only"):
+        add(Tensor(np.ones(3), requires_grad=True), p)
+    # nothing requires grad: the same op runs unrecorded and keeps the point axis
+    out = add(p, Tensor(np.ones(3)))
+    assert out.pointed and out._vjp is None and out.data.tobytes() == np.ones((2, 3)).tobytes()
 
 
 def test_pointed_reshape_transpose_keep_point_axis_leading():
-    with no_grad():
-        p = Tensor(np.arange(24.0).reshape(2, 3, 4), pointed=True)
-        assert transpose(p, (0, 2, 1)).shape == (2, 4, 3) and transpose(p, (0, 2, 1)).pointed
-        with pytest.raises(ShapeError):
-            transpose(p)
-        with pytest.raises(ShapeError):
-            transpose(p, (1, 0, 2))
-        with pytest.raises(ShapeError):
-            reshape(p, (6, 4))
-        assert reshape(p, (2, 12)).pointed
+    p = Tensor(np.arange(24.0).reshape(2, 3, 4), pointed=True)
+    assert transpose(p, (0, 2, 1)).shape == (2, 4, 3) and transpose(p, (0, 2, 1)).pointed
+    with pytest.raises(ShapeError):
+        transpose(p)
+    with pytest.raises(ShapeError):
+        transpose(p, (1, 0, 2))
+    with pytest.raises(ShapeError):
+        reshape(p, (6, 4))
+    assert reshape(p, (2, 12)).pointed
 
 
 def test_pointed_ops_match_per_point_bitwise():
@@ -452,14 +453,13 @@ def test_pointed_ops_match_per_point_bitwise():
     rng = np.random.default_rng(13)
     k = 3
     arrays = [rng.normal(size=(k, 4, 5)), rng.normal(size=(k, 5, 4)), rng.normal(size=(k, 5))]
-    with no_grad():
-        for pointed in itertools.product((False, True), repeat=3):
-            out = build(*(Tensor(a, pointed=True) if p else Tensor(a[0]) for a, p in zip(arrays, pointed)))
-            assert out.pointed == any(pointed)
-            assert out.shape == ((k,) if any(pointed) else ())
-            for i in range(k if any(pointed) else 1):
-                ref = build(*(Tensor(a[i] if p else a[0]) for a, p in zip(arrays, pointed)))
-                assert out.data.reshape(-1)[i].tobytes() == ref.data.tobytes()
+    for pointed in itertools.product((False, True), repeat=3):
+        out = build(*(Tensor(a, pointed=True) if p else Tensor(a[0]) for a, p in zip(arrays, pointed)))
+        assert out.pointed == any(pointed)
+        assert out.shape == ((k,) if any(pointed) else ())
+        for i in range(k if any(pointed) else 1):
+            ref = build(*(Tensor(a[i] if p else a[0]) for a, p in zip(arrays, pointed)))
+            assert out.data.reshape(-1)[i].tobytes() == ref.data.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -572,15 +572,14 @@ def test_attention_query_start_bitwise_equal_composed(first):
     # a pointed q, k or v: each point is bitwise the composed graph at that point alone
     k = 3
     points = [rng.normal(size=(k, 2, SEQ, WIDTH)) for _ in range(3)]
-    with no_grad():
-        for i in range(3):
-            pointed = [Tensor(p, pointed=True) if j == i else Tensor(p[0]) for j, p in enumerate(points)]
-            out = attention(*pointed, HEADS, COS, SIN, causal_mask(SEQ), first)
-            assert out.pointed and out.shape == (k, 2, SEQ - first, WIDTH)
-            for point in range(k):
-                alone = [Tensor(p[point] if j == i else p[0]) for j, p in enumerate(points)]
-                ref = composed_attention(*alone, HEADS, COS, SIN, causal_mask(SEQ), first)
-                assert out.data[point].tobytes() == ref.data.tobytes()
+    for i in range(3):
+        pointed = [Tensor(p, pointed=True) if j == i else Tensor(p[0]) for j, p in enumerate(points)]
+        out = attention(*pointed, HEADS, COS, SIN, causal_mask(SEQ), first)
+        assert out.pointed and out.shape == (k, 2, SEQ - first, WIDTH)
+        for point in range(k):
+            alone = [Tensor(p[point] if j == i else p[0]) for j, p in enumerate(points)]
+            ref = composed_attention(*alone, HEADS, COS, SIN, causal_mask(SEQ), first)
+            assert out.data[point].tobytes() == ref.data.tobytes()
 
 
 def test_tail_slices_rows_and_scatters_its_gradient():
@@ -595,8 +594,7 @@ def test_tail_slices_rows_and_scatters_its_gradient():
     expected = np.zeros_like(x)
     expected[:, 2:] = g
     assert t.grad.tobytes() == expected.tobytes()
-    with no_grad():
-        assert tail(Tensor(np.stack([x, -x]), pointed=True), 4).data.tobytes() == np.stack([x, -x])[:, :, 4:].tobytes()
+    assert tail(Tensor(np.stack([x, -x]), pointed=True), 4).data.tobytes() == np.stack([x, -x])[:, :, 4:].tobytes()
 
 
 def row_chunk_weight_grad(a, g):
@@ -634,12 +632,11 @@ def test_linear_layout_flat_rows_chunked_weight_grad():
     assert wt.grad.tobytes() == row_chunk_weight_grad(x, g).tobytes()
     # pointed: the same GEMM once per point, so each point is bitwise the unpointed forward at that point
     xk, wk = x + 1e-3 * rng.normal(size=(3,) + x.shape), w + 1e-3 * rng.normal(size=(3,) + w.shape)
-    with no_grad():
-        for k in range(3):
-            alone = linear(Tensor(x), Tensor(wk[k])).data
-            assert linear(Tensor(x), Tensor(wk, pointed=True)).data[k].tobytes() == alone.tobytes()
-            alone = linear(Tensor(xk[k]), Tensor(w)).data
-            assert linear(Tensor(xk, pointed=True), Tensor(w)).data[k].tobytes() == alone.tobytes()
+    for k in range(3):
+        alone = linear(Tensor(x), Tensor(wk[k])).data
+        assert linear(Tensor(x), Tensor(wk, pointed=True)).data[k].tobytes() == alone.tobytes()
+        alone = linear(Tensor(xk[k]), Tensor(w)).data
+        assert linear(Tensor(xk, pointed=True), Tensor(w)).data[k].tobytes() == alone.tobytes()
 
 
 def test_fused_ops_reject_mismatched_shapes():
@@ -698,11 +695,10 @@ def test_kernels_write_into_nothing_they_were_given():
         for x1, x2 in zip(first, again):
             assert x1.tobytes() == x2.tobytes(), name
         # pointed forwards: each operand in turn carries 3 points, the others are shared
-        with no_grad():
-            for i in range(len(arrays)):
-                pointed = [Tensor(read_only(rng.normal(size=(3,) + a.shape)), pointed=True) if j == i else Tensor(a)
-                           for j, a in enumerate(arrays)]
-                assert op(*pointed).pointed, name
+        for i in range(len(arrays)):
+            pointed = [Tensor(read_only(rng.normal(size=(3,) + a.shape)), pointed=True) if j == i else Tensor(a)
+                       for j, a in enumerate(arrays)]
+            assert op(*pointed).pointed, name
 
 
 def test_forward_kernels_write_into_nothing_they_were_given():

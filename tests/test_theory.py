@@ -8,7 +8,7 @@ import routelock.theory
 from routelock.errors import DegenerateInputError, SingularityError
 from routelock.model import ModelConfig, ModelParams, decoder_logits, mlp_dispatch, segment_group
 from routelock.params import ParamVector, as_leaves
-from routelock.tensor import add, no_grad, swiglu
+from routelock.tensor import add, swiglu
 from routelock.theory import (
     FD_STEP,
     GradientPair,
@@ -301,17 +301,16 @@ def per_run_linearization_rows(model, tokens, direction, epsilons):
 
             return decoder_logits(cfg, leaves, tokens, apply).data
 
-        with no_grad():
-            gap = decoder_logits(cfg, leaves, tokens, mlp_dispatch(model, leaves, 1)).data - run()
-            f0, f1 = (swiglu(seen[0], *(leaves[f"layer{layer}.expert{r}.{w}"] for w in ("w_gate", "w_up", "w_down")))
-                      .data for r in (0, 1))
-            df = f1 - f0
-            scale = float(np.sqrt(np.sum(df * df)))
-            if scale == 0.0:
-                rows.append(LinearizationRow(eps, 0.0, 0.0, 0.0, 0.0))
-                continue
-            unit = df / scale
-            pred = (run(FD_STEP * unit) - run(-FD_STEP * unit)) * (scale / (2.0 * FD_STEP))
+        gap = decoder_logits(cfg, leaves, tokens, mlp_dispatch(model, leaves, 1)).data - run()
+        f0, f1 = (swiglu(seen[0], *(leaves[f"layer{layer}.expert{r}.{w}"] for w in ("w_gate", "w_up", "w_down")))
+                  .data for r in (0, 1))
+        df = f1 - f0
+        scale = float(np.sqrt(np.sum(df * df)))
+        if scale == 0.0:
+            rows.append(LinearizationRow(eps, 0.0, 0.0, 0.0, 0.0))
+            continue
+        unit = df / scale
+        pred = (run(FD_STEP * unit) - run(-FD_STEP * unit)) * (scale / (2.0 * FD_STEP))
         gap_n = float(np.sqrt(np.sum(gap * gap)))
         res = float(np.sqrt(np.sum((gap - pred) ** 2)))
         rows.append(LinearizationRow(eps, gap_n, float(np.sqrt(np.sum(pred * pred))), res,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import routelock
-from routelock.errors import ConfigError, DataError
+from routelock.errors import ConfigError, DataError, NumericError
 from routelock.model import ModelConfig, ModelParams, decoder_logits, mlp_dispatch
 from routelock.params import ParamVector, as_leaves, value_and_grad
 from routelock.synth import SynthTaskSpec, generate_synth_dataset
@@ -65,6 +65,26 @@ def test_mode_loss_uniform_logits(tiny):
     uniform = tiny.with_params(pv)
     loss = mode_loss(uniform, tiny_dataset()[:2])
     assert abs(loss - math.log(TINY_CFG.vocab_size)) < 1e-12
+
+
+@pytest.mark.parametrize("reduction", ["example_mean", "token_sum"])
+def test_mode_loss_is_bitwise_the_recorded_loss(tiny, reduction):
+    # the unrecorded forward (no leaf requires grad) and the one value_and_grad records give the same bits
+    data = tiny_dataset()
+    value, grads = mode_loss_grad(tiny, data, reduction)
+    assert np.float64(mode_loss(tiny, data, reduction)).tobytes() == np.float64(value).tobytes()
+    assert np.any(grads.flatten() != 0.0)
+
+
+def test_train_stops_at_the_step_whose_gradient_is_non_finite():
+    # step 8 of this run makes a non-finite gradient in embed and others from a finite loss;
+    # applying it would only surface at step 9, as a non-finite loss with no op to name
+    data, vocab = generate_synth_dataset(SynthTaskSpec(10, 300, seed=5))
+    cfg = ModelConfig(vocab_size=len(vocab), d_model=64, n_layers=2, n_heads=4, d_ff=128, max_seq=32,
+                      final_norm=False)
+    tc = TrainConfig(learning_rate=0.005, batch_size=25, reduction="token_sum", seed=1)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite gradient .* segment 'embed'"):
+        train(ModelParams.init_random(cfg, 3), data, tc)
 
 
 def test_inactive_expert_gradient_bitwise_zero(tiny):
