@@ -32,9 +32,8 @@ def _check_routed(cfg: ModelConfig, segments, what: str) -> None:
 
 def _check_finite(params: ParamVector, path) -> None:
     """Raise ValueError naming ``path`` and the first segment of ``params`` that holds a NaN or inf."""
-    for name, arr in params.items():
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{path}: non-finite values (NaN or inf) in segment {name!r}")
+    if (bad := params.first_nonfinite()) is not None:
+        raise ValueError(f"{path}: non-finite values (NaN or inf) in segment {bad!r}")
 
 
 def save_checkpoint(model: ModelParams, path) -> None:

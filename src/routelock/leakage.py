@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ModelParams, generate_batch
+from .errors import CapacityError
+from .model import ModelParams, check_prompt_length, generate_batch
 from .tokenizer import Route, Vocabulary, decode
 
 DEFAULT_MARKERS = ("wait", "hmm", "alternatively")
@@ -123,18 +124,16 @@ def evaluate(
     """Generate per prompt (greedy for ``temperature`` None) and score the completions with
     ``score_completions``.
 
-    Prompts are decoded ``EVAL_BATCH`` at a time by ``generate_batch``, which checks
-    them. Prompts longer than the model's max_seq are skipped with a warning on stderr
-    and counted in ``n_skipped``; any other error propagates.
+    Prompts longer than max_seq are skipped with a warning on stderr and counted in
+    ``n_skipped``; the rest are decoded ``EVAL_BATCH`` at a time by ``generate_batch``,
+    which checks them, so any other bad prompt raises when its batch is reached.
     """
-    max_seq = model.config.max_seq
     kept = []
     for prompt_ids, gold in prompts_with_gold:
-        if len(prompt_ids) > max_seq:
-            print(f"warning: skipping prompt (prompt length {len(prompt_ids)} exceeds max_seq {max_seq})",
-                  file=sys.stderr)
-        else:
-            kept.append((prompt_ids, gold))
+        try:
+            kept.append((check_prompt_length(model.config, prompt_ids), gold))
+        except CapacityError as exc:
+            print(f"warning: skipping prompt ({exc})", file=sys.stderr)
     scored = []
     for a in range(0, len(kept), EVAL_BATCH):
         batch = kept[a : a + EVAL_BATCH]

@@ -416,13 +416,18 @@ def _sample(logits: np.ndarray, temperature: float | None, rngs) -> list[int]:
     return [int(rng.choice(row.size, p=_softmax(row))) for row, rng in zip(scaled, rngs)]
 
 
+def check_prompt_length(cfg: ModelConfig, prompt_ids: Sequence[int]) -> Sequence[int]:
+    """``prompt_ids`` unchanged; CapacityError if it is longer than max_seq."""
+    if len(prompt_ids) > cfg.max_seq:
+        raise CapacityError(f"prompt length {len(prompt_ids)} exceeds max_seq {cfg.max_seq}")
+    return prompt_ids
+
+
 def check_prompt(cfg: ModelConfig, prompt_ids: Sequence[int]) -> list[int]:
     """The prompt as ints; ValueError if empty or an id is not in [0, vocab_size), CapacityError past max_seq."""
-    prompt = list(prompt_ids)
+    prompt = check_prompt_length(cfg, list(prompt_ids))
     if not prompt:
         raise ValueError("prompt must be non-empty")
-    if len(prompt) > cfg.max_seq:
-        raise CapacityError(f"prompt length {len(prompt)} exceeds max_seq {cfg.max_seq}")
     ids = [operator.index(t) for t in prompt if hasattr(t, "__index__")]  # ints: no float or string passes
     if len(ids) < len(prompt) or min(ids) < 0 or max(ids) >= cfg.vocab_size:
         bad = next(t for t in prompt if not hasattr(t, "__index__") or not 0 <= t < cfg.vocab_size)

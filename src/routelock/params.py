@@ -88,6 +88,10 @@ class ParamVector:
     def norm(self) -> float:
         return euclidean_norm(a for _, a in self.items())
 
+    def first_nonfinite(self) -> str | None:
+        """Name of the first segment that holds a NaN or inf; None when every entry is finite."""
+        return next((n for n, a in self.items() if not np.isfinite(a).all()), None)
+
 
 def euclidean_norm(arrays: Iterable[np.ndarray]) -> float:
     """sqrt of the sum of squares over all entries of ``arrays``, summed array by array; 0.0 when there are none."""
@@ -118,8 +122,7 @@ def value_and_grad(loss_fn: LossFn, params: ParamVector, batch) -> tuple[float, 
         (n, leaves[n].grad if leaves[n].grad is not None else np.zeros_like(a))
         for n, a in params.items()
     )
-    bad = next((n for n, g in grads.items() if not np.isfinite(g).all()), None)
-    if bad is not None:
+    if (bad := grads.first_nonfinite()) is not None:
         raise NumericError(f"non-finite gradient (NaN or inf) in segment {bad!r}")
     return float(loss.data), grads
 

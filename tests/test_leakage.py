@@ -186,8 +186,7 @@ def test_evaluate_checks_each_prompt_once(synth_model, synth_small, monkeypatch,
     rep = evaluate(synth_model, prompts + [too_long], Route.NO_THINK, vocab, max_new=4)
     assert calls == [list(p) for p, _ in prompts]
     assert rep.n_skipped == 1
-    n = synth_model.config.max_seq
-    assert capsys.readouterr().err == f"warning: skipping prompt (prompt length {n + 1} exceeds max_seq {n})\n"
+    assert capsys.readouterr().err.count("warning: skipping prompt") == 1
 
 
 @pytest.mark.parametrize("mode", [Route.NO_THINK, Route.THINK])
