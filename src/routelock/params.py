@@ -4,8 +4,8 @@ A ParamVector is an ordered list of (name, float64 array) segments with a
 flat view; flatten followed by from_flat is the identity. Gradients come
 back ParamVector-shaped, and any segment the forward graph never touched
 is an exact zeros array. The finite-difference oracles evaluate their
-perturbed parameter points CHUNK_POINTS at a time, in one unrecorded forward
-over pointed leaves (see ``tensor``).
+perturbed parameter points in chunks of consecutive points, one unrecorded
+forward over pointed leaves per chunk (see ``tensor``).
 """
 
 from __future__ import annotations
@@ -127,30 +127,40 @@ def value_and_grad(loss_fn: LossFn, params: ParamVector, batch) -> tuple[float, 
     return float(loss.data), grads
 
 
-CHUNK_POINTS = 64  # parameter points per batched unrecorded forward
+CHUNK_POINTS = 256  # most parameter points per batched unrecorded forward
+POINTED_BYTES = 16 << 20  # most bytes of pointed segment copies per forward of two or more points
 
 
 def _loss_at(loss_fn: LossFn, params: ParamVector, batch, coords: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Loss at n parameter points, CHUNK_POINTS of them per unrecorded forward.
+    """Loss at n parameter points, one unrecorded forward per chunk of consecutive points.
 
     Point p is ``params`` with ``deltas[p, m]`` added in place at flat
     coordinate ``coords[p, m]``, for m in order. Within a chunk only the
     segments its points perturb carry the point axis; every other segment
-    enters once, unbatched. A loss that comes back unpointed (the chunk
-    perturbs nothing the loss reads) is the loss at every point of the chunk.
+    enters once, unbatched. A chunk holds up to CHUNK_POINTS points, and its
+    pointed copies (points x the summed nbytes of the segments it perturbs)
+    stay within POINTED_BYTES unless it is one point. A loss that comes back
+    unpointed (the chunk perturbs nothing the loss reads) is the loss at
+    every point of the chunk.
     """
     outside = coords[(coords < 0) | (coords >= params.size)]
     if outside.size:
         raise ValueError(f"coordinate {outside[0]} is outside a parameter vector of size {params.size}")
     names = params.names
     starts = np.array([params.segment_slice(n)[0] for n in names])
+    nbytes = np.array([params[n].nbytes for n in names])
+    owner = np.searchsorted(starts, coords, side="right") - 1
     base = as_leaves(params)
     values = np.empty(len(coords))
-    for lo in range(0, len(coords), CHUNK_POINTS):
-        c, d = coords[lo : lo + CHUNK_POINTS], deltas[lo : lo + CHUNK_POINTS]
+    lo = 0
+    while lo < len(coords):
+        hi = min(lo + CHUNK_POINTS, len(coords))
+        while (hi - lo) * nbytes[used := np.unique(owner[lo:hi])].sum() > POINTED_BYTES and hi - lo > 1:
+            hi = lo + max(1, POINTED_BYTES // nbytes[used].sum())
+        c, d = coords[lo:hi], deltas[lo:hi]
         rows = np.arange(len(c))
         leaves = dict(base)
-        for s in np.unique(np.searchsorted(starts, c, side="right") - 1):
+        for s in used:
             seg = params[names[s]]
             start, stop = params.segment_slice(names[s])
             pts = np.tile(seg.reshape(-1), (len(c), 1))
@@ -161,7 +171,8 @@ def _loss_at(loss_fn: LossFn, params: ParamVector, batch, coords: np.ndarray, de
         loss = loss_fn(leaves, batch)
         if loss.size != loss.points:
             raise ValueError(f"loss_fn must return one scalar per point, got shape {loss.shape}")
-        values[lo : lo + len(c)] = loss.data.reshape(-1)
+        values[lo:hi] = loss.data.reshape(-1)
+        lo = hi
     return values
 
 
@@ -213,8 +224,8 @@ def sampled_cross_hessian_max(
     """
     if not 0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
+    if isinstance(probes, bool) or not isinstance(probes, (int, np.integer)) or probes < 1:
+        raise ValueError(f"probes must be an integer >= 1, got {probes!r}")
     pairs = []
     for b, (names_a, names_b, seed) in enumerate(blocks):
         if not names_a or not names_b:

@@ -349,7 +349,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     # which keeps the result bitwise equal to the masked two-branch form.
     e = np.negative(x)
     np.exp(np.minimum(x, e, out=e), out=e)
-    out = np.where(x >= 0, 1.0, e)
+    out = np.maximum(e, x >= 0)  # 1.0 where x >= 0; e (>= 0, or NaN) below
     e += 1.0
     out /= e
     return out

@@ -234,7 +234,7 @@ def hessian_block_audit(
     """
     loss_fn = two_mode_loss_fn(model, list(batch0) + list(batch1))
     g = model.groups()
-    # expert-only blocks first: fewer chunks then carry pointed shared (alpha) segments
+    # expert-only blocks first, so the alpha points (pointed from the shared segments on) come last
     blocks = {"cross_beta0_beta1": (g["beta0"], g["beta1"], seed), "beta0_beta0": (g["beta0"], g["beta0"], seed + 3),
               "alpha_beta0": (g["alpha"], g["beta0"], seed + 1), "alpha_beta1": (g["alpha"], g["beta1"], seed + 2)}
     maxima = sampled_cross_hessian_max(

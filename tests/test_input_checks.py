@@ -104,6 +104,12 @@ INPUT_CHECKS = {
                          ValueError, "step must be positive and finite, got nan"),
     "hessian-step-inf": (lambda: sampled_cross_hessian_max(squares, PV, None, [(["w"], ["w"], 0)], step=INF),
                          ValueError, "step must be positive and finite, got inf"),
+    "hessian-probes-bool": (lambda: sampled_cross_hessian_max(squares, PV, None, [(["w"], ["w"], 0)], probes=True),
+                            ValueError, "probes must be an integer >= 1, got True"),
+    "hessian-probes-float": (lambda: sampled_cross_hessian_max(squares, PV, None, [(["w"], ["w"], 0)], probes=4.0),
+                             ValueError, "probes must be an integer >= 1, got 4.0"),
+    "hessian-probes-string": (lambda: sampled_cross_hessian_max(squares, PV, None, [(["w"], ["w"], 0)], probes="4"),
+                              ValueError, "probes must be an integer >= 1, got '4'"),
     "segment-slice-unknown-name": (lambda: PV.segment_slice("v"), KeyError, "'v'"),
     "value-and-grad-non-scalar-loss": (lambda: value_and_grad(lambda leaves, _: leaves["w"], PV, None), ValueError,
                                        r"loss_fn must return a scalar, got shape \(3,\)"),

@@ -4,18 +4,29 @@ One forward over pointed leaves evaluates K parameter points; each point's
 loss must equal, bit for bit, a forward at that point alone. The batched
 oracles must equal their one-point-per-forward loops bit for bit, and the
 Hessian audit's one pass over its four blocks must equal the blocks probed
-one at a time.
+one at a time. However ``_loss_at`` splits points into chunks, the oracles
+return the same bytes, and no chunk of two or more points holds more than
+POINTED_BYTES of pointed segment copies.
 """
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from routelock import theory
+from routelock import params, theory
 from routelock.model import ExpertCallRecorder, ModelConfig, ModelParams, causal_mask, rope_tables
-from routelock.params import CHUNK_POINTS, _loss_at, as_leaves, finite_diff_grad, sampled_cross_hessian_max
+from routelock.params import (
+    CHUNK_POINTS,
+    POINTED_BYTES,
+    _loss_at,
+    as_leaves,
+    central_differences,
+    finite_diff_grad,
+    sampled_cross_hessian_max,
+)
 from routelock.synth import SynthTaskSpec, generate_synth_dataset
 from routelock.tensor import Tensor, attention, linear, rotary_tables, swiglu
 from routelock.trainer import split_by_mode, two_mode_loss_fn
@@ -157,23 +168,83 @@ def test_audit_equals_its_blocks_probed_alone_bitwise(probes, seed):
         assert np.float64(got).tobytes() == np.float64(alone).tobytes()
 
 
-@pytest.mark.parametrize("probes, forwards", [(1, 1), (4, 1), (16, 4), (24, 6)])
-def test_audit_is_one_batched_pass(monkeypatch, probes, forwards):
-    # four blocks x probes x a 4-point stencil, CHUNK_POINTS points per loss_fn call
-    calls = []
+class PointedCalls:
+    """Records (points, bytes of pointed leaves) for each call of the loss_fns it wraps."""
 
-    def counted_loss_fn(model, dataset):
-        loss_fn = two_mode_loss_fn(model, dataset)
+    def __init__(self, monkeypatch=None):
+        self.calls = []
+        if monkeypatch is not None:  # the Hessian audit builds its loss_fn inside theory
+            monkeypatch.setattr(theory, "two_mode_loss_fn", lambda m, data: self.wrap(two_mode_loss_fn(m, data)))
 
-        def counted(leaves, batch):
-            calls.append(1)
+    def wrap(self, loss_fn):
+        def recorded(leaves, batch):
+            pointed = [t for t in leaves.values() if t.pointed]
+            self.calls.append((pointed[0].shape[0] if pointed else 0, sum(t.data.nbytes for t in pointed)))
             return loss_fn(leaves, batch)
 
-        return counted
+        return recorded
 
-    monkeypatch.setattr(theory, "two_mode_loss_fn", counted_loss_fn)
+
+@pytest.mark.parametrize("probes, forwards", [(1, 1), (4, 1), (16, 1), (24, 2)])
+def test_audit_is_one_batched_pass(monkeypatch, probes, forwards):
+    # four blocks x probes x a 4-point stencil, CHUNK_POINTS points per loss_fn call
+    # (at C1 size no chunk reaches POINTED_BYTES)
+    rec = PointedCalls(monkeypatch)
     theory.hessian_block_audit(*audit_setup(0), probes=probes, seed=0)
-    assert len(calls) == forwards == math.ceil(16 * probes / CHUNK_POINTS)
+    assert len(rec.calls) == forwards == math.ceil(16 * probes / CHUNK_POINTS)
+
+
+def demo_oracle_setup():
+    """A demo-width model (d_model 64) over 4 synthetic examples, split by mode."""
+    data, vocab = generate_synth_dataset(SynthTaskSpec(modulus=10, n_problems=2, seed=0))
+    cfg = ModelConfig(vocab_size=len(vocab), d_model=64, n_layers=2, n_heads=4, d_ff=128, max_seq=32)
+    return (ModelParams.init_random(cfg, seed=0), *split_by_mode(data))
+
+
+def oracle_bytes(model, d0, d1, fd_names, coords, probes):
+    """finite_diff_grad over ``fd_names``, central_differences at ``coords`` and the Hessian audit, as bytes."""
+    loss_fn, pv = theory.two_mode_loss_fn(model, d0 + d1), model.params  # theory's name, as PointedCalls patches it
+    fixed = as_leaves(pv)
+    fd = finite_diff_grad(lambda leaves, batch: loss_fn({**fixed, **leaves}, batch), pv.restricted(fd_names), None)
+    cd = central_differences(loss_fn, pv, None, coords)
+    audit = theory.hessian_block_audit(model, d0, d1, probes=probes, seed=0)
+    return fd.flatten().tobytes(), cd.tobytes(), np.array(dataclasses.astuple(audit)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "setup, fd_names, n_coords, probes",
+    [
+        # the 300 central-difference points take more than one chunk at every cap
+        (lambda: audit_setup(0), ["layer0.ln2", "final_norm"], 150, 4),
+        # the byte bound shrinks the chunks of the random coordinates and of the audit's alpha blocks
+        (demo_oracle_setup, ["final_norm"], 48, 2),
+    ],
+    ids=["c1", "demo"],
+)
+def test_oracles_do_not_depend_on_the_chunk_rule(monkeypatch, setup, fd_names, n_coords, probes):
+    model, d0, d1 = setup()
+    coords = np.random.default_rng(3).choice(model.params.size, size=n_coords, replace=False)
+    ref = oracle_bytes(model, d0, d1, fd_names, coords, probes)
+    for cap, limit in ((1, POINTED_BYTES), (7, POINTED_BYTES), (256, POINTED_BYTES), (256, 1)):
+        monkeypatch.setattr(params, "CHUNK_POINTS", cap)
+        monkeypatch.setattr(params, "POINTED_BYTES", limit)
+        rec = PointedCalls(monkeypatch)
+        assert oracle_bytes(model, d0, d1, fd_names, coords, probes) == ref, (cap, limit)
+        assert max(points for points, _ in rec.calls) <= (1 if limit == 1 else cap)
+
+
+def test_demo_width_forwards_hold_at_most_pointed_bytes(monkeypatch):
+    # random coordinates over every segment, then the gradcheck audit's 16 probes (256 points):
+    # each chunk of two or more points stays within the bound, and the bound, not the cap, sets them
+    model, d0, d1 = demo_oracle_setup()
+    rec = PointedCalls(monkeypatch)
+    coords = np.random.default_rng(5).choice(model.params.size, size=64, replace=False)
+    central_differences(rec.wrap(two_mode_loss_fn(model, d0 + d1)), model.params, None, coords)
+    theory.hessian_block_audit(model, d0, d1, probes=16, seed=0)
+    points = [p for p, _ in rec.calls]
+    assert sum(points) == 2 * 64 + 16 * 16
+    assert all(nbytes <= POINTED_BYTES for p, nbytes in rec.calls if p > 1)
+    assert len(rec.calls) > 2  # the cap alone would make one forward of each
 
 
 SEQ, WIDTH, HEADS = 5, 8, 2

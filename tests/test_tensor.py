@@ -298,6 +298,20 @@ NAN_BITS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000123,
 SPECIAL = np.array([np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e308, 1e200])
 
 
+def where_sigmoid(x):
+    """The two-branch sigmoid with its numerator chosen by np.where (1.0 where x >= 0, else e)."""
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def test_sigmoid_bitwise_equals_where_form():
+    # NaNs of both signs and two payloads, signed zeros, infinities, subnormals, and 100k random signs
+    edges = np.array([2.2e-308, -2.2e-308, 709.0, -745.0, 800.0, -800.0])
+    x = np.concatenate([NAN_BITS, SPECIAL, edges, np.random.default_rng(13).normal(scale=20.0, size=100_000)])
+    for arr in (x, x[::3], x[:100_005].reshape(5, 3, -1)):
+        assert _sigmoid(arr).tobytes() == where_sigmoid(arr).tobytes()
+
+
 def special_draws(rng, shape):
     """Normal draws with about a quarter replaced by NaNs, infinities, zeros and extremes."""
     x = rng.normal(scale=5.0, size=shape)
