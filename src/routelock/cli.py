@@ -1,9 +1,9 @@
 """Operator surface: subcommands wiring the modules into runnable experiments.
 
-Subcommands: train, generate, theory, eval, filter, gradcheck. One JSON
-config document drives a run; command-line flags override config fields
-(flag > config > built-in default). ``train``, ``theory`` and ``gradcheck``
-need a seed, as does temperature sampling in ``generate``; greedy
+Subcommands: train, generate, theory, eval, filter. One JSON config
+document drives a run; command-line flags override config fields
+(flag > config > built-in default). ``train`` and ``theory`` need a seed,
+as does temperature sampling in ``generate``; greedy
 ``generate``, ``eval`` and ``filter`` take none. ``main`` resolves a command's
 inputs before the command runs; each command checks its inputs, computes,
 and only then writes, so a command that fails writes nothing. Every command
@@ -126,7 +126,6 @@ CONFIG_INPUTS = {
     "theory": {"seed": REQUIRED, "out": "runs/theory"},
     "eval": {"out": "runs/eval", "lexicon": None},
     "filter": {"out": "runs/filter", "lexicon": None},
-    "gradcheck": {"seed": REQUIRED, "out": "runs/gradcheck"},
 }
 
 
@@ -248,7 +247,7 @@ def cmd_generate(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# claims: theory and gradcheck
+# theory: the claims
 # ---------------------------------------------------------------------------
 
 QUAD_DIM = 8
@@ -307,6 +306,8 @@ def _hessian(model, d0, d1, seed, probes):
 
 
 def _linearization(model, d0, d1, seed, probes):
+    """The route logit gap's linearization assumes equal experts, so it is measured at the twin."""
+    model = model.route0_twin()
     direction = random_expert_direction(model, model.config.n_layers - 1, seed)
     rows = linearization_residual(model, list(d0[0].tokens), direction, [1e-1, 5e-2, 2.5e-2])
     ratios = [b.rel_residual / a.rel_residual for a, b in zip(rows, rows[1:]) if a.rel_residual > 0]
@@ -328,11 +329,9 @@ CLAIMS = {
     "hessian": ("model", _hessian),
     "linearization": ("model", _linearization),
 }
-THEORY_CHECKS = tuple(name for name in CLAIMS if name != "grad-vs-fd")
-GRADCHECK_CHECKS = ("grad-vs-fd", "decoupling", "hessian")
 
 
-def _audit_setup(seed: int, probes: int | None, checkpoint=None):
+def _audit_setup(seed: int, probes: int, checkpoint=None):
     """(model, d0, d1, seed, probes) on a fresh tiny model, or on ``checkpoint``
     with synthetic data in its vocabulary."""
     if checkpoint:
@@ -346,14 +345,22 @@ def _audit_setup(seed: int, probes: int | None, checkpoint=None):
     return (model, *split_by_mode(data), seed, probes)
 
 
-def _run_claims(args, checks, setup, instances: int = 0) -> int:
-    """Write ``<command>_<check>.jsonl`` records {check, inputs_digest, measured, threshold, pass}
-    and one table row per check, ``instances`` records per quadratic claim and one per model
-    claim on the subject ``setup()`` builds; 1 if any record fails. Every claim is measured
+def cmd_theory(args) -> int:
+    """Write ``theory_<check>.jsonl`` records {check, inputs_digest, measured, threshold, pass}
+    and one table row per check, ``--instances`` records per quadratic claim and one per model
+    claim on the tiny model or ``--checkpoint``; 1 if any record fails. Every claim is measured
     before anything is written."""
-    subject = setup() if any(CLAIMS[c][0] == "model" for c in checks) else None
+    if args.instances < 1:
+        raise ConfigError("--instances must be >= 1")
+    if args.probes < 1:
+        raise ConfigError("--probes must be >= 1")
+    args.checks = args.checks.split(",") if args.checks else list(CLAIMS)
+    for c in args.checks:
+        if c not in CLAIMS:
+            raise ConfigError(f"unknown check {c!r}; available: {', '.join(CLAIMS)}")
+    subject = _audit_setup(args.seed, args.probes, args.checkpoint)
     results = {}
-    for check in checks:
+    for check in args.checks:
         kind, measure = CLAIMS[check]
         if kind == "model":
             model, probes = subject[0], subject[-1]
@@ -364,7 +371,7 @@ def _run_claims(args, checks, setup, instances: int = 0) -> int:
             runs = [
                 ((check, args.seed, i), measure(*random_quadratic_pair(
                     QUAD_DIM, args.seed + i, equal_curvature=kind == "equal-curvature"), args.seed, i))
-                for i in range(instances)
+                for i in range(args.instances)
             ]
         results[check] = [
             {
@@ -381,7 +388,7 @@ def _run_claims(args, checks, setup, instances: int = 0) -> int:
     all_ok = True
     print(f"{'check':<18}{'records':>8}{'worst measured':>18}{'pass':>7}")
     for check, records in results.items():
-        _write_jsonl(out / f"{args.command}_{check}.jsonl", records)
+        _write_jsonl(out / f"theory_{check}.jsonl", records)
         ok = all(r["pass"] for r in records)
         all_ok &= ok
         worst = max(r["measured"] for r in records)
@@ -390,22 +397,6 @@ def _run_claims(args, checks, setup, instances: int = 0) -> int:
         print("FAILED checks present", file=sys.stderr)
         return 1
     return 0
-
-
-def cmd_theory(args) -> int:
-    if args.instances < 1:
-        raise ConfigError("--instances must be >= 1")
-    args.checks = args.checks.split(",") if args.checks else list(THEORY_CHECKS)
-    for c in args.checks:
-        if c not in THEORY_CHECKS:
-            raise ConfigError(f"unknown check {c!r}; available: {', '.join(THEORY_CHECKS)}")
-    return _run_claims(args, args.checks, lambda: _audit_setup(args.seed, None), args.instances)
-
-
-def cmd_gradcheck(args) -> int:
-    if args.probes < 1:
-        raise ConfigError("--probes must be >= 1")
-    return _run_claims(args, GRADCHECK_CHECKS, lambda: _audit_setup(args.seed, args.probes, args.checkpoint))
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +410,14 @@ def _eval_records(path) -> list[tuple[Route | None, str, str]]:
     for where, record in read_jsonl(path):
         if "answer" not in record:
             raise DataError(f"{where}: eval records need an \"answer\" field")
+        answer = record["answer"]
+        # a completion is scored against str(answer), which only a string or an integer can match
+        if isinstance(answer, bool) or not isinstance(answer, (str, int)):
+            raise DataError(f"{where}: \"answer\" must be a string or an integer, got {answer!r}")
         if not isinstance(record.get("prompt"), str):
             raise DataError(f"{where}: 'prompt' must be a string")
         mode = None if record.get("mode") is None else record_mode(record, where)
-        out.append((mode, record["prompt"], str(record["answer"])))
+        out.append((mode, record["prompt"], str(answer)))
     return out
 
 
@@ -563,10 +558,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="required for temperature sampling")
     p.set_defaults(fn=cmd_generate)
 
-    p = sub.add_parser("theory", help="run the quadratic-surrogate and curvature checks")
+    p = sub.add_parser("theory", help="check the claims: quadratic surrogates, gradients, decoupling, curvature")
     common(p)
-    p.add_argument("--checks", help=f"comma list from: {', '.join(THEORY_CHECKS)}")
+    p.add_argument("--checks", help=f"comma list from: {', '.join(CLAIMS)} (default all)")
     p.add_argument("--instances", type=int, default=100)
+    p.add_argument("--checkpoint", help="check this checkpoint instead of a fresh tiny model")
+    p.add_argument("--probes", type=int, default=64,
+                   help="coordinates the gradient check samples (default 64)")
     p.add_argument("--inject-error", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_theory)
 
@@ -588,14 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=8)
     p.add_argument("--lexicon")
     p.set_defaults(fn=cmd_filter)
-
-    p = sub.add_parser("gradcheck", help="gradient, decoupling, and curvature audits")
-    common(p)
-    p.add_argument("--checkpoint", help="audit this checkpoint instead of a fresh tiny model")
-    p.add_argument("--probes", type=int, default=64,
-                   help="coordinates the gradient check samples (default 64)")
-    p.add_argument("--inject-error", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(fn=cmd_gradcheck)
 
     return parser
 

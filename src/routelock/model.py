@@ -176,6 +176,12 @@ class ModelParams:
     def with_params(self, pv: ParamVector) -> "ModelParams":
         return replace(self, params=pv)
 
+    def route0_twin(self) -> "ModelParams":
+        """This model with each expert 1 segment a copy of its expert 0 segment: the equal-experts
+        state a clone starts in, so a clone's twin is the clone bitwise."""
+        pv = self.params
+        return self.with_params(ParamVector((n, pv[n.replace(".expert1.", ".expert0.")].copy()) for n in pv.names))
+
     def expert_index(self, route: Route | int | None) -> int | None:
         """The expert ``route`` selects: None in the dense layout, whose one MLP runs for every
         route; in the routed layout, the route, which is required."""

@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_field
+from .errors import DataError, check_field
 from .model import (
     ModelParams,
     _swiglu_at,
@@ -92,20 +92,14 @@ class TrainConfig:
     optimizer: str = "sgd"  # sgd | sgd_momentum
     momentum: float = 0.9
     reduction: str = "example_mean"  # example_mean | token_sum
-    shuffle: bool = True
     update_segments: str = "all"  # all | experts_only (freezes the shared backbone)
-    grad_clip: float | None = None  # global-norm clip; breaks the exact step identities
 
     def __post_init__(self):
         check_field(self, "learning_rate", numbers.Real, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
         check_field(self, "momentum", numbers.Real, lambda v: 0 <= v < 1, "a number in [0, 1)")
-        if self.grad_clip is not None:
-            check_field(self, "grad_clip", numbers.Real, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
         check_field(self, "epochs", numbers.Integral, lambda v: v >= 1, "an integer >= 1")
         check_field(self, "batch_size", numbers.Integral, lambda v: v >= 1, "an integer >= 1")
         check_field(self, "seed", numbers.Integral, lambda v: v >= 0, "an integer >= 0")
-        if not isinstance(self.shuffle, bool):
-            raise ConfigError(f"shuffle must be true or false, got {self.shuffle!r}")
         for name, choices in (("optimizer", ("sgd", "sgd_momentum")), ("reduction", ("example_mean", "token_sum")),
                               ("update_segments", ("all", "experts_only"))):
             check_field(self, name, str, lambda v: v in choices, "one of " + ", ".join(map(repr, choices)))
@@ -282,14 +276,11 @@ def train(
         chunks = []
         for pool, rng in zip(pools, rngs):
             pool = list(pool)
-            if cfg.shuffle:
-                rng.shuffle(pool)
+            rng.shuffle(pool)
             chunks.append([pool[i : i + cfg.batch_size] for i in range(0, len(pool), cfg.batch_size)])
         for batch in (b for pair in itertools.zip_longest(*chunks) for b in pair if b):
             route = batch[0].mode
             loss, grads = mode_loss_grad(model.with_params(params), batch, cfg.reduction)
-            if cfg.grad_clip is not None and (gnorm := grads.norm()) > cfg.grad_clip:
-                grads = ParamVector((n, g * (cfg.grad_clip / gnorm)) for n, g in grads.items())
 
             expert = model.expert_index(route)
             active = dict(grads.items()) if expert is None else _expert_slice(grads, expert)

@@ -155,31 +155,43 @@ def test_theory_record_count_contract(tmp_path):
     assert set(record) == {"check", "inputs_digest", "measured", "threshold", "pass"}
 
 
+MODEL_AUDIT = ["--checks", "grad-vs-fd,decoupling,hessian"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, files",
     [
-        ["theory", "--seed", "3", "--instances", "5"],
-        ["gradcheck", "--seed", "2", "--probes", "8"],
+        (["theory", "--seed", "3", "--instances", "5"], 9),
+        (["theory", "--seed", "2", "--probes", "8", *MODEL_AUDIT], 3),
     ],
-    ids=["theory", "gradcheck"],
+    ids=["theory", "model-audit"],
 )
-def test_inject_error_fails_every_record(tmp_path, argv):
+def test_inject_error_fails_every_record(tmp_path, argv, files):
     out = tmp_path / "o"
     assert main([*argv, "--inject-error", "--out", str(out)]) == 1
-    files = sorted(out.glob(f"{argv[0]}_*.jsonl"))
-    assert len(files) == (8 if argv[0] == "theory" else 3)
-    records = [json.loads(line) for path in files for line in path.read_text().splitlines()]
+    paths = sorted(out.glob("theory_*.jsonl"))
+    assert len(paths) == files
+    records = [json.loads(line) for path in paths for line in path.read_text().splitlines()]
     assert records and all(r["pass"] is False for r in records)
 
 
-def test_gradcheck_shares_theory_records(tmp_path):
-    g, t = tmp_path / "g", tmp_path / "t"
-    assert main(["gradcheck", "--seed", "2", "--probes", "8", "--out", str(g)]) == 0
-    assert main(["theory", "--seed", "2", "--checks", "decoupling,hessian", "--out", str(t)]) == 0
-    for check in ("decoupling", "hessian"):
-        shared = (g / f"gradcheck_{check}.jsonl").read_bytes()
-        assert shared == (t / f"theory_{check}.jsonl").read_bytes()
-        assert set(json.loads(shared)) == {"check", "inputs_digest", "measured", "threshold", "pass"}
+def test_theory_checkpoint_passes_every_claim(tmp_path):
+    """Every claim, the linearization included, holds on a trained checkpoint of CI's smoke size."""
+    write_dataset(tmp_path / "data.jsonl", n_problems=20)
+    cfg = {"model": {"d_model": 8, "n_layers": 1, "n_heads": 2, "d_ff": 12, "max_seq": 32},
+           "train": {"learning_rate": 0.1, "batch_size": 8}, "seed": 3}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    ckpt = tmp_path / "run" / "model.ple"
+    assert main(["train", "--config", str(tmp_path / "cfg.json"), "--dataset", str(tmp_path / "data.jsonl"),
+                 "--out", str(tmp_path / "run")]) == 0
+    # training separated the experts, which the linearization claim assumes equal
+    model = load_checkpoint(ckpt)
+    assert model.route0_twin().params.flatten().tobytes() != model.params.flatten().tobytes()
+    out = tmp_path / "t"
+    assert main(["theory", "--seed", "0", "--instances", "5", "--checkpoint", str(ckpt), "--out", str(out)]) == 0
+    records = {p.stem: [json.loads(line) for line in p.read_text().splitlines()] for p in out.glob("theory_*.jsonl")}
+    assert sorted(records) == sorted(f"theory_{c}" for c in cli.CLAIMS)
+    assert all(r["pass"] for rows in records.values() for r in rows)
 
 
 @pytest.mark.parametrize("instances", ["0", "-2"])
@@ -266,13 +278,13 @@ def test_filter_parse_error_names_line(tmp_path, capsys):
     assert ":2" in capsys.readouterr().err
 
 
-def test_gradcheck_passes(tmp_path):
-    rc = main(["gradcheck", "--seed", "2", "--probes", "16", "--out", str(tmp_path / "g")])
+def test_theory_model_audit_passes(tmp_path):
+    rc = main(["theory", "--seed", "2", "--probes", "16", *MODEL_AUDIT, "--out", str(tmp_path / "g")])
     assert rc == 0
 
 
-def test_gradcheck_probe_validation(tmp_path, capsys):
-    rc = main(["gradcheck", "--seed", "2", "--probes", "0", "--out", str(tmp_path / "g")])
+def test_theory_probe_validation(tmp_path, capsys):
+    rc = main(["theory", "--seed", "2", "--probes", "0", *MODEL_AUDIT, "--out", str(tmp_path / "g")])
     assert rc != 0
 
 
@@ -353,6 +365,18 @@ def test_eval_baseline_rows_do_not_replace_current_rows(trained, capsys):
         assert float(rows[("baseline", mode)][3]) == 99.0
 
 
+def test_eval_scores_an_integer_answer_as_its_string(tmp_path):
+    small_checkpoint(tmp_path / "small.ple")
+    reports = []
+    for answer in (1, "1"):
+        (tmp_path / "eval.jsonl").write_text(json.dumps({"prompt": "compute", "answer": answer}) + "\n")
+        out = tmp_path / f"ev{answer!r}"
+        assert main(["eval", "--checkpoint", str(tmp_path / "small.ple"), "--dataset", str(tmp_path / "eval.jsonl"),
+                     "--max-new", "4", "--out", str(out)]) == 0
+        reports.append((out / "leakage_report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_eval_baseline_deltas_compare_like_modes(tmp_path):
     small_checkpoint(tmp_path / "small.ple")
     (tmp_path / "eval.jsonl").write_text(json.dumps({"prompt": "compute", "answer": "1"}) + "\n")
@@ -371,14 +395,14 @@ def test_eval_baseline_deltas_compare_like_modes(tmp_path):
         assert float(rows[("model", mode)][6]) == pytest.approx(length - base_length, abs=1e-4)
 
 
-def test_gradcheck_checkpoint_uses_checkpoint_vocabulary(tmp_path):
+def test_theory_checkpoint_uses_checkpoint_vocabulary(tmp_path):
     vocab = Vocabulary(["compute", "plus", "mod"])
     cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_layers=2, n_heads=2, d_ff=12, max_seq=32)
     ckpt = tmp_path / "small.ple"
     save_checkpoint(ModelParams.init_random(cfg, seed=4), ckpt)
     vocab.save(tmp_path / "small.vocab.txt")
     assert len(vocab) == 9
-    rc = main(["gradcheck", "--seed", "2", "--probes", "8", "--checkpoint", str(ckpt),
+    rc = main(["theory", "--seed", "2", "--probes", "8", *MODEL_AUDIT, "--checkpoint", str(ckpt),
                "--out", str(tmp_path / "g")])
     assert rc == 0
 
@@ -401,10 +425,10 @@ def test_generate_non_finite_checkpoint_is_one_error_line(tmp_path, capsys):
 
 
 def first_digests(out) -> dict[str, str]:
-    return {p.stem: json.loads(p.read_text().splitlines()[0])["inputs_digest"] for p in out.glob("gradcheck_*.jsonl")}
+    return {p.stem: json.loads(p.read_text().splitlines()[0])["inputs_digest"] for p in out.glob("theory_*.jsonl")}
 
 
-def test_gradcheck_digests_name_the_model_and_probes(tmp_path):
+def test_theory_digests_name_the_model_and_probes(tmp_path):
     ckpt = tmp_path / "small.ple"
     save_checkpoint(ModelParams.init_random(ModelConfig(9, 8, 2, 2, 12, 32), seed=4), ckpt)
     Vocabulary(["compute", "plus", "mod"]).save(tmp_path / "small.vocab.txt")
@@ -414,15 +438,15 @@ def test_gradcheck_digests_name_the_model_and_probes(tmp_path):
         "ckpt16": ["--probes", "16", "--checkpoint", str(ckpt)],
     }
     for name, flags in runs.items():
-        main(["gradcheck", "--seed", "2", *flags, "--out", str(tmp_path / name)])
+        main(["theory", "--seed", "2", *MODEL_AUDIT, *flags, "--out", str(tmp_path / name)])
     tiny16, tiny64, ckpt16 = (first_digests(tmp_path / name) for name in runs)
     assert len(tiny16) == 3
     # another model at the same seed: every record's inputs differ
     assert all(ckpt16[check] != digest for check, digest in tiny16.items())
     # --probes is an input of the gradient check only
-    assert tiny64["gradcheck_grad-vs-fd"] != tiny16["gradcheck_grad-vs-fd"]
-    assert {c: d for c, d in tiny64.items() if c != "gradcheck_grad-vs-fd"} == {
-        c: d for c, d in tiny16.items() if c != "gradcheck_grad-vs-fd"
+    assert tiny64["theory_grad-vs-fd"] != tiny16["theory_grad-vs-fd"]
+    assert {c: d for c, d in tiny64.items() if c != "theory_grad-vs-fd"} == {
+        c: d for c, d in tiny16.items() if c != "theory_grad-vs-fd"
     }
 
 
@@ -588,8 +612,9 @@ def with_lexicon(text, build):
 LARGE = ["compute", "plus", "mod", "x", "y"]  # 11 tokens; "y" is id 10
 OPERATOR_ERRORS = {
     "train-diverges": (diverging_train, ["non-finite loss"]),
-    "train-grad-clip-negative": (train_with(grad_clip=-1.0), ["grad_clip", "-1.0"]),
-    "train-grad-clip-zero": (train_with(grad_clip=0), ["grad_clip", "got 0"]),
+    # batches are always shuffled with the seeded generator, and gradients are never clipped
+    "train-grad-clip": (train_with(grad_clip=1.0), ['section "train"', "grad_clip"]),
+    "train-shuffle": (train_with(shuffle=False), ['section "train"', "shuffle"]),
     "train-momentum-not-a-number": (train_with(optimizer="sgd_momentum", momentum="a"), ["momentum", "'a'"]),
     "train-epochs-zero": (train_with(epochs=0), ["epochs", "got 0"]),
     "train-learning-rate-nan": (train_with(learning_rate=float("nan")), ["learning_rate", "nan"]),
@@ -654,6 +679,17 @@ OPERATOR_ERRORS = {
     "eval-record-without-answer": (eval_with(None, record={"prompt": "compute"}), ["eval.jsonl:1", '"answer"']),
     "eval-prompt-not-a-string": (eval_with(None, record={"prompt": 3, "answer": "1"}),
                                  ["eval.jsonl:1", "'prompt'", "string"]),
+    # str() of these would be scored as "None", "True", "['2']", "{'a': 2}" and "2.0", which no completion matches
+    "eval-answer-null": (eval_with(None, record={"prompt": "compute", "answer": None}),
+                         ["eval.jsonl:1", '"answer"', "None"]),
+    "eval-answer-bool": (eval_with(None, record={"prompt": "compute", "answer": True}),
+                         ["eval.jsonl:1", '"answer"', "True"]),
+    "eval-answer-list": (eval_with(None, record={"prompt": "compute", "answer": ["2"]}),
+                         ["eval.jsonl:1", '"answer"', "['2']"]),
+    "eval-answer-object": (eval_with(None, record={"prompt": "compute", "answer": {"a": 2}}),
+                           ["eval.jsonl:1", '"answer"', "{'a': 2}"]),
+    "eval-answer-float": (eval_with(None, record={"prompt": "compute", "answer": 2.0}),
+                          ["eval.jsonl:1", '"answer"', "2.0"]),
     "eval-baseline-invalid-json": (with_file("base.json", "{", "eval", "--checkpoint", "{dir}/small.ple",
                                              "--dataset", "{dir}/eval.jsonl", "--out", "{dir}/ev",
                                              "--baseline", "{dir}/base.json"),
@@ -668,9 +704,9 @@ OPERATOR_ERRORS = {
     "generate-checkpoint-renamed-segment": (
         generate_on_edited_checkpoint(lambda b: b.replace(b'"lm_head"', b'"lm_hexd"')), ["small.ple", "manifest"]),
     "generate-max-new-negative": (generate_with("--max-new", "-1"), ["max_new", ">= 0"]),
-    "gradcheck-vocab-smaller": (with_vocab(["compute"], "gradcheck", "--seed", "2", "--probes", "8",
-                                           "--checkpoint", "{dir}/other.ple", "--out", "{dir}/g"),
-                                ["other.vocab.txt", "other.ple", "7", "9"]),
+    "theory-vocab-smaller": (with_vocab(["compute"], "theory", "--seed", "2", "--probes", "8",
+                                        "--checkpoint", "{dir}/other.ple", "--out", "{dir}/g"),
+                             ["other.vocab.txt", "other.ple", "7", "9"]),
     "generate-seed-not-an-integer": (generate_with("--temp", "1.0", config={"seed": "abc"}),
                                      ["seed", "'abc'"]),
     "generate-temperature-zero": (generate_with("--temp", "0", "--seed", "1"), ["temperature", "0.0"]),
@@ -679,6 +715,9 @@ OPERATOR_ERRORS = {
     "generate-temperature-inf": (generate_with("--temp", "inf", "--seed", "1"), ["temperature", "finite", "inf"]),
     "generate-temperature-overflows": (generate_with("--temp", "1e-320", "--seed", "1"),
                                        ["temperature", "1e-320", "overflow"]),
+    # the checkpoint is read and checked even when no model claim runs
+    "theory-checkpoint-missing": (lambda d: ["theory", "--seed", "3", "--checks", "stationarity", "--checkpoint",
+                                             str(d / "missing.ple"), "--out", str(d / "t")], ["missing.ple"]),
     "theory-unknown-check": (lambda d: ["theory", "--seed", "3", "--checks", "nope", "--out", str(d / "t")],
                              ["'nope'", "stationarity"]),
     "filter-max-len-zero": (filter_with("--max-len", "0"), ["max_len"]),

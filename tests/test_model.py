@@ -51,6 +51,25 @@ def test_clone_experts_bitwise_equal(tiny):
             assert arr.tobytes() == tiny.params[twin].tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_route0_twin_of_a_clone_is_the_model_bitwise(seed):
+    model = ModelParams.init_random(TINY_CFG, seed)
+    twin = model.route0_twin()
+    assert twin.config == model.config and twin.params.names == model.params.names
+    assert twin.params.flatten().tobytes() == model.params.flatten().tobytes()
+
+
+def test_route0_twin_copies_expert0_over_expert1():
+    model = tiny_model()
+    moved = model.with_params(ParamVector((n, a * 3 if ".expert1." in n else a) for n, a in model.params.items()))
+    twin = moved.route0_twin()
+    for name, arr in twin.params.items():
+        source = name.replace(".expert1.", ".expert0.")
+        assert arr.tobytes() == moved.params[source].tobytes()
+        assert arr is not moved.params[source]
+    assert tiny_dense().route0_twin().params.flatten().tobytes() == tiny_dense().params.flatten().tobytes()
+
+
 def test_parameter_count_identity():
     cfg = ModelConfig(vocab_size=64, d_model=16, n_layers=2, n_heads=2, d_ff=32, max_seq=16)
     dense = ModelParams.init_dense(cfg, seed=0)

@@ -234,7 +234,7 @@ def test_oracles_do_not_depend_on_the_chunk_rule(monkeypatch, setup, fd_names, n
 
 
 def test_demo_width_forwards_hold_at_most_pointed_bytes(monkeypatch):
-    # random coordinates over every segment, then the gradcheck audit's 16 probes (256 points):
+    # random coordinates over every segment, then the hessian claim's 16 probes (256 points):
     # each chunk of two or more points stays within the bound, and the bound, not the cap, sets them
     model, d0, d1 = demo_oracle_setup()
     rec = PointedCalls(monkeypatch)
