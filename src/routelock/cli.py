@@ -33,32 +33,17 @@ from .leakage import (
     reports_to_csv,
 )
 from .model import ModelConfig, ModelParams, generate
-from .params import central_differences, max_relative_error, value_and_grad
-from .theory import (
-    conflict_gap,
-    dense_optimum,
-    equal_curvature_gap,
-    fixed_backbone_dominance,
-    hessian_block_audit,
-    linearization_residual,
-    random_expert_direction,
-    random_quadratic_pair,
-    verify_interference_on_quadratic,
-)
+from .theory import CLAIMS, audit_subject, quadratic_subject
 from .tokenizer import Route, UNK_ID, Vocabulary, decode, encode_prompt
 from .trainer import (
     MODE_NAMES,
     TrainConfig,
     example_from_record,
-    mode_loss_grad,
     read_jsonl,
     record_fields,
     record_mode,
-    split_by_mode,
     train,
-    two_mode_loss_fn,
 )
-from .synth import SynthTaskSpec, generate_synth_dataset
 
 
 def _digest(*parts) -> str:
@@ -247,102 +232,8 @@ def cmd_generate(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# theory: the claims
+# theory
 # ---------------------------------------------------------------------------
-
-QUAD_DIM = 8
-
-
-def _stationarity(m0, m1, seed, i):
-    bd = dense_optimum(m0, m1)
-    return np.linalg.norm(m0.pi * m0.grad(bd) + m1.pi * m1.grad(bd)), 1e-10, None
-
-
-def _conflict_gap(m0, m1, seed, i):
-    gap = conflict_gap(m0, m1)
-    split, dense, _ = fixed_backbone_dominance(m0, m1)
-    return max(abs(gap - (dense - split)), -min(gap, 0.0)), 1e-10, None
-
-
-def _equal_curvature(m0, m1, seed, i):
-    closed = equal_curvature_gap(m0.H, m0.beta_star, m1.beta_star, m0.pi)
-    return abs(conflict_gap(m0, m1) - closed), 1e-10, None
-
-
-def _dominance(m0, m1, seed, i):
-    split, dense, _ = fixed_backbone_dominance(m0, m1)
-    return split - dense, 1e-12, None
-
-
-def _interference(m0, m1, seed, i):
-    beta = np.random.default_rng(seed + 1000 + i).normal(size=QUAD_DIM)
-    rep = verify_interference_on_quadratic(m0, m1, beta, eta=1e-4)
-    ok = rep.sign_consistent and rep.split_change <= rep.split_second_order + 1e-15
-    return rep.dense_change - rep.first_order, rep.second_order_bound, ok
-
-
-def _grad_vs_fd(model, d0, d1, seed, probes):
-    """Reverse mode against central differences on ``probes`` sampled coordinates."""
-    loss_fn = two_mode_loss_fn(model, d0[:4])
-    _, grads = value_and_grad(loss_fn, model.params, None)
-    size = model.params.size
-    coords = np.random.default_rng(seed).choice(size, size=min(probes, size), replace=False)
-    fd = central_differences(loss_fn, model.params, None, coords, step=1e-5)
-    return max_relative_error(grads.flatten()[coords], fd), 1e-5, None
-
-
-def _decoupling(model, d0, d1, seed, probes):
-    """The inactive (think) expert's gradient on a no-think batch is exactly zero."""
-    _, grads = mode_loss_grad(model, d0[:4])
-    worst = max(float(np.max(np.abs(grads[n]))) for n in grads.names if ".expert1." in n)
-    return worst, 0.0, None
-
-
-def _hessian(model, d0, d1, seed, probes):
-    """The cross-expert curvature vanishes; the alpha-expert and within-expert controls do not."""
-    rep = hessian_block_audit(model, d0[:4], d1[:4], probes=16, seed=seed)
-    ok = rep.cross_beta0_beta1 <= 1e-6 and rep.beta0_beta0 > 1e-4 and rep.alpha_beta0 > 1e-4
-    return rep.cross_beta0_beta1, 1e-6, ok
-
-
-def _linearization(model, d0, d1, seed, probes):
-    """The route logit gap's linearization assumes equal experts, so it is measured at the twin."""
-    model = model.route0_twin()
-    direction = random_expert_direction(model, model.config.n_layers - 1, seed)
-    rows = linearization_residual(model, list(d0[0].tokens), direction, [1e-1, 5e-2, 2.5e-2])
-    ratios = [b.rel_residual / a.rel_residual for a, b in zip(rows, rows[1:]) if a.rel_residual > 0]
-    return max(ratios) if ratios else 0.0, 0.6, None
-
-
-# Each claim: (subject, measure). A measure returns (measured, threshold, ok), where
-# ok None means measured <= threshold. Quadratic measures take (m0, m1, seed, i) and
-# run once per random instance, drawn with equal curvature for "equal-curvature";
-# model measures take the audit setup (model, d0, d1, seed, probes) and run once.
-CLAIMS = {
-    "stationarity": ("quadratic", _stationarity),
-    "conflict-gap": ("quadratic", _conflict_gap),
-    "equal-curvature": ("equal-curvature", _equal_curvature),
-    "dominance": ("quadratic", _dominance),
-    "interference": ("quadratic", _interference),
-    "grad-vs-fd": ("model", _grad_vs_fd),
-    "decoupling": ("model", _decoupling),
-    "hessian": ("model", _hessian),
-    "linearization": ("model", _linearization),
-}
-
-
-def _audit_setup(seed: int, probes: int, checkpoint=None):
-    """(model, d0, d1, seed, probes) on a fresh tiny model, or on ``checkpoint``
-    with synthetic data in its vocabulary."""
-    if checkpoint:
-        model = load_checkpoint(checkpoint)
-        spec = SynthTaskSpec(modulus=5, n_problems=4, seed=seed)
-        data, _ = generate_synth_dataset(spec, _load_vocab(checkpoint, model))
-    else:
-        data, vocab = generate_synth_dataset(SynthTaskSpec(modulus=5, n_problems=6, seed=seed))
-        cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_layers=2, n_heads=2, d_ff=12, max_seq=24)
-        model = ModelParams.init_random(cfg, seed)
-    return (model, *split_by_mode(data), seed, probes)
 
 
 def cmd_theory(args) -> int:
@@ -358,21 +249,22 @@ def cmd_theory(args) -> int:
     for c in args.checks:
         if c not in CLAIMS:
             raise ConfigError(f"unknown check {c!r}; available: {', '.join(CLAIMS)}")
-    subject = _audit_setup(args.seed, args.probes, args.checkpoint)
+    model = vocab = None
+    if args.checkpoint:
+        model = load_checkpoint(args.checkpoint)
+        vocab = _load_vocab(args.checkpoint, model)
+    subject = audit_subject(args.seed, model, vocab)
     results = {}
     for check in args.checks:
         kind, measure = CLAIMS[check]
         if kind == "model":
-            model, probes = subject[0], subject[-1]
             # the subject's parameters are an input of every model claim; --probes only of grad-vs-fd
-            key = (check, args.seed, _params_digest(model)) + ((probes,) if check == "grad-vs-fd" else ())
-            runs = [(key, measure(*subject))]
+            probes = (args.probes,) if check == "grad-vs-fd" else ()
+            key = (check, args.seed, _params_digest(subject[0]), *probes)
+            runs = [(key, measure(*subject, args.seed, *probes))]
         else:
-            runs = [
-                ((check, args.seed, i), measure(*random_quadratic_pair(
-                    QUAD_DIM, args.seed + i, equal_curvature=kind == "equal-curvature"), args.seed, i))
-                for i in range(args.instances)
-            ]
+            runs = [((check, args.seed, i), measure(*quadratic_subject(kind, args.seed + i), args.seed, i))
+                    for i in range(args.instances)]
         results[check] = [
             {
                 "check": check,

@@ -254,6 +254,3 @@ def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-4) -> flo
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
 
-
-def grads_max_relative_error(a: ParamVector, b: ParamVector, floor: float = 1e-4) -> float:
-    return max_relative_error(a.flatten(), b.flatten(), floor=floor)

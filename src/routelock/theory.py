@@ -1,4 +1,4 @@
-"""Quadratic-surrogate closed forms and model-level curvature/linearization audits.
+"""Quadratic-surrogate closed forms, model-level curvature/linearization audits, and the claims registry.
 
 The local picture: each mode has a quadratic surrogate around its own
 optimum. Forcing one shared weight vector to serve both modes lands at a
@@ -9,6 +9,10 @@ against direct evaluation, probe the cross-expert Hessian block of the
 real training loss (exact zero up to finite-difference noise), verify
 the first-order interference criterion on exact quadratics, and measure
 how well a single downstream linearization predicts the route logit gap.
+
+``CLAIMS`` states each claim ``routelock theory`` checks once: the kind of
+subject it runs on, its measure and, inside the measure, its bound. The
+acceptance tests call the same measures on their own subjects.
 """
 
 from __future__ import annotations
@@ -19,10 +23,19 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, SingularityError
-from .model import ModelParams, _swiglu_at, decoder_logits, mlp_dispatch, mlp_prefix, segment_group
-from .params import as_leaves, euclidean_norm, sampled_cross_hessian_max
+from .model import ModelConfig, ModelParams, _swiglu_at, decoder_logits, mlp_dispatch, mlp_prefix, segment_group
+from .params import (
+    as_leaves,
+    central_differences,
+    euclidean_norm,
+    max_relative_error,
+    sampled_cross_hessian_max,
+    value_and_grad,
+)
+from .synth import SynthTaskSpec, generate_synth_dataset
 from .tensor import Tensor
-from .trainer import ChatExample, two_mode_loss_fn
+from .tokenizer import Vocabulary
+from .trainer import ChatExample, mode_loss_grad, split_by_mode, two_mode_loss_fn
 
 SYM_TOL = 1e-12
 PSD_TOL = -1e-10
@@ -179,11 +192,11 @@ def verify_interference_on_quadratic(
     )
 
 
-def fixed_backbone_dominance(m0: QuadraticMode, m1: QuadraticMode) -> tuple[float, float, bool]:
-    """Split-optima value vs the shared compromise value; split never loses."""
+def fixed_backbone_dominance(m0: QuadraticMode, m1: QuadraticMode) -> tuple[float, float]:
+    """Split-optima value and the shared compromise value; split never loses."""
     split_value = m0.pi * m0.loss(m0.beta_star) + m1.pi * m1.loss(m1.beta_star)
     dense_value = weighted_objective(m0, m1, dense_optimum(m0, m1))
-    return split_value, dense_value, split_value <= dense_value + 1e-12
+    return split_value, dense_value
 
 
 def random_quadratic_pair(dim: int, seed: int, equal_curvature: bool = False) -> tuple[QuadraticMode, QuadraticMode]:
@@ -324,24 +337,120 @@ def linearization_residual(
 
 
 # ---------------------------------------------------------------------------
-# length-mass accounting
+# the claims registry
 # ---------------------------------------------------------------------------
 
+QUAD_DIM = 8  # dimension of the random quadratic instances
+CLOSED_FORM_TOL = 1e-10  # stationarity, conflict-gap and equal-curvature: a closed form against direct evaluation
+INTERFERENCE_ETA = 1e-4  # learning rate of the interference claim's one step
+HESSIAN_CROSS_TOL = 1e-6  # finite-difference noise allowed on the exactly-zero cross-expert block
+LINEARIZATION_RATIO = 0.6  # each halving of eps cuts the relative residual to at most this share
 
-def length_mass_report(dataset: Sequence[ChatExample]) -> dict[str, dict[str, float]]:
-    """Per-mode example counts, mean target length, and total token mass.
 
-    Under a token-summed objective the dense update mass per expert
-    scales with token mass; route locking confines each mode's mass to
-    its own expert (the bitwise-invariance experiment lives in the test
-    suite, with the shared backbone frozen).
-    """
-    out: dict[str, dict[str, float]] = {}
-    for name, route in (("no_think", 0), ("think", 1)):
-        lengths = [len(ex.target_ids) for ex in dataset if int(ex.mode) == route]
-        out[name] = {
-            "count": float(len(lengths)),
-            "mean_target_len": float(np.mean(lengths)) if lengths else 0.0,
-            "token_mass": float(np.sum(lengths)) if lengths else 0.0,
-        }
-    return out
+def quadratic_subject(kind: str, seed: int) -> tuple[QuadraticMode, QuadraticMode]:
+    """The random instance a quadratic claim runs on, drawn with equal curvature for kind "equal-curvature"."""
+    return random_quadratic_pair(QUAD_DIM, seed, equal_curvature=kind == "equal-curvature")
+
+
+def audit_subject(seed: int, model: ModelParams | None = None,
+                  vocab: Vocabulary | None = None) -> tuple[ModelParams, list[ChatExample], list[ChatExample]]:
+    """(model, no-think examples, think examples) the model claims run on: ``model`` with synthetic
+    data in ``vocab``, or by default a fresh tiny model and its synthetic task at ``seed``."""
+    if model is None:
+        data, vocab = generate_synth_dataset(SynthTaskSpec(modulus=5, n_problems=6, seed=seed))
+        cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_layers=2, n_heads=2, d_ff=12, max_seq=24)
+        model = ModelParams.init_random(cfg, seed)
+    else:
+        data, _ = generate_synth_dataset(SynthTaskSpec(modulus=5, n_problems=4, seed=seed), vocab)
+    return (model, *split_by_mode(data))
+
+
+def measure_stationarity(m0, m1, seed, i):
+    """|weighted gradient| at the dense optimum."""
+    bd = dense_optimum(m0, m1)
+    return np.linalg.norm(m0.pi * m0.grad(bd) + m1.pi * m1.grad(bd)), CLOSED_FORM_TOL, None
+
+
+def measure_conflict_gap(m0, m1, seed, i):
+    """The gap against dense minus split value, and any negative gap."""
+    gap = conflict_gap(m0, m1)
+    split, dense = fixed_backbone_dominance(m0, m1)
+    return max(abs(gap - (dense - split)), -min(gap, 0.0)), CLOSED_FORM_TOL, None
+
+
+def measure_equal_curvature(m0, m1, seed, i):
+    """The equal-curvature closed form against the general gap."""
+    closed = equal_curvature_gap(m0.H, m0.beta_star, m1.beta_star, m0.pi)
+    return abs(conflict_gap(m0, m1) - closed), CLOSED_FORM_TOL, None
+
+
+def measure_dominance(m0, m1, seed, i):
+    """Split-optima value minus the shared compromise's."""
+    split, dense = fixed_backbone_dominance(m0, m1)
+    return split - dense, 1e-12, None
+
+
+def measure_interference(m0, m1, seed, i):
+    """A shared step's exact mode-0 change less its first-order prediction, against the second-order bound; holds
+    when the first-order sign is right wherever decisive and the split step stays within its own bound."""
+    beta = np.random.default_rng(seed + 1000 + i).normal(size=m0.beta_star.shape)
+    rep = verify_interference_on_quadratic(m0, m1, beta, eta=INTERFERENCE_ETA)
+    ok = rep.sign_consistent and rep.split_change <= rep.split_second_order + 1e-15
+    return rep.dense_change - rep.first_order, rep.second_order_bound, ok
+
+
+def measure_grad_vs_fd(model, d0, d1, seed, probes):
+    """Reverse mode against central differences on ``probes`` coordinates drawn at ``seed``, or on all of them."""
+    loss_fn = two_mode_loss_fn(model, d0[:4] + d1[:4])
+    _, grads = value_and_grad(loss_fn, model.params, None)
+    size = model.params.size
+    # in flat order, a chunk of points perturbs few segments; the compared set is the draw's
+    coords = np.sort(np.random.default_rng(seed).choice(size, size=min(probes, size), replace=False))
+    fd = central_differences(loss_fn, model.params, None, coords, step=1e-5)
+    return max_relative_error(grads.flatten()[coords], fd), 1e-5, None
+
+
+def measure_decoupling(model, d0, d1, seed):
+    """The inactive expert's gradient, expert 1's on a no-think batch and expert 0's on a think
+    batch; the claim holds when every entry is bitwise zero."""
+    inactive = []
+    for batch, expert in ((d0[:4], ".expert1."), (d1[:4], ".expert0.")):
+        _, grads = mode_loss_grad(model, batch)
+        inactive += [grads[n] for n in grads.names if expert in n]
+    worst = max(float(np.max(np.abs(g))) for g in inactive)
+    return worst, 0.0, all(g.tobytes() == bytes(g.nbytes) for g in inactive)
+
+
+def measure_hessian(model, d0, d1, seed, probes=16):
+    """The cross-expert curvature vanishes; the within-expert and both alpha-expert controls do not."""
+    rep = hessian_block_audit(model, d0[:4], d1[:4], probes=probes, seed=seed)
+    controls = min(rep.beta0_beta0, rep.alpha_beta0, rep.alpha_beta1) > 1e-4
+    return rep.cross_beta0_beta1, HESSIAN_CROSS_TOL, rep.cross_beta0_beta1 <= HESSIAN_CROSS_TOL and controls
+
+
+def measure_linearization(model, d0, d1, seed):
+    """Worst ratio of successive relative residuals as eps halves from 1e-1, along a direction over
+    the last layer's think expert drawn at ``seed``, on the first no-think example. The route logit
+    gap's linearization assumes equal experts, so it is measured at the model's route-0 twin."""
+    model = model.route0_twin()
+    direction = random_expert_direction(model, model.config.n_layers - 1, seed)
+    rows = linearization_residual(model, list(d0[0].tokens), direction, [1e-1, 5e-2, 2.5e-2])
+    ratios = [b.rel_residual / a.rel_residual for a, b in zip(rows, rows[1:]) if a.rel_residual > 0]
+    return max(ratios) if ratios else 0.0, LINEARIZATION_RATIO, None
+
+
+# Each claim: (subject kind, measure). A measure returns (measured, threshold, ok), where ok
+# None means measured <= threshold. A quadratic measure takes (m0, m1, seed, i) and runs once
+# per random instance, quadratic_subject(kind, seed + i); a model measure takes
+# (model, d0, d1, seed) from audit_subject, grad-vs-fd also the number of probes, and runs once.
+CLAIMS = {
+    "stationarity": ("quadratic", measure_stationarity),
+    "conflict-gap": ("quadratic", measure_conflict_gap),
+    "equal-curvature": ("equal-curvature", measure_equal_curvature),
+    "dominance": ("quadratic", measure_dominance),
+    "interference": ("quadratic", measure_interference),
+    "grad-vs-fd": ("model", measure_grad_vs_fd),
+    "decoupling": ("model", measure_decoupling),
+    "hessian": ("model", measure_hessian),
+    "linearization": ("model", measure_linearization),
+}

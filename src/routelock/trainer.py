@@ -417,8 +417,3 @@ def example_from_record(
     except DataError as exc:
         raise DataError(f"{where}: {exc}") from exc
 
-
-def load_dataset_jsonl(path, vocab: Vocabulary) -> tuple[list[ChatExample], list[str | None]]:
-    """Examples and gold answers (None where absent) of a JSONL dataset file."""
-    pairs = [example_from_record(record, vocab, where) for where, record in read_jsonl(path)]
-    return [ex for ex, _ in pairs], [answer for _, answer in pairs]

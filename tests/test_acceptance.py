@@ -17,20 +17,18 @@ from routelock.model import (
     generate,
     route_logit_gap,
 )
-from routelock.params import (
-    ParamVector,
-    finite_diff_grad,
-    grads_max_relative_error,
-    value_and_grad,
-)
+from routelock.params import ParamVector
 from routelock.synth import SynthTaskSpec, eval_prompts, generate_synth_dataset
 from routelock.theory import (
+    CLAIMS,
+    INTERFERENCE_ETA,
     conflict_gap,
-    dense_optimum,
-    equal_curvature_gap,
-    fixed_backbone_dominance,
-    hessian_block_audit,
     linearization_residual,
+    measure_decoupling,
+    measure_grad_vs_fd,
+    measure_hessian,
+    measure_interference,
+    measure_linearization,
     random_expert_direction,
     random_quadratic_pair,
     verify_interference_on_quadratic,
@@ -45,7 +43,6 @@ from routelock.trainer import (
     split_by_mode,
     token_level_route_variant,
     train,
-    two_mode_loss_fn,
 )
 
 GRAD_CFG = ModelConfig(vocab_size=24, d_model=8, n_layers=2, n_heads=2, d_ff=12, max_seq=24)
@@ -71,36 +68,28 @@ def grad_dataset(rng):
 
 
 def test_c01_gradient_oracle():
-    """Reverse-mode vs central differences on the full two-mode loss, 20 seeds."""
+    """Reverse-mode vs central differences on the full two-mode loss at every coordinate, 20 seeds."""
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(seed)
         model = ModelParams.clone_from_dense(ModelParams.init_dense(GRAD_CFG, seed=seed))
-        dataset = grad_dataset(rng)
-        loss_fn = two_mode_loss_fn(model, dataset)
-        _, rev = value_and_grad(loss_fn, model.params, None)
-        fd = finite_diff_grad(loss_fn, model.params, None, step=1e-5)
-        worst = max(worst, grads_max_relative_error(rev, fd))
-    assert worst <= 1e-5
-    report("C1 gradient-oracle", f"max rel err {worst:.2e} <= 1e-5 over 20 seeds")
+        d0, d1 = split_by_mode(grad_dataset(rng))
+        measured, bound, _ = measure_grad_vs_fd(model, d0, d1, seed, probes=model.params.size)
+        assert measured <= bound
+        worst = max(worst, measured)
+    report("C1 gradient-oracle", f"max rel err {worst:.2e} <= {bound:g} over 20 seeds")
 
 
 def test_c02_exact_decoupling():
     model = ModelParams.clone_from_dense(ModelParams.init_dense(GRAD_CFG, seed=1))
-    dataset = grad_dataset(np.random.default_rng(1))
-    d0, d1 = split_by_mode(dataset)
-    zeros = {}
-    for examples, inactive in ((d0, ".expert1."), (d1, ".expert0.")):
-        _, grads = mode_loss_grad(model, examples)
-        for name in grads.names:
-            if inactive in name:
-                assert grads[name].tobytes() == np.zeros_like(grads[name]).tobytes()
-                zeros[name] = True
+    d0, d1 = split_by_mode(grad_dataset(np.random.default_rng(1)))
+    measured, bound, bitwise_zero = measure_decoupling(model, d0, d1, 1)
+    assert measured <= bound and bitwise_zero
     trained, _ = train(model, d0, TrainConfig(learning_rate=0.1, epochs=2, batch_size=2, seed=0))
     for name, arr in model.params.items():
         if ".expert1." in name:
             assert arr.tobytes() == trained.params[name].tobytes()
-    report("C2 exact-decoupling", f"{len(zeros)} inactive segments bitwise zero; beta1 untouched by mode-0 training")
+    report("C2 exact-decoupling", "inactive expert bitwise zero on both modes' batches; beta1 untouched by mode-0 training")
 
 
 def test_c03_gradient_decomposition():
@@ -124,17 +113,13 @@ def test_c04_hessian_block_structure():
     worst_cross = 0.0
     for seed in range(5):
         model = ModelParams.clone_from_dense(ModelParams.init_dense(GRAD_CFG, seed=seed))
-        dataset = grad_dataset(np.random.default_rng(200 + seed))
-        d0, d1 = split_by_mode(dataset)
-        rep = hessian_block_audit(model, d0, d1, probes=64, seed=seed)
-        worst_cross = max(worst_cross, rep.cross_beta0_beta1)
-        assert rep.beta0_beta0 > 1e-4
-        assert rep.alpha_beta0 > 1e-4
-        assert rep.alpha_beta1 > 1e-4
-    assert worst_cross <= 1e-6
+        d0, d1 = split_by_mode(grad_dataset(np.random.default_rng(200 + seed)))
+        measured, bound, cross_and_controls = measure_hessian(model, d0, d1, seed, probes=64)
+        assert cross_and_controls
+        worst_cross = max(worst_cross, measured)
     report(
         "C4 hessian-blocks",
-        f"cross max {worst_cross:.2e} <= 1e-6 over 64 probes x 5 seeds; controls > 1e-4",
+        f"cross max {worst_cross:.2e} <= {bound:g} over 64 probes x 5 seeds; controls above their floor",
     )
 
 
@@ -174,27 +159,19 @@ def test_c06_specialization_trajectory():
 
 
 def test_c07_quadratic_closed_forms():
-    worst_stat, worst_eq, worst_ecg = 0.0, 0.0, 0.0
+    worst = {}
     for seed in range(100):
         m0, m1 = random_quadratic_pair(6, seed)
-        bd = dense_optimum(m0, m1)
-        g = m0.pi * m0.grad(bd) + m1.pi * m1.grad(bd)
-        worst_stat = max(worst_stat, float(np.linalg.norm(g)))
-        gap = conflict_gap(m0, m1)
-        split_val, dense_val, dom = fixed_backbone_dominance(m0, m1)
-        worst_eq = max(worst_eq, abs(gap - (dense_val - split_val)))
-        assert gap >= -1e-12
-        assert dom
         e0, e1 = random_quadratic_pair(6, 1000 + seed, equal_curvature=True)
-        closed = equal_curvature_gap(e0.H, e0.beta_star, e1.beta_star, e0.pi)
-        worst_ecg = max(worst_ecg, abs(closed - conflict_gap(e0, e1)))
-    assert worst_stat <= 1e-10
-    assert worst_eq <= 1e-10
-    assert worst_ecg <= 1e-10
+        for name in ("stationarity", "conflict-gap", "dominance", "equal-curvature"):
+            kind, measure = CLAIMS[name]
+            measured, bound, _ = measure(*((e0, e1) if kind == "equal-curvature" else (m0, m1)), seed, 0)
+            assert measured <= bound
+            worst[name] = max(worst.get(name, -np.inf), measured)
+        assert conflict_gap(m0, m1) >= -1e-12  # stricter on a negative gap than the conflict-gap bound
     report(
         "C7 quadratic-closed-forms",
-        f"stationarity {worst_stat:.1e}, gap-equality {worst_eq:.1e}, equal-curvature {worst_ecg:.1e}, "
-        "dominance and gap >= 0 on 100 instances",
+        ", ".join(f"{name} {value:.1e}" for name, value in worst.items()) + "; gap >= 0 on 100 instances",
     )
 
 
@@ -202,12 +179,12 @@ def test_c08_interference_criterion():
     checked = 0
     for seed in range(100):
         m0, m1 = random_quadratic_pair(5, seed)
-        rng = np.random.default_rng(3000 + seed)
-        rep = verify_interference_on_quadratic(m0, m1, rng.normal(size=5), eta=1e-4)
-        if abs(rep.first_order) > rep.second_order_bound:
-            assert (rep.dense_change > 0) == (rep.first_order > 0)
-            checked += 1
-        assert rep.split_change <= rep.split_second_order + 1e-15
+        # the measure steps from default_rng(2000 + 1000 + seed).normal(size=5)
+        _, _, sign_and_split_ok = measure_interference(m0, m1, 2000, seed)
+        assert sign_and_split_ok
+        beta = np.random.default_rng(3000 + seed).normal(size=5)
+        rep = verify_interference_on_quadratic(m0, m1, beta, eta=INTERFERENCE_ETA)
+        checked += abs(rep.first_order) > rep.second_order_bound
     assert checked > 50  # the first-order term dominates in most draws
     report("C8 interference", f"sign consistent on {checked}/100 decisive instances; split step bounded")
 
@@ -265,11 +242,9 @@ def test_c11_linearization_scaling():
     data, vocab = generate_synth_dataset(spec)
     cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_layers=2, n_heads=2, d_ff=12, max_seq=32)
     model = ModelParams.clone_from_dense(ModelParams.init_dense(cfg, seed=9))
-    direction = random_expert_direction(model, cfg.n_layers - 1, seed=10)
-    rows = linearization_residual(model, list(data[0].tokens), direction, [1e-1, 5e-2, 2.5e-2])
-    rels = [r.rel_residual for r in rows]
-    for i in range(len(rels) - 1):
-        assert rels[i + 1] / rels[i] <= 0.6
+    # the last layer's direction drawn at seed 10, on data[0]'s tokens
+    measured, bound, _ = measure_linearization(model, data[:1], [], 10)
+    assert 0 < measured <= bound
     affine_cfg = ModelConfig(
         vocab_size=20, d_model=8, n_layers=1, n_heads=2, d_ff=12, max_seq=16, final_norm=False
     )
@@ -279,7 +254,7 @@ def test_c11_linearization_scaling():
     assert all(r.residual <= 1e-10 for r in arows)
     report(
         "C11 linearization",
-        f"relative residuals {[f'{r:.1e}' for r in rels]} (each halving cuts >= 40%); "
+        f"each halving of eps cuts the relative residual to <= {measured:.2f} of the last (bound {bound}); "
         f"affine residual {max(r.residual for r in arows):.1e} <= 1e-10",
     )
 

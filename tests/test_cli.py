@@ -8,6 +8,7 @@ from routelock.checkpoint import load_checkpoint, save_checkpoint
 from routelock.cli import main
 from routelock.model import ModelConfig, ModelParams
 from routelock.synth import SynthTaskSpec, eval_prompts, synth_records, task_vocabulary
+from routelock.theory import CLAIMS
 from routelock.tokenizer import BOS_ID, SPECIAL_TOKENS, Route, Vocabulary, decode
 from routelock.trainer import MODE_NAMES, example_from_record
 
@@ -190,7 +191,7 @@ def test_theory_checkpoint_passes_every_claim(tmp_path):
     out = tmp_path / "t"
     assert main(["theory", "--seed", "0", "--instances", "5", "--checkpoint", str(ckpt), "--out", str(out)]) == 0
     records = {p.stem: [json.loads(line) for line in p.read_text().splitlines()] for p in out.glob("theory_*.jsonl")}
-    assert sorted(records) == sorted(f"theory_{c}" for c in cli.CLAIMS)
+    assert sorted(records) == sorted(f"theory_{c}" for c in CLAIMS)
     assert all(r["pass"] for rows in records.values() for r in rows)
 
 

@@ -272,7 +272,7 @@ def test_synth_matches_jsonl_loader_roundtrip(tmp_path):
     import json
 
     from routelock.synth import synth_records
-    from routelock.trainer import load_dataset_jsonl
+    from routelock.trainer import example_from_record, read_jsonl
 
     spec = SynthTaskSpec(modulus=5, n_problems=10, seed=12)
     direct, vocab = generate_synth_dataset(spec)
@@ -280,9 +280,9 @@ def test_synth_matches_jsonl_loader_roundtrip(tmp_path):
     with open(path, "w") as fh:
         for r in synth_records(spec):
             fh.write(json.dumps(r) + "\n")
-    loaded, answers = load_dataset_jsonl(path, vocab)
-    assert loaded == direct
-    assert all(a is not None for a in answers)
+    pairs = [example_from_record(record, vocab, where) for where, record in read_jsonl(path)]
+    assert [example for example, _ in pairs] == direct
+    assert all(answer is not None for _, answer in pairs)
 
 
 # --- report tables ------------------------------------------------------------

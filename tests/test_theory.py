@@ -7,29 +7,33 @@ import routelock.model
 import routelock.theory
 from routelock.errors import DegenerateInputError, SingularityError
 from routelock.model import ModelConfig, ModelParams, decoder_logits, mlp_dispatch, segment_group
-from routelock.params import ParamVector, as_leaves
+from routelock.params import ParamVector, as_leaves, value_and_grad
 from routelock.tensor import add, swiglu
 from routelock.theory import (
     FD_STEP,
+    LINEARIZATION_RATIO,
     GradientPair,
     InterferenceReport,
     QuadraticMode,
+    audit_subject,
     conflict_gap,
     dense_optimum,
     equal_curvature_gap,
     fixed_backbone_dominance,
-    hessian_block_audit,
     interference_predicate,
-    length_mass_report,
     LinearizationRow,
     linearization_residual,
+    measure_dominance,
+    measure_grad_vs_fd,
+    measure_hessian,
+    measure_stationarity,
     random_expert_direction,
     random_quadratic_pair,
     verify_interference_on_quadratic,
     weighted_objective,
 )
 from routelock.tokenizer import CTRL_NOTHINK_ID, CTRL_THINK_ID, Route
-from routelock.trainer import ChatExample, TrainConfig, train
+from routelock.trainer import ChatExample, TrainConfig, train, two_mode_loss_fn
 
 from conftest import mode_batches
 
@@ -77,10 +81,8 @@ def test_dense_optimum_singular():
 
 def test_dense_optimum_is_stationary_random():
     for seed in range(30):
-        m0, m1 = random_quadratic_pair(6, seed)
-        bd = dense_optimum(m0, m1)
-        g = m0.pi * m0.grad(bd) + m1.pi * m1.grad(bd)
-        assert np.linalg.norm(g) <= 1e-10
+        measured, bound, _ = measure_stationarity(*random_quadratic_pair(6, seed), seed, 0)
+        assert measured <= bound
 
 
 def test_conflict_gap_coincident_zero():
@@ -113,7 +115,7 @@ def test_conflict_gap_equals_dense_minus_split_random():
     for seed in range(100):
         m0, m1 = random_quadratic_pair(5, seed)
         gap = conflict_gap(m0, m1)
-        split_val, dense_val, _ = fixed_backbone_dominance(m0, m1)
+        split_val, dense_val = fixed_backbone_dominance(m0, m1)
         assert abs(gap - (dense_val - split_val)) <= 1e-10
 
 
@@ -146,17 +148,16 @@ def test_gap_scales_quadratically_with_separation():
 
 def test_dominance_random():
     for seed in range(100):
-        m0, m1 = random_quadratic_pair(4, seed)
-        split_val, dense_val, ok = fixed_backbone_dominance(m0, m1)
-        assert ok and split_val <= dense_val + 1e-12
+        measured, bound, _ = measure_dominance(*random_quadratic_pair(4, seed), seed, 0)
+        assert measured <= bound
 
 
 def test_dominance_equality_when_coincident():
     b = np.array([0.5, 0.5])
     m0 = QuadraticMode(np.eye(2), b, 0.5)
     m1 = QuadraticMode(np.eye(2), b, 0.5)
-    split_val, dense_val, ok = fixed_backbone_dominance(m0, m1)
-    assert ok and abs(split_val - dense_val) <= 1e-14
+    split_val, dense_val = fixed_backbone_dominance(m0, m1)
+    assert abs(split_val - dense_val) <= 1e-14
 
 
 # --- interference -------------------------------------------------------------
@@ -216,11 +217,24 @@ def test_split_step_never_increases_l0_beyond_bound():
 def test_hessian_block_audit_thresholds(synth_model, synth_small):
     _, data, _ = synth_small
     b0, b1 = mode_batches(data, 3)
-    rep = hessian_block_audit(synth_model, b0, b1, probes=24, seed=0)
-    assert rep.cross_beta0_beta1 <= 1e-6
-    assert rep.beta0_beta0 > 1e-4
-    assert rep.alpha_beta0 > 1e-4
-    assert rep.alpha_beta1 > 1e-4
+    measured, bound, cross_and_controls = measure_hessian(synth_model, b0, b1, 0, probes=24)
+    assert measured <= bound and cross_and_controls
+
+
+def test_grad_vs_fd_objective_reaches_both_experts(monkeypatch):
+    # the claim's loss covers both modes, so its sampled coordinates in either expert see a gradient
+    model, d0, d1 = audit_subject(0)
+    objectives = []
+
+    def recorded(*args, **kwargs):
+        objectives.append(two_mode_loss_fn(*args, **kwargs))
+        return objectives[-1]
+
+    monkeypatch.setattr(routelock.theory, "two_mode_loss_fn", recorded)
+    measure_grad_vs_fd(model, d0, d1, 0, 8)
+    _, grads = value_and_grad(objectives[0], model.params, None)
+    for expert in (".expert0.", ".expert1."):
+        assert any(np.any(grads[n]) for n in grads.names if expert in n)
 
 
 def test_linearization_zero_eps(synth_model, synth_small):
@@ -241,7 +255,7 @@ def test_linearization_residual_shrinks_superlinearly(synth_model, synth_small):
     rels = [r.rel_residual for r in rows]
     assert all(rels[i + 1] < rels[i] for i in range(len(rels) - 1))
     for i in range(len(rels) - 1):
-        assert rels[i + 1] / rels[i] <= 0.6
+        assert rels[i + 1] / rels[i] <= LINEARIZATION_RATIO
 
 
 def test_linearization_follows_the_direction_layer(synth_model, synth_small):
@@ -251,7 +265,7 @@ def test_linearization_follows_the_direction_layer(synth_model, synth_small):
     rows = linearization_residual(synth_model, list(data[0].tokens), direction, [1e-1, 5e-2, 2.5e-2, 1.25e-2])
     assert all(r.gap_norm > 0 for r in rows)
     rels = [r.rel_residual for r in rows]
-    assert all(b / a <= 0.6 for a, b in zip(rels, rels[1:]))
+    assert all(b / a <= LINEARIZATION_RATIO for a, b in zip(rels, rels[1:]))
 
 
 @pytest.mark.parametrize(
@@ -359,7 +373,7 @@ def test_linearization_runs_two_forwards_per_eps_bitwise_the_per_run_rows(
         assert any(r.gap_norm > 0 for r in rows)
 
 
-# --- length-mass accounting ---------------------------------------------------
+# --- route locking under a token-summed objective -----------------------------
 
 
 def make_dataset(think_len):
@@ -369,21 +383,6 @@ def make_dataset(think_len):
         target = [11 + (i + j) % 5 for j in range(think_len)] + [2]
         e1.append(ChatExample.build([1, 8 + i, CTRL_THINK_ID], target, Route.THINK))
     return e0 + e1
-
-
-def test_length_mass_arithmetic():
-    e0 = [ChatExample.build([1, CTRL_NOTHINK_ID], [10, 2], Route.NO_THINK) for _ in range(3)]
-    e1 = [ChatExample.build([1, CTRL_THINK_ID], [10] * 19 + [2], Route.THINK) for _ in range(3)]
-    rep = length_mass_report(e0 + e1)
-    assert rep["no_think"]["count"] == rep["think"]["count"] == 3
-    assert rep["think"]["token_mass"] == 10 * rep["no_think"]["token_mass"]
-
-
-def test_length_mass_empty_pool():
-    e0 = [ChatExample.build([1, CTRL_NOTHINK_ID], [10, 2], Route.NO_THINK)]
-    rep = length_mass_report(e0)
-    assert rep["think"]["token_mass"] == 0.0
-    assert rep["think"]["count"] == 0.0
 
 
 def test_beta0_trajectory_invariant_to_think_lengths(tiny):

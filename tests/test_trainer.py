@@ -26,11 +26,12 @@ from routelock.trainer import (
     TrainConfig,
     batch_loss_fn,
     expert_gap,
-    load_dataset_jsonl,
+    example_from_record,
     make_batch,
     mode_loss,
     mode_loss_grad,
     mode_weights,
+    read_jsonl,
     sgd_step,
     split_by_mode,
     token_level_route_variant,
@@ -434,10 +435,10 @@ def test_loader_appends_control_token(tmp_path):
     vocab = Vocabulary(["q", "x"])
     path = tmp_path / "d.jsonl"
     write_jsonl(path, [{"prompt": "q", "target": "x", "mode": "think", "answer": "x"}])
-    examples, answers = load_dataset_jsonl(path, vocab)
-    assert examples[0].prompt_ids[-1] == CTRL_THINK_ID
-    assert examples[0].mode is Route.THINK
-    assert answers == ["x"]
+    pairs = [example_from_record(record, vocab, where) for where, record in read_jsonl(path)]
+    assert pairs[0][0].prompt_ids[-1] == CTRL_THINK_ID
+    assert pairs[0][0].mode is Route.THINK
+    assert [answer for _, answer in pairs] == ["x"]
 
 
 def test_loader_rejects_route_conflict_with_line(tmp_path):
@@ -451,14 +452,14 @@ def test_loader_rejects_route_conflict_with_line(tmp_path):
         ],
     )
     with pytest.raises(DataError, match=":2"):
-        load_dataset_jsonl(path, vocab)
+        [example_from_record(record, vocab, where) for where, record in read_jsonl(path)]
 
 
 def test_loader_rejects_bad_json_with_line(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text('{"prompt": "q", "target": "x", "mode": "think"}\nnot json\n')
     with pytest.raises(DataError, match=":2"):
-        load_dataset_jsonl(path, Vocabulary(["q", "x"]))
+        [example_from_record(record, Vocabulary(["q", "x"]), where) for where, record in read_jsonl(path)]
 
 
 @pytest.mark.parametrize(
@@ -476,7 +477,7 @@ def test_loader_rejects_malformed_record_with_line(tmp_path, line, message):
     path = tmp_path / "d.jsonl"
     path.write_text('{"prompt": "q", "target": "x", "mode": "think"}\n\n' + line + "\n")
     with pytest.raises(DataError, match=f":3: .*{message}"):
-        load_dataset_jsonl(path, Vocabulary(["q", "x"]))
+        [example_from_record(record, Vocabulary(["q", "x"]), where) for where, record in read_jsonl(path)]
 
 
 def test_loss_mask_covers_target_only():
