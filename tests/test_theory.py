@@ -23,6 +23,7 @@ from routelock.theory import (
     interference_predicate,
     LinearizationRow,
     linearization_residual,
+    measure_decoupling,
     measure_dominance,
     measure_grad_vs_fd,
     measure_hessian,
@@ -33,7 +34,7 @@ from routelock.theory import (
     weighted_objective,
 )
 from routelock.tokenizer import CTRL_NOTHINK_ID, CTRL_THINK_ID, Route
-from routelock.trainer import ChatExample, TrainConfig, train, two_mode_loss_fn
+from routelock.trainer import ChatExample, TrainConfig, mode_loss_grad, train, two_mode_loss_fn
 
 from conftest import mode_batches
 
@@ -235,6 +236,26 @@ def test_grad_vs_fd_objective_reaches_both_experts(monkeypatch):
     _, grads = value_and_grad(objectives[0], model.params, None)
     for expert in (".expert0.", ".expert1."):
         assert any(np.any(grads[n]) for n in grads.names if expert in n)
+
+
+@pytest.mark.parametrize(
+    "route, inactive", [(Route.NO_THINK, ".expert1."), (Route.THINK, ".expert0.")], ids=["no_think", "think"]
+)
+def test_decoupling_fails_on_any_bit_in_the_inactive_expert(monkeypatch, route, inactive):
+    # the claim checks both batches, and a subnormal or a negative zero in one inactive entry breaks it
+    model, d0, d1 = audit_subject(0)
+    assert measure_decoupling(model, d0, d1, 0) == (0.0, 0.0, True)
+    for leak in (5e-324, -0.0):
+
+        def leaking(model, batch):
+            value, grads = mode_loss_grad(model, batch)
+            if batch[0].mode is route:
+                grads[next(n for n in grads.names if inactive in n)].flat[0] = leak
+            return value, grads
+
+        monkeypatch.setattr(routelock.theory, "mode_loss_grad", leaking)
+        measured, bound, bitwise_zero = measure_decoupling(model, d0, d1, 0)
+        assert measured == abs(leak) and bound == 0.0 and not bitwise_zero
 
 
 def test_linearization_zero_eps(synth_model, synth_small):
