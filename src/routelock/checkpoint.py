@@ -5,13 +5,17 @@ length, the header (one canonical JSON object holding the model config
 and a segment manifest with names, shapes, byte offsets and
 alpha/beta0/beta1 labels), then the payload: the parameters' flat view
 (``ParamVector.flatten``) as raw little-endian float64, so each manifest
-offset is 8 times the segment's start in that view. Save -> load -> save
-reproduces identical bytes.
+offset is 8 times the segment's start in that view. The config alone
+gives the header's bytes, and a file loads only when it carries exactly
+those, so save -> load -> save reproduces identical bytes.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
+import math
 import struct
 from dataclasses import asdict
 
@@ -23,11 +27,17 @@ from .params import ParamVector
 MAGIC = b"PLE1"
 FORMAT_VERSION = 1
 
+_canonical = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
-def _check_routed(cfg: ModelConfig, segments, what: str) -> None:
-    """Raise ValueError unless the (name, shape) ``segments`` are ``cfg``'s routed layout, in order."""
-    if [(n, tuple(s)) for n, s in segments] != [(n, tuple(s)) for n, s in routed_layout(cfg)]:
-        raise ValueError(f"{what} does not match the config's routed layout")
+
+def _header(cfg: ModelConfig) -> bytes:
+    """The header of every ``cfg`` checkpoint: the config, then each routed segment's name, shape,
+    payload byte offset and group, as compact JSON with sorted keys."""
+    layout = routed_layout(cfg)
+    offsets = itertools.accumulate((8 * math.prod(shape) for _, shape in layout), initial=0)
+    manifest = [{"name": n, "shape": list(s), "offset": o, "group": segment_group(n)}
+                for (n, s), o in zip(layout, offsets)]
+    return _canonical({"config": asdict(cfg), "segments": manifest}).encode("utf-8")
 
 
 def _check_finite(params: ParamVector, path) -> None:
@@ -40,56 +50,46 @@ def save_checkpoint(model: ModelParams, path) -> None:
     """Write ``model`` to ``path``; a model not in the routed layout, or holding a NaN or inf, raises
     ValueError before the file opens, so every file written loads."""
     params = model.params
-    _check_routed(model.config, [(n, a.shape) for n, a in params.items()], f"{path}: the model's segment layout")
+    if [(n, a.shape) for n, a in params.items()] != routed_layout(model.config):
+        raise ValueError(f"{path}: the model's segment layout does not match the config's routed layout")
     _check_finite(params, path)
-    manifest = [
-        {"name": n, "shape": list(a.shape), "offset": 8 * params.segment_slice(n)[0], "group": segment_group(n)}
-        for n, a in params.items()
-    ]
-    header = json.dumps(
-        {"config": asdict(model.config), "segments": manifest},
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
+    header = _header(model.config)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
+        fh.write(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header)) + header)
         fh.write(params.flatten().astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:
-    """The model saved at ``path``; a malformed, truncated or non-finite file raises ValueError naming it."""
+    """The model saved at ``path``; a file whose header is not the one its config gives, or that is
+    malformed, truncated or non-finite, raises ValueError naming it."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise ValueError(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
     if len(blob) < 16:
         raise ValueError(f"{path}: truncated: {len(blob)} bytes, shorter than the 16-byte preamble")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    version, hlen = struct.unpack_from("<IQ", blob, 4)
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
-    (hlen,) = struct.unpack_from("<Q", blob, 8)
     if len(blob) < 16 + hlen:
         raise ValueError(f"{path}: truncated: {len(blob)} bytes, the header alone ends at byte {16 + hlen}")
     try:
-        header = json.loads(blob[16 : 16 + hlen].decode("utf-8"))
+        header = json.loads(blob[16 : 16 + hlen])
         cfg = ModelConfig(**header["config"])
-        entries = [(e["name"], tuple(e["shape"]), e["offset"], e["group"]) for e in header["segments"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed header: {exc}") from exc
-    _check_routed(cfg, [(n, s) for n, s, _, _ in entries], f"{path}: segment manifest")
-    layout = ParamVector((name, np.empty(shape)) for name, shape, _, _ in entries)
-    for name, _, offset, group in entries:
-        if group != segment_group(name):
-            raise ValueError(f"{path}: segment {name!r} is labelled {group!r}, expected {segment_group(name)!r}")
-        if offset != (expected := 8 * layout.segment_slice(name)[0]):
-            raise ValueError(f"{path}: segment {name!r} at offset {offset}, expected contiguous offset {expected}")
-    payload, total = len(blob) - 16 - hlen, 8 * layout.size
-    if payload != total:
+    layout = routed_layout(cfg)
+    payload, total = len(blob) - 16 - hlen, 8 * sum(math.prod(shape) for _, shape in layout)
+    if payload != total:  # checked first, so the header rebuilt below is no larger than the file warrants
         cut = " (truncated)" if payload < total else ""
-        raise ValueError(f"{path}: payload is {payload} bytes, the manifest needs {total}{cut}")
-    params = layout.from_flat(np.frombuffer(blob, "<f8", offset=16 + hlen))
+        raise ValueError(f"{path}: payload is {payload} bytes, the config needs {total}{cut}")
+    if blob[16 : 16 + hlen] != (expected := _header(cfg)):
+        found = header["segments"] if isinstance(header.get("segments"), list) else []
+        for i, (got, want) in enumerate(itertools.zip_longest(found, json.loads(expected)["segments"])):
+            if (got := _canonical(got)) != (want := _canonical(want)):
+                raise ValueError(f"{path}: manifest entry {i} is {got}, the config gives {want}")
+        raise ValueError(f"{path}: header is not in canonical form (compact JSON, sorted keys, no other keys)")
+    params = ParamVector((name, np.empty(shape)) for name, shape in layout).from_flat(
+        np.frombuffer(blob, "<f8", offset=16 + hlen))
     _check_finite(params, path)
     return ModelParams(cfg, params.copy())  # writable, one array per segment: the views above are of read-only bytes

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_lines
 from .leakage import (
     LeakageReport,
     ReflectiveLexicon,
@@ -60,11 +60,10 @@ def _params_digest(model) -> str:
 
 def _read_json(path, error: type[ValueError]):
     """The JSON document at ``path``; invalid JSON raises ``error`` naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise error(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        return json.loads("".join(read_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _load_config(path: str | None) -> dict:
@@ -390,8 +389,7 @@ def cmd_filter(args) -> int:
         if not all(isinstance(rec.get(key), str) for key in ("prompt", "response")):
             raise DataError(f"{where}: candidate records need string \"prompt\" and \"response\" fields")
         candidates.append((rec["prompt"], rec["response"]))
-    with open(args.gold, encoding="utf-8") as fh:
-        golds = [line.strip() for line in fh if line.strip()]
+    golds = [line.strip() for line in read_lines(args.gold) if line.strip()]
     if len(golds) != len(candidates):
         raise DataError(f"{args.gold}: {len(candidates)} candidates but {len(golds)} gold answers")
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the field check behind ``ConfigError``."""
+"""Exception types shared across the package, the field check behind ``ConfigError``, and ``read_lines``."""
 
 
 class ShapeError(ValueError):
@@ -35,3 +35,12 @@ def check_field(config, name: str, kind, ok, what: str) -> None:
     value = getattr(config, name)
     if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
         raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
+def read_lines(path) -> list[str]:
+    """The lines of text file ``path`` as iterating it yields them; bytes not UTF-8 raise ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return list(fh)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, read_lines
 from .model import ModelParams, check_prompt_length, generate_batch
 from .tokenizer import Route, Vocabulary, decode
 
@@ -47,8 +47,7 @@ class ReflectiveLexicon:
     @classmethod
     def load(cls, path) -> "ReflectiveLexicon":
         """The markers of ``path``, one per non-blank line; a bad lexicon raises ValueError naming the file."""
-        with open(path, encoding="utf-8") as fh:
-            markers = [line.strip() for line in fh if line.strip()]
+        markers = [line.strip() for line in read_lines(path) if line.strip()]
         try:
             return cls(tuple(markers))
         except ValueError as exc:

@@ -154,20 +154,13 @@ class ModelParams:
 
     @classmethod
     def clone_from_dense(cls, dense: "ModelParams") -> "ModelParams":
-        """Duplicate the source MLP into both experts, bitwise; share the rest."""
-        cfg = dense.config
-        expected = dict(dense_layout(cfg))
-        for name, arr in dense.params.items():
-            if name not in expected or expected[name] != arr.shape:
-                raise ConfigError(f"dense segment {name!r} with shape {arr.shape} does not match config")
-        segments = []
-        for name, shape in routed_layout(cfg):
-            if ".expert0." in name or ".expert1." in name:
-                src = name.replace(".expert0.", ".mlp.").replace(".expert1.", ".mlp.")
-                segments.append((name, dense.params[src].copy()))
-            else:
-                segments.append((name, dense.params[name].copy()))
-        return cls(cfg, ParamVector(segments))
+        """Duplicate the source MLP into both experts, bitwise; share the rest. A source whose
+        (name, shape) segments are not ``dense_layout`` of its config, in order, raises ConfigError."""
+        cfg, src = dense.config, dense.params
+        if [(n, a.shape) for n, a in src.items()] != dense_layout(cfg):
+            raise ConfigError("the source's segments (names and shapes, in order) are not its config's dense layout")
+        return cls(cfg, ParamVector((n, src[n.replace(".expert0.", ".mlp.").replace(".expert1.", ".mlp.")].copy())
+                                    for n, _ in routed_layout(cfg)))
 
     @classmethod
     def init_random(cls, cfg: ModelConfig, seed: int) -> "ModelParams":

@@ -342,7 +342,9 @@ def linearization_residual(
 
 QUAD_DIM = 8  # dimension of the random quadratic instances
 CLOSED_FORM_TOL = 1e-10  # stationarity, conflict-gap and equal-curvature: a closed form against direct evaluation
+DOMINANCE_TOL = 1e-12  # rounding allowed on split minus dense value, so on a negative conflict gap
 INTERFERENCE_ETA = 1e-4  # learning rate of the interference claim's one step
+INTERFERENCE_SLACK = 1e-15  # rounding allowed on the split step's change beyond its second-order bound
 HESSIAN_CROSS_TOL = 1e-6  # finite-difference noise allowed on the exactly-zero cross-expert block
 LINEARIZATION_RATIO = 0.6  # each halving of eps cuts the relative residual to at most this share
 
@@ -387,7 +389,7 @@ def measure_equal_curvature(m0, m1, seed, i):
 def measure_dominance(m0, m1, seed, i):
     """Split-optima value minus the shared compromise's."""
     split, dense = fixed_backbone_dominance(m0, m1)
-    return split - dense, 1e-12, None
+    return split - dense, DOMINANCE_TOL, None
 
 
 def measure_interference(m0, m1, seed, i):
@@ -395,7 +397,7 @@ def measure_interference(m0, m1, seed, i):
     when the first-order sign is right wherever decisive and the split step stays within its own bound."""
     beta = np.random.default_rng(seed + 1000 + i).normal(size=m0.beta_star.shape)
     rep = verify_interference_on_quadratic(m0, m1, beta, eta=INTERFERENCE_ETA)
-    ok = rep.sign_consistent and rep.split_change <= rep.split_second_order + 1e-15
+    ok = rep.sign_consistent and rep.split_change <= rep.split_second_order + INTERFERENCE_SLACK
     return rep.dense_change - rep.first_order, rep.second_order_bound, ok
 
 

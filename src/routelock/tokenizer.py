@@ -12,6 +12,8 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import Iterable, Sequence
 
+from .errors import read_lines
+
 PAD_TOKEN = "<pad>"
 BOS_TOKEN = "<bos>"
 EOS_TOKEN = "<eos>"
@@ -37,16 +39,14 @@ class Route(IntEnum):
 
 
 class Vocabulary:
-    """Bijective token<->id map over a closed word-level vocabulary."""
+    """Bijective token<->id map over a closed word-level vocabulary: the reserved tokens, then
+    ``extra_tokens`` in order; an extra token that repeats one before it raises ValueError."""
 
     def __init__(self, extra_tokens: Sequence[str] = ()):
-        tokens = list(SPECIAL_TOKENS)
+        tokens = [*SPECIAL_TOKENS, *extra_tokens]
         for tok in extra_tokens:
             if not tok or any(c.isspace() for c in tok):
                 raise ValueError(f"invalid token {tok!r}: empty or contains whitespace")
-            if tok in SPECIAL_TOKENS:
-                continue
-            tokens.append(tok)
         self.id_to_token: list[str] = tokens
         self.token_to_id: dict[str, int] = {t: i for i, t in enumerate(tokens)}
         if len(self.token_to_id) != len(tokens):
@@ -60,11 +60,11 @@ class Vocabulary:
 
     @classmethod
     def from_texts(cls, texts: Iterable[str]) -> "Vocabulary":
-        """Closed vocabulary over every whitespace token in the corpus, sorted."""
+        """Closed vocabulary over every whitespace token in the corpus that is not reserved, sorted."""
         words = set()
         for text in texts:
             words.update(text.split())
-        return cls(sorted(words))
+        return cls(sorted(words.difference(SPECIAL_TOKENS)))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -73,8 +73,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh]
+        tokens = [line.rstrip("\n") for line in read_lines(path)]
         if tuple(tokens[: len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS:
             raise ValueError(f"{path}: reserved specials missing or out of order")
         try:

@@ -10,9 +10,11 @@ steps' ones. Momentum is available for convergence speed but breaks that
 identity, so the log only sums it for plain SGD.
 
 Loss is per-token mean within an example and example-mean within a
-batch by default; ``token_sum`` is exposed for the length-asymmetry
-study. The loss mask covers the full target including the end token;
-prompt and control tokens contribute no loss.
+batch by default; ``token_sum``, the sum over target tokens, is what
+``test_beta0_trajectory_invariant_to_think_lengths`` and
+``test_trajectory_identity_holds_under_token_sum`` train with. The loss
+mask covers the full target including the end token; prompt and control
+tokens contribute no loss.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, check_field
+from .errors import DataError, check_field, read_lines
 from .model import (
     ModelParams,
     _swiglu_at,
@@ -366,19 +368,18 @@ def read_jsonl(path):
     Raises DataError, naming the line, on invalid JSON or a record that is
     not a JSON object.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise DataError(f"{where}: record must be a JSON object")
-            yield where, record
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{where}: invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise DataError(f"{where}: record must be a JSON object")
+        yield where, record
 
 
 def record_mode(record: dict, where: str = "record") -> Route:

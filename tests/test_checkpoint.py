@@ -1,10 +1,12 @@
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
 
 from routelock.checkpoint import load_checkpoint, save_checkpoint
+from routelock.cli import main
 from routelock.model import forward
 from routelock.params import ParamVector
 from routelock.tokenizer import Route
@@ -118,11 +120,74 @@ def test_checkpoint_with_trailing_bytes_rejected(tmp_path):
         load_checkpoint(path)
 
 
-def write_header(path, blob, header):
-    """Replace the header of checkpoint ``blob`` with ``header``, written to ``path``."""
+CANONICAL = {"sort_keys": True, "separators": (",", ":")}
+
+
+def write_header(path, blob, header, encoding=CANONICAL):
+    """Replace the header of checkpoint ``blob`` with ``header`` encoded by ``json.dumps(**encoding)``,
+    written to ``path``."""
     hlen, _ = header_of(blob)
-    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    text = json.dumps(header, **encoding).encode()
     path.write_bytes(blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + hlen :])
+
+
+def set_entry(i, **fields):
+    """A header edit: manifest entry ``i`` updated with ``fields``."""
+    return lambda header: header["segments"][i].update(fields)
+
+
+# the tiny model's manifest: 0 embed (24, 8) at offset 0, 1 layer0.ln1 at 1536, ..., 7 layer0.expert0.w_gate,
+# ..., 25 final_norm, 26 lm_head; each edit, the JSON encoding it is written with, and the error it raises
+HEADER_EDITS = {
+    "float-shape": (set_entry(0, shape=[24.0, 8.0]), CANONICAL, r'manifest entry 0 is \{.*"shape":\[24\.0,8\.0\]'),
+    "float-offset": (set_entry(0, offset=0.0), CANONICAL, r'manifest entry 0 is \{.*"offset":0\.0'),
+    "extra-entry-key": (set_entry(0, dtype="<f8"), CANONICAL, r'manifest entry 0 is \{"dtype":"<f8"'),
+    "relabelled-group": (set_entry(7, group="beta1"), CANONICAL,
+                         r'manifest entry 7 is \{"group":"beta1".*the config gives \{"group":"beta0"'),
+    "shifted-offset": (set_entry(1, offset=1544), CANONICAL,
+                       r'manifest entry 1 is \{.*"offset":1544.*the config gives \{.*"offset":1536'),
+    "renamed-segment": (set_entry(26, name="lm_hexd"), CANONICAL, r'manifest entry 26 is \{.*"name":"lm_hexd"'),
+    "missing-segment": (lambda h: h["segments"].pop(1), CANONICAL,
+                        r'manifest entry 1 is \{.*"name":"layer0\.wq".*the config gives \{.*"name":"layer0\.ln1"'),
+    "extra-segment": (lambda h: h["segments"].append({**h["segments"][-1], "name": "lm_head2"}), CANONICAL,
+                      r'manifest entry 27 is \{.*"name":"lm_head2".*the config gives null'),
+    "extra-top-level-key": (lambda h: h.update(format=1), CANONICAL, "header is not in canonical form"),
+    "indented": (lambda h: None, {"sort_keys": True, "indent": 1}, "header is not in canonical form"),
+    "unsorted-keys": (lambda h: h.update(config=h.pop("config")), {"separators": (",", ":")},
+                      "header is not in canonical form"),
+}
+
+
+@pytest.mark.parametrize("edit", list(HEADER_EDITS))
+def test_checkpoint_loads_only_with_its_configs_header(tmp_path, capsys, edit):
+    change, encoding, message = HEADER_EDITS[edit]
+    path, blob = saved_blob(tmp_path)
+    _, header = header_of(blob)
+    change(header)
+    write_header(path, blob, header, encoding)
+    with pytest.raises(ValueError, match=r"m\.ple: " + message):
+        load_checkpoint(path)
+    assert main(["generate", "--checkpoint", str(path), "--prompt", "a"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "m.ple" in err[0], err
+
+
+def test_checkpoint_too_large_for_its_file_is_refused_before_allocating(tmp_path, capsys):
+    # a consistent header for vocab_size 10**11: the embedding and LM head alone would need 12.8 TB
+    path, blob = saved_blob(tmp_path)
+    _, header = header_of(blob)
+    header["config"]["vocab_size"] = 10**11
+    offset = 0
+    for e in header["segments"]:
+        if e["name"] in ("embed", "lm_head"):
+            e["shape"][0] = 10**11
+        e["offset"], offset = offset, offset + 8 * math.prod(e["shape"])
+    write_header(path, blob, header)
+    with pytest.raises(ValueError, match=r"m\.ple: payload is \d+ bytes, the config needs \d+ \(truncated\)"):
+        load_checkpoint(path)
+    assert main(["generate", "--checkpoint", str(path), "--prompt", "a"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "truncated" in err[0], err
 
 
 def test_checkpoint_offsets_must_be_contiguous(tmp_path):
@@ -142,7 +207,7 @@ def test_checkpoint_group_labels_are_checked(tmp_path, relabel):
     for entry in header["segments"]:
         entry["group"] = "alpha" if relabel == "all-alpha" else swap[entry["group"]]
     write_header(path, blob, header)
-    labelled = r"m\.ple.*'layer0\.expert0\.w_gate' is labelled '(alpha|beta1)', expected 'beta0'"
+    labelled = r'm\.ple.*entry 7 is \{"group":"(alpha|beta1)","name":"layer0\.expert0\.w_gate".*gives \{"group":"beta0"'
     with pytest.raises(ValueError, match=labelled):
         load_checkpoint(path)
 

@@ -610,6 +610,15 @@ def with_lexicon(text, build):
     return wrapped
 
 
+def not_utf8(name, build):
+    """``build``'s command with ``{dir}/name`` overwritten by 7 bytes that are not UTF-8 (the first is 0xff)."""
+    def wrapped(tmp_path):
+        argv = build(tmp_path)
+        (tmp_path / name).write_bytes(b"\xffabcdef")
+        return argv
+    return wrapped
+
+
 LARGE = ["compute", "plus", "mod", "x", "y"]  # 11 tokens; "y" is id 10
 OPERATOR_ERRORS = {
     "train-diverges": (diverging_train, ["non-finite loss"]),
@@ -731,6 +740,18 @@ OPERATOR_ERRORS = {
     "filter-lexicon-marker-with-space": (with_lexicon("wait\nwait now\n", filter_with("--lexicon", "{dir}/lex.txt")),
                                          ["lex.txt", "'wait now'", "token"]),
     "filter-response-not-a-string": (filter_with(first=0), ["cand.jsonl:1", '"response"', "string"]),
+    # each text reader names the file it cannot decode
+    "train-dataset-not-utf8": (not_utf8("data.jsonl", train_with()), ["data.jsonl", "not UTF-8"]),
+    "train-config-not-utf8": (not_utf8("cfg.json", train_with()), ["cfg.json", "not UTF-8"]),
+    "generate-vocab-not-utf8": (not_utf8("other.vocab.txt", with_vocab([], "generate", "--checkpoint",
+                                                                       "{dir}/small.ple", "--prompt", "compute",
+                                                                       "--vocab", "{dir}/other.vocab.txt")),
+                                ["other.vocab.txt", "not UTF-8"]),
+    "eval-lexicon-not-utf8": (not_utf8("lex.txt", with_file("lex.txt", "", "eval", "--checkpoint", "{dir}/small.ple",
+                                                            "--dataset", "{dir}/eval.jsonl", "--out", "{dir}/ev",
+                                                            "--lexicon", "{dir}/lex.txt")),
+                              ["lex.txt", "not UTF-8"]),
+    "filter-gold-not-utf8": (not_utf8("gold.txt", filter_with()), ["gold.txt", "not UTF-8"]),
 }
 
 

@@ -87,6 +87,19 @@ def test_clone_rejects_mismatched_shapes():
         ModelParams.clone_from_dense(ModelParams(dense.config, broken))
 
 
+@pytest.mark.parametrize("change", ["missing", "extra", "reordered"])
+def test_clone_rejects_a_source_not_in_the_dense_layout(change):
+    segments = list(tiny_dense().params.items())
+    if change == "missing":
+        segments = [(n, a) for n, a in segments if n != "lm_head"]
+    elif change == "extra":
+        segments.append(("layer0.mlp.bias", np.zeros(12)))
+    else:
+        segments[1], segments[2] = segments[2], segments[1]
+    with pytest.raises(ConfigError, match="dense layout"):
+        ModelParams.clone_from_dense(ModelParams(TINY_CFG, ParamVector(segments)))
+
+
 def test_partition_covers_everything(tiny):
     groups = tiny.groups()
     all_names = set(tiny.params.names)

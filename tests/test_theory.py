@@ -10,7 +10,11 @@ from routelock.model import ModelConfig, ModelParams, decoder_logits, mlp_dispat
 from routelock.params import ParamVector, as_leaves, value_and_grad
 from routelock.tensor import add, swiglu
 from routelock.theory import (
+    CLOSED_FORM_TOL,
+    DOMINANCE_TOL,
     FD_STEP,
+    INTERFERENCE_ETA,
+    INTERFERENCE_SLACK,
     LINEARIZATION_RATIO,
     GradientPair,
     InterferenceReport,
@@ -109,7 +113,7 @@ def test_conflict_gap_equal_curvature_cross_check():
 def test_conflict_gap_nonnegative_random():
     for seed in range(100):
         m0, m1 = random_quadratic_pair(5, seed)
-        assert conflict_gap(m0, m1) >= -1e-12
+        assert conflict_gap(m0, m1) >= -DOMINANCE_TOL
 
 
 def test_conflict_gap_equals_dense_minus_split_random():
@@ -117,7 +121,7 @@ def test_conflict_gap_equals_dense_minus_split_random():
         m0, m1 = random_quadratic_pair(5, seed)
         gap = conflict_gap(m0, m1)
         split_val, dense_val = fixed_backbone_dominance(m0, m1)
-        assert abs(gap - (dense_val - split_val)) <= 1e-10
+        assert abs(gap - (dense_val - split_val)) <= CLOSED_FORM_TOL
 
 
 def test_equal_curvature_gap_degenerate_weights():
@@ -135,7 +139,7 @@ def test_equal_curvature_matches_general_gap():
     for seed in range(100):
         m0, m1 = random_quadratic_pair(5, seed, equal_curvature=True)
         closed = equal_curvature_gap(m0.H, m0.beta_star, m1.beta_star, m0.pi)
-        assert abs(closed - conflict_gap(m0, m1)) <= 1e-10
+        assert abs(closed - conflict_gap(m0, m1)) <= CLOSED_FORM_TOL
 
 
 def test_gap_scales_quadratically_with_separation():
@@ -207,8 +211,8 @@ def test_split_step_never_increases_l0_beyond_bound():
     for seed in range(100):
         m0, m1 = random_quadratic_pair(4, seed)
         rng = np.random.default_rng(seed + 500)
-        rep = verify_interference_on_quadratic(m0, m1, rng.normal(size=4), eta=1e-4)
-        assert rep.split_change <= rep.split_second_order + 1e-15
+        rep = verify_interference_on_quadratic(m0, m1, rng.normal(size=4), eta=INTERFERENCE_ETA)
+        assert rep.split_change <= rep.split_second_order + INTERFERENCE_SLACK
         assert rep.sign_consistent
 
 

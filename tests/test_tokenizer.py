@@ -122,6 +122,19 @@ def test_vocab_load_rejects_bad_specials(tmp_path):
         Vocabulary.load(path)
 
 
+def test_vocab_load_rejects_a_repeated_reserved_token(tmp_path):
+    # line number = id, so "b" on line 8 cannot load as id 7 with the repeated "<pad>" dropped
+    path = tmp_path / "vocab.txt"
+    path.write_text("".join(t + "\n" for t in (*SPECIAL_TOKENS, "a", "<pad>", "b")))
+    with pytest.raises(ValueError, match=r"vocab\.txt: duplicate"):
+        Vocabulary.load(path)
+
+
+def test_vocab_from_texts_leaves_reserved_tokens_at_their_ids():
+    v = Vocabulary.from_texts(["x /think y", "<unk> z /no_think", "<pad> y"])
+    assert v.id_to_token == [*SPECIAL_TOKENS, "x", "y", "z"]
+
+
 def test_vocab_from_texts_is_sorted_and_closed():
     v = Vocabulary.from_texts(["b a", "c a"])
     extras = v.id_to_token[len(SPECIAL_TOKENS):]
