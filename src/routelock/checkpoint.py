@@ -21,7 +21,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .model import ModelConfig, ModelParams, routed_layout, segment_group
+from .model import ModelConfig, ModelParams, routed_layout, routed_segments, segment_group
 from .params import ParamVector
 
 MAGIC = b"PLE1"
@@ -78,11 +78,17 @@ def load_checkpoint(path) -> ModelParams:
         cfg = ModelConfig(**header["config"])
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed header: {exc}") from exc
-    layout = routed_layout(cfg)
-    payload, total = len(blob) - 16 - hlen, 8 * sum(math.prod(shape) for _, shape in layout)
-    if payload != total:  # checked first, so the header rebuilt below is no larger than the file warrants
-        cut = " (truncated)" if payload < total else ""
-        raise ValueError(f"{path}: payload is {payload} bytes, the config needs {total}{cut}")
+    # the payload length is checked first, segment by segment, so that neither the layout nor the
+    # header rebuilt below grows larger than the file warrants, whatever sizes the header declares
+    payload, need, layout = len(blob) - 16 - hlen, 0, []
+    for name, shape in routed_segments(cfg):
+        layout.append((name, shape))
+        need += 8 * math.prod(shape)
+        if need > payload:
+            raise ValueError(f"{path}: payload is {payload} bytes, the config needs {need} (truncated) "
+                             f"by segment {name!r}")
+    if need != payload:
+        raise ValueError(f"{path}: payload is {payload} bytes, the config needs {need}")
     if blob[16 : 16 + hlen] != (expected := _header(cfg)):
         found = header["segments"] if isinstance(header.get("segments"), list) else []
         for i, (got, want) in enumerate(itertools.zip_longest(found, json.loads(expected)["segments"])):

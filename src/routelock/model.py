@@ -22,7 +22,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -86,29 +86,34 @@ def _mlp_shapes(cfg: ModelConfig) -> tuple[tuple[str, tuple[int, int]], ...]:
     )
 
 
-def _layout(cfg: ModelConfig, mlp_prefixes: tuple[str, ...]) -> list[tuple[str, tuple[int, ...]]]:
+def _layout(cfg: ModelConfig, mlp_prefixes: tuple[str, ...]) -> Iterator[tuple[str, tuple[int, ...]]]:
     d = cfg.d_model
-    out: list[tuple[str, tuple[int, ...]]] = [("embed", (cfg.vocab_size, d))]
+    yield "embed", (cfg.vocab_size, d)
     for i in range(cfg.n_layers):
-        out.append((f"layer{i}.ln1", (d,)))
+        yield f"layer{i}.ln1", (d,)
         for w in ("wq", "wk", "wv", "wo"):
-            out.append((f"layer{i}.{w}", (d, d)))
-        out.append((f"layer{i}.ln2", (d,)))
+            yield f"layer{i}.{w}", (d, d)
+        yield f"layer{i}.ln2", (d,)
         for prefix in mlp_prefixes:
             for name, shape in _mlp_shapes(cfg):
-                out.append((f"layer{i}.{prefix}.{name}", shape))
+                yield f"layer{i}.{prefix}.{name}", shape
     if cfg.final_norm:
-        out.append(("final_norm", (d,)))
-    out.append(("lm_head", (cfg.vocab_size, d)))
-    return out
+        yield "final_norm", (d,)
+    yield "lm_head", (cfg.vocab_size, d)
 
 
 def dense_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    return _layout(cfg, ("mlp",))
+    return list(_layout(cfg, ("mlp",)))
+
+
+def routed_segments(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """The routed layout's (name, shape) segments in order, made one at a time, so a caller
+    can stop before a config's layout is built in full."""
+    return _layout(cfg, ("expert0", "expert1"))
 
 
 def routed_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    return _layout(cfg, ("expert0", "expert1"))
+    return list(routed_segments(cfg))
 
 
 def mlp_prefix(layer: int, expert: int | None) -> str:

@@ -50,8 +50,9 @@ def prompt_text(a: int, b: int, m: int) -> str:
 
 
 def think_target_text(a: int, b: int, s: int, r: int, m: int, rng: np.random.Generator) -> str:
-    m1, m2 = rng.choice(DEFAULT_MARKERS, size=2)
-    return f"{m1} {a} plus {b} is {s} {m2} mod {m} gives {r} {ANSWER_MARKER} {r}"
+    # the indices rng.choice(DEFAULT_MARKERS, size=2) draws, without making an array of the tuple
+    i, j = rng.integers(0, len(DEFAULT_MARKERS), size=2)
+    return f"{DEFAULT_MARKERS[i]} {a} plus {b} is {s} {DEFAULT_MARKERS[j]} mod {m} gives {r} {ANSWER_MARKER} {r}"
 
 
 def no_think_target_text(r: int) -> str:

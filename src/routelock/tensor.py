@@ -3,10 +3,13 @@
 Every operation records its inputs and a vector-Jacobian closure on the
 node it produces; ``backward`` replays the graph in reverse topological
 order from a scalar. The graph (the tape) is rebuilt on every forward
-pass and freed with the tensors that hold it. One rule decides what is
-recorded: an op records its node exactly when one of its inputs requires
-grad. A forward over leaves that require no grad runs the identical
-arithmetic and records nothing, so values are bitwise equal either way.
+pass, and ``backward`` consumes it: each node drops its gradient, its
+closure and its edges once its vjp has run, so what the node kept is
+freed as the pass moves on; leaves keep their gradients. One rule
+decides what is recorded: an op records its node exactly when one of
+its inputs requires grad. A forward over leaves that require no grad
+runs the identical arithmetic and records nothing, so values are
+bitwise equal either way.
 
 All data is float64. Leading batch dimensions are supported throughout;
 reductions and normalization act over the trailing axis.
@@ -41,7 +44,8 @@ class Tensor:
 
     ``data`` is row-major storage; ``grad`` stays None until backward
     reaches the node. Leaves created with ``requires_grad=True`` collect
-    parameter gradients; everything else participates only as needed.
+    parameter gradients and keep them; every other node drops its gradient
+    and its edges once backward is past it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_vjp", "pointed")
@@ -141,7 +145,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def backward(root: Tensor) -> None:
-    """Run the reverse pass from a scalar, accumulating leaf gradients."""
+    """Run the reverse pass from a scalar, accumulating leaf gradients, and consume the tape.
+
+    Once a node's vjp has handed its gradients to its parents, the node drops its ``grad``,
+    ``_vjp`` and ``_parents``, so each interior gradient and each array a vjp kept is freed as
+    soon as the pass is past it; leaves keep ``grad`` and every node its ``data``. A second
+    backward through a consumed node raises RuntimeError."""
     if root.size != 1:
         raise ShapeError(f"backward needs a scalar root, got shape {root.shape}")
     topo: list[Tensor] = []
@@ -154,22 +163,24 @@ def backward(root: Tensor) -> None:
             continue
         if id(node) in seen or not node.requires_grad:
             continue
+        if node._vjp is None and node.op != "leaf":
+            raise RuntimeError(f"backward reached a {node.op} node that an earlier backward consumed")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             stack.append((p, False))
 
     root.grad = np.ones_like(root.data)
-    for node in reversed(topo):
-        if node._vjp is None or node.grad is None:
+    while topo:
+        node = topo.pop()
+        if node._vjp is None:  # a leaf keeps its gradient
             continue
-        for parent, g in zip(node._parents, node._vjp(node.grad)):
-            if g is None or not parent.requires_grad:
-                continue
-            if parent.grad is None:
-                parent.grad = g
-            else:
-                parent.grad = parent.grad + g
+        if node.grad is not None:
+            for parent, g in zip(node._parents, node._vjp(node.grad)):
+                if g is not None and parent.requires_grad:
+                    parent.grad = g if parent.grad is None else parent.grad + g
+        node.grad = node._vjp = None
+        node._parents = ()
 
 
 def find_nonfinite(root: Tensor) -> str | None:

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,28 @@ def test_checkpoint_too_large_for_its_file_is_refused_before_allocating(tmp_path
     assert main(["generate", "--checkpoint", str(path), "--prompt", "a"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "truncated" in err[0], err
+
+
+def test_checkpoint_declaring_more_layers_than_its_file_holds_is_refused_in_bounded_memory(tmp_path, capsys):
+    # a header declaring 10**5 layers: building the routed layout (12 segments a layer) before
+    # comparing the payload length took 214 MiB (tracemalloc peak) to refuse the ~19 KB file
+    path, blob = saved_blob(tmp_path)
+    _, header = header_of(blob)
+    header["config"]["n_layers"] = 10**5
+    write_header(path, blob, header)
+    hlen, _ = header_of(path.read_bytes())
+    payload = path.stat().st_size - 16 - hlen
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"m\.ple: payload is {payload} bytes, the config needs \d+ \(truncated\)"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak / 2**20
+    assert main(["generate", "--checkpoint", str(path), "--prompt", "a"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "m.ple" in err[0], err
 
 
 def test_checkpoint_offsets_must_be_contiguous(tmp_path):

@@ -268,6 +268,78 @@ def test_backward_determinism_bitwise():
     assert np.array_equal(g1, g2)
 
 
+def block_loss(rng):
+    """A scalar loss through one decoder block's fused nodes on (2, SEQ, WIDTH) activations, and its
+    leaves that require grad. The table is both the embedding and the LM head, and the embedded x
+    feeds both the norm and the residual, so a leaf and an interior node each sum two gradients."""
+    ids = rng.integers(0, 6, size=(2, SEQ))
+    shapes = [(6, WIDTH), (WIDTH, WIDTH), (WIDTH, WIDTH), (WIDTH, WIDTH), (12, WIDTH), (12, WIDTH), (WIDTH, 12)]
+    leaves = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+    table, wq, wk, wv, wg, wu, wd = leaves
+    gain = Tensor(np.ones(WIDTH))  # a leaf that requires no grad
+    x = embedding(table, ids)
+    h = rms_norm(x, gain)
+    h = add(x, attention(linear(h, wq), linear(h, wk), linear(h, wv), HEADS, COS, SIN, causal_mask(SEQ)))
+    h = add(h, swiglu(rms_norm(h, gain), wg, wu, wd))
+    return softmax_cross_entropy(linear(tail(h, 1), table), ids[:, 1:]), leaves
+
+
+def tape_of(root):
+    """Every node reachable from ``root`` through recorded edges, leaves included."""
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+def retained_backward(root):
+    """The reverse pass in ``backward``'s order, keeping every node's gradient and edges."""
+    topo, seen = [], set()
+
+    def visit(node):
+        if id(node) not in seen and node.requires_grad:
+            seen.add(id(node))
+            for p in reversed(node._parents):  # backward's stack expands the last parent first
+                visit(p)
+            topo.append(node)
+
+    visit(root)
+    root.grad = np.ones_like(root.data)
+    for node in reversed(topo):
+        if node._vjp is not None and node.grad is not None:
+            for parent, g in zip(node._parents, node._vjp(node.grad)):
+                if g is not None and parent.requires_grad:
+                    parent.grad = g if parent.grad is None else parent.grad + g
+
+
+def test_backward_consumes_the_tape_and_leaves_keep_their_gradients():
+    loss, leaves = block_loss(np.random.default_rng(12))
+    interior = [n for n in tape_of(loss) if n.op != "leaf"]
+    assert len(interior) >= 10
+    backward(loss)
+    for node in interior:
+        assert node.grad is None and node._vjp is None and node._parents == (), node.op
+    ref_loss, ref_leaves = block_loss(np.random.default_rng(12))
+    retained_backward(ref_loss)
+    for leaf, ref in zip(leaves, ref_leaves):
+        assert leaf.grad is not None and leaf.grad.tobytes() == ref.grad.tobytes()
+
+
+def test_second_backward_through_a_consumed_node_raises():
+    loss, _ = block_loss(np.random.default_rng(13))
+    backward(loss)
+    with pytest.raises(RuntimeError, match="softmax_cross_entropy node that an earlier backward consumed"):
+        backward(loss)
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    h = mul(x, x)
+    backward(sum_all(h))
+    with pytest.raises(RuntimeError, match="mul node"):
+        backward(sum_all(add(h, x)))
+
+
 def masked_sigmoid(x):
     """The two-branch logistic _sigmoid must match bit for bit."""
     out = np.empty_like(x)

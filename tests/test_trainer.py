@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -480,20 +482,32 @@ def test_loader_rejects_malformed_record_with_line(tmp_path, line, message):
         [example_from_record(record, Vocabulary(["q", "x"]), where) for where, record in read_jsonl(path)]
 
 
+@pytest.mark.parametrize("seed, digest", [(0, "20fea5000f9ab962"), (11, "d43f53010174cd84")])
+def test_synthetic_dataset_is_pinned(seed, digest):
+    # any change to the problem or marker draws, the texts or their encoding changes the digest
+    data, vocab = generate_synth_dataset(SynthTaskSpec(modulus=10, n_problems=1000, seed=seed))
+    doc = [vocab.id_to_token, [[ex.prompt_ids, ex.target_ids, int(ex.mode)] for ex in data]]
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16] == digest
+
+
 def test_loss_mask_covers_target_only():
     e = ChatExample.build([1, 8, CTRL_NOTHINK_ID], [10, 11, 2], Route.NO_THINK)
     assert e.loss_mask == (False, False, False, True, True, True)
 
 
-def demo_training_tape(route: Route) -> tuple[dict, tuple[int, ...]]:
-    """The non-leaf nodes of a demo-size training forward's tape, walked from the loss of its
-    first batch of 25 ``route`` examples, and that batch's (B, T) input shape."""
+def demo_training_batch(route: Route) -> tuple[ModelParams, list[ChatExample]]:
+    """A demo-size model (d_model 64, 2 layers, 4 heads, d_ff 128) and its first batch of 25 ``route`` examples."""
     data, vocab = generate_synth_dataset(SynthTaskSpec(modulus=10, n_problems=40, seed=7))
     cfg = ModelConfig(vocab_size=len(vocab), d_model=64, n_layers=2, n_heads=4, d_ff=128, max_seq=32)
-    model = ModelParams.init_random(cfg, seed=7)
-    examples = split_by_mode(data)[int(route)]
+    return ModelParams.init_random(cfg, seed=7), split_by_mode(data)[int(route)][:25]
+
+
+def demo_training_tape(route: Route) -> tuple[dict, tuple[int, ...]]:
+    """The non-leaf nodes of a demo-size training forward's tape, walked from the loss of
+    ``demo_training_batch``, and that batch's (B, T) input shape."""
+    model, examples = demo_training_batch(route)
     leaves = as_leaves(model.params, requires_grad=True)
-    batch = make_batch(examples[:25])
+    batch = make_batch(examples)
     loss = batch_loss_fn(model, route, "example_mean")(leaves, batch)
     nodes, stack = {}, [loss]
     while stack:
@@ -531,6 +545,19 @@ def test_demo_training_tape_holds_at_most_11_mib():
         hold(node.data)
         hold(node._vjp)
     assert sum(buffers.values()) <= 11 * 2**20, sum(buffers.values()) / 2**20
+
+
+def test_demo_training_step_peaks_at_most_11_mib():
+    # backward frees each interior gradient and vjp closure once the reverse pass is past it
+    # (9.5 MiB); keeping them all until the pass ends peaked at 13.7 MiB
+    model, examples = demo_training_batch(Route.THINK)
+    tracemalloc.start()
+    try:
+        mode_loss_grad(model, examples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize(
